@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import CloakwaveError, ValidationError
+from .errors import CloakwaveError, SingularSystemError, ValidationError
 from .experiments import (
     blowup_sweep,
     convergence_sweep,
+    eigenmode_series,
     instability_sweep,
     nonresonance_scan,
 )
@@ -32,7 +33,8 @@ from .fields import (
     incident_coefficients,
     solve_series,
 )
-from .mie import CloakConfig, Layer, detect_resonances, mode_solve, virtual_medium
+from .mie import CloakConfig, Layer, detect_resonances, first_resonance, mode_solve, virtual_medium
+from .transform import BlowupMap, map_inverse
 
 CSV_HEADER = (
     "epsilon,visibility_l2,visibility_h1,interior_l2,interior_h1,"
@@ -43,6 +45,7 @@ EXPERIMENTS = ("sweep", "instability", "blowup", "resonances", "scan-k", "field"
 
 GRID_POINT_CAP = 1_000_000
 GRID_RADIUS_CAP = 5.0
+FIELD_BLOCK = 256          # points per field-dump evaluation block
 
 
 def golden_tolerance() -> float:
@@ -295,14 +298,19 @@ def _run_instability(config: RunConfig, out_dir: str) -> None:
         "rows": len(res.records),
         "tuning_variant": config.tuning,
         "reference_norm": res.reference_norm,
-        "alpha0_re": [r.alpha0.real for r in res.records],
-        "alpha0_im": [r.alpha0.imag for r in res.records],
+        "alpha0_re": [None if r.alpha0 is None else r.alpha0.real for r in res.records],
+        "alpha0_im": [None if r.alpha0 is None else r.alpha0.imag for r in res.records],
         "detuning_products_paper": list(res.products_paper),
         "detuning_products_eq": list(res.products_eq),
         "sigma0_paper": res.tuned[0].sigma0_paper if res.tuned else None,
         "sigma0_eq": res.tuned[0].sigma0_eq if res.tuned else None,
     }
     _write(os.path.join(out_dir, "summary.json"), _summary(config, extra))
+    singular = [r.flags for r in res.records if r.flags.startswith("singular")]
+    if singular:
+        raise SingularSystemError(
+            f"{len(singular)} of {len(res.records)} tuned rows flagged, first: {singular[0]}"
+        )
 
 
 def _run_blowup(config: RunConfig, out_dir: str) -> None:
@@ -378,56 +386,47 @@ def _run_scan(config: RunConfig, out_dir: str) -> None:
     )
 
 
-def _grid_points(config: RunConfig) -> np.ndarray:
+def _grid_blocks(config: RunConfig):
+    """The validated grid, first coordinate fastest, FIELD_BLOCK points at a time.
+
+    In 3d the grid is the plane y = 0, which contains the symmetry axis.
+    """
     ext = config.grid_extent
     n = config.grid_points
+    d = config.cloak.dimension
     if ext <= 0 or ext * math.sqrt(2.0) > GRID_RADIUS_CAP:
         raise ValidationError(
             f"grid corners must stay inside radius {GRID_RADIUS_CAP} "
             f"(extent <= {GRID_RADIUS_CAP / math.sqrt(2.0):.4f})"
         )
-    d = config.cloak.dimension
     count = n * n
     if count > GRID_POINT_CAP:
         raise ValidationError(f"grid of {count} points exceeds cap {GRID_POINT_CAP}")
     axis_pts = np.linspace(-ext, ext, n)
-    pts = []
-    for x2 in axis_pts:
-        for x1 in axis_pts:
-            if d == 2:
-                pts.append((x1, x2))
-            else:
-                # plane containing the symmetry axis (y = 0)
-                pts.append((x1, 0.0, x2))
-    return np.array(pts)
+
+    def block(start: int) -> np.ndarray:
+        flat = np.arange(start, min(start + FIELD_BLOCK, count))
+        x1, x2 = axis_pts[flat % n], axis_pts[flat // n]
+        return np.column_stack((x1, x2) if d == 2 else (x1, np.zeros_like(x1), x2))
+
+    return (block(start) for start in range(0, count, FIELD_BLOCK))
 
 
 def _field_evaluator(config: RunConfig):
-    """(callable point -> value, truncation) for the configured field kind."""
+    """(callable (P, d) points -> values, truncation) for the configured field kind."""
     cloak = config.cloak
     d, k, eps = cloak.dimension, cloak.k, cloak.epsilon
     corner = config.grid_extent * math.sqrt(2.0)
     if config.field_kind == "eigenmode":
-        from .experiments import _zero_mode
-        from .fields import FieldSeries
-        from .mie import blown_up_medium, first_resonance, interior_source_mode_solve
-        from .transform import BlowupMap, map_inverse
-
         spec = first_resonance(d, k, config.blowup_mode)
-        cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
-        med = blown_up_medium(cfg)
-        sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d))
-        modes = tuple(_zero_mode(n, 1) for n in range(config.blowup_mode)) + (sol,)
-        series = FieldSeries(
-            dimension=d, k=k, truncation=config.blowup_mode, modes=modes, medium=med
-        )
+        series = eigenmode_series(CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),)), spec)
         m = BlowupMap(eps, d)
 
-        def value(p: np.ndarray) -> complex:
+        def values(pts: np.ndarray) -> np.ndarray:
             # u_c(y) = U(F^{-1}(y) / eps): blown-up field at the rescaled preimage
-            return series.eval(map_inverse(m, p) / eps)
+            return series.eval_many(map_inverse(m, pts) / eps)
 
-        return value, config.blowup_mode
+        return values, config.blowup_mode
     spec = cloak.incident
     if spec.kind == "point_source":
         r0 = float(np.linalg.norm(spec.location))
@@ -446,30 +445,44 @@ def _field_evaluator(config: RunConfig):
         epsilon=eps,
         axis=None if spec.axis is None else tuple(spec.axis),
     )
-    return series.eval, n_max
+    return series.eval_many, n_max
+
+
+def _block_values(values, block: np.ndarray) -> np.ndarray:
+    """Values at a block of points; a block that fails is halved until the point is found."""
+    try:
+        return values(block)
+    except CloakwaveError:
+        if len(block) == 1:
+            # interface or map-branch hit: nudge deterministically outward
+            return values(block * (1.0 + 1e-9))
+    half = len(block) // 2
+    return np.concatenate([_block_values(values, b) for b in (block[:half], block[half:])])
 
 
 def _run_field(config: RunConfig, out_dir: str) -> None:
-    value, n_max = _field_evaluator(config)
-    pts = _grid_points(config)
+    values, n_max = _field_evaluator(config)
+    blocks = _grid_blocks(config)
     d = config.cloak.dimension
     header = "x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"
-    lines = [header]
-    for p in pts:
-        try:
-            val = value(p)
-        except CloakwaveError:
-            # interface or map-branch hit: nudge deterministically outward
-            val = value(np.asarray(p) * (1.0 + 1e-9))
-        coords = ",".join(_fmt(c) for c in p)
-        lines.append(f"{coords},{_fmt(val.real)},{_fmt(val.imag)},{_fmt(abs(val))}")
-    _write(os.path.join(out_dir, "field.csv"), "\n".join(lines) + "\n")
+    path = os.path.join(out_dir, "field.csv")
+    # written under a temporary name, so field.csv only ever holds a whole dump
+    with open(path + ".part", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            vals = _block_values(values, block)
+            fh.write("".join(
+                ",".join(_fmt(c) for c in p)
+                + f",{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))}\n"
+                for p, u in zip(block.tolist(), vals.tolist())
+            ))
+    os.replace(path + ".part", path)
     _write(
         os.path.join(out_dir, "summary.json"),
         _summary(
             config,
             {
-                "points": len(pts),
+                "points": config.grid_points ** 2,
                 "extent": config.grid_extent,
                 "truncation": n_max,
                 "field_kind": config.field_kind,

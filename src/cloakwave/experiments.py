@@ -37,6 +37,7 @@ from .mie import (
     CloakConfig,
     Layer,
     ModeSolution,
+    ResonanceSpec,
     TunedSigma,
     alpha0_closed_form,
     first_resonance,
@@ -339,10 +340,26 @@ def instability_sweep(
     )
 
 
-def _zero_mode(n: int, nlayers: int) -> ModeSolution:
-    return ModeSolution(
-        n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
-        layer_coeffs=tuple((0.0 + 0.0j, 0.0 + 0.0j) for _ in range(nlayers)),
+def eigenmode_series(
+    config: CloakConfig, spec: ResonanceSpec, amplitude: float = 1.0
+) -> FieldSeries:
+    """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
+
+    The source is spec's L2-normalized radial eigenfunction times amplitude *
+    eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
+    """
+    d, eps = config.dimension, config.epsilon
+    med = blown_up_medium(config)
+    sol = interior_source_mode_solve(
+        med, config.k, spec, normalization=amplitude * eps ** (2 - d)
+    )
+    modes = tuple(
+        ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
+                     layer_coeffs=((0.0 + 0.0j, 0.0 + 0.0j),))
+        for n in range(spec.mode)
+    ) + (sol,)
+    return FieldSeries(
+        dimension=d, k=config.k, truncation=spec.mode, modes=modes, medium=med
     )
 
 
@@ -369,20 +386,13 @@ def blowup_sweep(
     interior_layer = Layer(1.0, 1.0, spec.sigma0)
 
     def one(e: float) -> SweepRecord:
-        cfg = CloakConfig(d, k, e, (interior_layer,))
-        med = blown_up_medium(cfg)
         try:
-            sol = interior_source_mode_solve(
-                med, k, spec, normalization=amplitude * e ** (2 - d)
-            )
+            series = eigenmode_series(CloakConfig(d, k, e, (interior_layer,)), spec, amplitude)
         except SingularSystemError as exc:
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
             )
-        modes = tuple(_zero_mode(n, 1) for n in range(mode)) + (sol,)
-        series = FieldSeries(
-            dimension=d, k=k, truncation=mode, modes=modes, medium=med
-        )
+        sol = series.modes[mode]
         int_l2 = interior_deviation(series, None)
         int_h1 = interior_deviation(series, None, norm="h1")
         # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus

@@ -34,7 +34,7 @@ from .mie import (
     resonance_condition,
 )
 from .quadrature import integrate
-from .transform import BlowupMap, radial_inverse
+from .transform import BlowupMap, map_inverse, radial_inverse, radii
 
 TAIL_TOL = 1e-14
 _INTERFACE_TOL = 1e-12
@@ -153,6 +153,18 @@ def _regular_chain(d: int, n_max: int, z: complex) -> np.ndarray:
     return specfun._cyl_j_chain_full(n_max, complex(z))[: n_max + 1]
 
 
+def _chain_derivative(f: np.ndarray, z: complex, shift: float) -> np.ndarray:
+    """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1).
+
+    f'_n = f_(n-1) - (n + shift)/z f_n, with shift 0 (cylindrical) or 1
+    (spherical), and f'_0 = -f_1.
+    """
+    der = np.empty(len(f) - 1, dtype=complex)
+    der[0] = -f[1]
+    der[1:] = f[:-2] - ((np.arange(1, len(f) - 1) + shift) / z) * f[1:-1]
+    return der
+
+
 def _check_incident_tail(b: np.ndarray, d: int, k: float, r_eval: float) -> None:
     n_max = len(b) - 1
     reg = _regular_chain(d, n_max, k * r_eval)
@@ -174,26 +186,6 @@ def mode_weight(d: int, n: int) -> float:
     if d == 3:
         return 4.0 * math.pi / (2 * n + 1)
     return 2.0 * math.pi * (1.0 if n == 0 else 2.0)
-
-
-def _legendre_all(n_max: int, x: float) -> np.ndarray:
-    p = np.empty(n_max + 1)
-    p[0] = 1.0
-    if n_max >= 1:
-        p[1] = x
-    for n in range(1, n_max):
-        p[n + 1] = ((2 * n + 1) * x * p[n] - n * p[n - 1]) / (n + 1)
-    return p
-
-
-def _cos_multiples(n_max: int, c: float) -> np.ndarray:
-    t = np.empty(n_max + 1)
-    t[0] = 1.0
-    if n_max >= 1:
-        t[1] = c
-    for n in range(1, n_max):
-        t[n + 1] = 2.0 * c * t[n] - t[n - 1]
-    return t
 
 
 @dataclass(frozen=True)
@@ -247,22 +239,25 @@ class FieldSeries:
                 return i
         return len(self.medium.layers)
 
+    def _layer_basis(self, idx: int) -> tuple[complex, np.ndarray, np.ndarray, bool]:
+        """(wavenumber, regular and singular coefficients, outgoing?) of a layer.
+
+        Index len(layers) is the exterior, whose singular basis is outgoing.
+        """
+        if idx == len(self.medium.layers):
+            co = np.array([m.b_n for m in self.modes])
+            cs = np.array([m.alpha_n for m in self.modes])
+            return self.medium.exterior_wavenumber(self.k), co, cs, True
+        co = np.array([m.layer_coeffs[idx][0] for m in self.modes])
+        cs = np.array([m.layer_coeffs[idx][1] for m in self.modes])
+        return self.medium.wavenumber(self.k, idx), co, cs, False
+
     def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, derivatives) of every mode's radial profile at radius r."""
         d = self.medium.dimension
         n_max = self.truncation
         idx = self._layer_of(r)
-        nlay = len(self.medium.layers)
-        if idx == nlay:
-            kap = self.medium.exterior_wavenumber(self.k)
-            co = np.array([m.b_n for m in self.modes])
-            cs = np.array([m.alpha_n for m in self.modes])
-            outgoing = True
-        else:
-            kap = self.medium.wavenumber(self.k, idx)
-            co = np.array([m.layer_coeffs[idx][0] for m in self.modes])
-            cs = np.array([m.layer_coeffs[idx][1] for m in self.modes])
-            outgoing = False
+        kap, co, cs, outgoing = self._layer_basis(idx)
         if r == 0.0:
             # only the monopole survives at the center (regular basis = 1)
             vals = np.zeros(n_max + 1, dtype=complex)
@@ -317,39 +312,100 @@ class FieldSeries:
 
     # -- point evaluation ----------------------------------------------------
 
-    def eval(self, x) -> complex:
-        """Field value at a point (physical tag composes with the inverse map)."""
-        x = np.asarray(x, dtype=float)
-        if self.valid_radius is not None and np.linalg.norm(x) >= self.valid_radius:
+    def _to_virtual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Virtual-domain images of the rows of x and their radii.
+
+        Rejects, with eval's errors, rows beyond valid_radius, on a branch
+        radius of the map (physical domain) or on a layer interface.
+        """
+        t = radii(x)
+        if self.valid_radius is not None and np.any(t >= self.valid_radius):
             raise ValidationError(
                 f"series only converges inside radius {self.valid_radius:.3g} "
                 "(point-source expansion region)"
             )
+        xv = x
         if self.domain == "physical":
-            m = BlowupMap(self.epsilon, self.dimension)
-            t = float(np.linalg.norm(x))
             for b in (1.0, 2.0):
-                if abs(t - b) <= _INTERFACE_TOL * max(1.0, b):
+                if np.any(np.abs(t - b) <= _INTERFACE_TOL * max(1.0, b)):
                     raise InterfaceEvaluationError(
                         f"physical evaluation on map branch radius {b}"
                     )
-            r = radial_inverse(m, t)
-            xv = x * (r / t) if t > 0 else x
-        else:
-            xv = x
-        r = float(np.linalg.norm(xv))
+            xv = map_inverse(BlowupMap(self.epsilon, self.dimension), x)
+        r = radii(xv)
+        for lay in self.medium.layers:
+            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * max(1.0, lay.radius)):
+                raise InterfaceEvaluationError(f"evaluation at interface radius {lay.radius}")
+        return xv, r
+
+    def eval(self, x) -> complex:
+        """Field value at a point (physical tag composes with the inverse map)."""
+        xv, r = self._to_virtual(np.asarray(x, dtype=float)[None])
+        r = float(r[0])
         vals, _ = self.radial_all(r)
         if r == 0.0:
             return complex(vals[0])
-        cosg = float(np.dot(xv / r, self._axis()))
-        cosg = min(1.0, max(-1.0, cosg))
+        cosg = min(1.0, max(-1.0, float(np.dot(xv[0] / r, self._axis()))))
+        return complex(np.sum(vals * self._angular(cosg)))
+
+    def _angular(self, c):
+        """Angular factor of every mode, by rows, at c = cos(angle to the axis).
+
+        Legendre polynomials P_n(c) in 3d; in 2d the cosines T_n(c) of the
+        multiples of the angle, doubled from mode 1 on (both signs of n).
+        """
+        ang = np.empty((self.truncation + 1,) + np.shape(c))
+        ang[0] = 1.0
+        if self.truncation >= 1:
+            ang[1] = c
         if self.dimension == 3:
-            ang = _legendre_all(self.truncation, cosg)
-            return complex(np.sum(vals * ang))
-        ang = _cos_multiples(self.truncation, cosg)
-        w = np.ones(self.truncation + 1)
-        w[1:] = 2.0
-        return complex(np.sum(vals * w * ang))
+            for n in range(1, self.truncation):
+                ang[n + 1] = ((2 * n + 1) * c * ang[n] - n * ang[n - 1]) / (n + 1)
+            return ang
+        for n in range(1, self.truncation):
+            ang[n + 1] = 2.0 * c * ang[n] - ang[n - 1]
+        ang[1:] *= 2.0
+        return ang
+
+    def eval_many(self, points) -> np.ndarray:
+        """Field values at the rows of a (P, d) array, as eval gives them.
+
+        Points are mapped to the virtual domain and grouped by layer; each
+        group costs one array-argument chain (specfun.array_chain) and one
+        angular recurrence, and a row's value does not depend on the other
+        rows.  A block holding a point eval rejects raises eval's error; the
+        origin is left to eval.
+        """
+        x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        xv, r = self._to_virtual(x)
+        layer = sum(r >= lay.radius for lay in self.medium.layers)   # radii increase
+        out = np.empty(len(x), dtype=complex)
+        for i in np.flatnonzero(r == 0.0):
+            out[i] = self.eval(x[i])
+        ax = self._axis()
+        for idx in range(len(self.medium.layers) + 1):
+            sel = np.flatnonzero((layer == idx) & (r > 0.0))
+            if not sel.size:
+                continue
+            kap, co, cs, outgoing = self._layer_basis(idx)
+            rs = r[sel]
+            need_sing = bool(np.any(cs != 0))
+            reg, sing = specfun.array_chain(self.dimension, self.truncation, kap * rs, need_sing)
+            vals = co[:, None] * reg
+            if need_sing:
+                if outgoing:
+                    sing *= 1j
+                    sing += reg
+                vals += cs[:, None] * sing
+            if idx == 0:
+                for m in self.modes:
+                    if m.particular is not None:
+                        vals[m.n] += [m.particular.eval(float(rr))[0] for rr in rs]
+            cosg = sum((xv[sel, i] / rs) * ax[i] for i in range(self.dimension))
+            vals *= self._angular(np.clip(cosg, -1.0, 1.0))
+            # row-wise sums over contiguous rows: the same order for any block
+            out[sel] = np.sum(np.ascontiguousarray(vals.T), axis=1)
+        return out
 
     def check_tail(self, r_max: float) -> None:
         """Enforce the truncation-tail criterion at the outer probe radius."""
@@ -461,19 +517,9 @@ def _mode_profiles(series: FieldSeries, which: str, reference, r: float):
         kap = series.k_exterior
         b = np.array([m.b_n for m in series.modes])
         z = kap * r
-        if d == 3:
-            jc, yc = specfun.sph_chain(series.truncation + 1, z)
-            shift = 1.0
-        else:
-            jc, yc = specfun.cyl_chain(series.truncation + 1, z)
-            shift = 0.0
-        n_max = series.truncation
-        ns = np.arange(n_max + 1)
-        jd = np.empty(n_max + 1, dtype=complex)
-        jd[0] = -jc[1]
-        if n_max >= 1:
-            jd[1:] = jc[0:n_max] - ((ns[1:] + shift) / z) * jc[1 : n_max + 1]
-        return vals - b * jc[: n_max + 1], ders - b * kap * jd
+        jc = (specfun.sph_chain if d == 3 else specfun.cyl_chain)(series.truncation + 1, z)[0]
+        jd = _chain_derivative(jc, z, 1.0 if d == 3 else 0.0)
+        return vals - b * jc[:-1], ders - b * kap * jd
     if which == "diff_vs_reference":
         if reference is None:
             raise ValidationError("diff_vs_reference needs a reference")
@@ -489,18 +535,9 @@ def _mode_profiles(series: FieldSeries, which: str, reference, r: float):
             raise ValidationError("free-field pullback undefined at radii <= 1")
         t0 = r if r >= 2.0 else 2.0 * (r - 1.0)
         dt0 = 1.0 if r >= 2.0 else 2.0
-        n_max = series.truncation
-        shift = 1.0 if d == 3 else 0.0
-        if d == 3:
-            full = specfun._sph_j_only(n_max + 1, complex(free_k * t0))
-        else:
-            full = specfun._cyl_j_chain_full(n_max + 1, complex(free_k * t0))[: n_max + 2]
-        regd = np.empty(n_max + 1, dtype=complex)
-        regd[0] = -full[1]
-        ns = np.arange(n_max + 1)
-        if n_max >= 1:
-            regd[1:] = full[0:n_max] - ((ns[1:] + shift) / (free_k * t0)) * full[1 : n_max + 1]
-        gv = b * full[: n_max + 1]
+        full = _regular_chain(d, series.truncation + 1, free_k * t0)
+        regd = _chain_derivative(full, free_k * t0, 1.0 if d == 3 else 0.0)
+        gv = b * full[:-1]
         gd = b * free_k * regd * dt0
         return vals - gv, ders - gd
     raise ValidationError(f"unknown norm selector {which!r}")
@@ -746,12 +783,3 @@ def interior_deviation(
         total += integrate(dens, lo, hi, rel_tol=rel_tol).real
     return math.sqrt(max(total, 0.0))
 
-
-# ---------------------------------------------------------------------------
-# grid sampling (plot-ready dumps)
-
-
-def grid_values(series: FieldSeries, points: np.ndarray) -> np.ndarray:
-    """Field values at an (N, d) array of points; row order preserved."""
-    pts = np.asarray(points, dtype=float)
-    return np.array([series.eval(p) for p in pts])

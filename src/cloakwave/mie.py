@@ -420,7 +420,7 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
     num = ke * reg_e.derivative * reg_i.value - flux * k_eps * reg_e.value * reg_i.derivative
     den = ke * out_e.derivative * reg_i.value - flux * k_eps * out_e.value * reg_i.derivative
     if abs(den) <= 1e-280 * max(1.0, abs(num)):
-        raise ZeroDivisionError("alpha0 denominator vanished to machine precision")
+        raise SingularSystemError("alpha0 denominator vanished to machine precision")
     return complex(-num / den)
 
 

@@ -11,6 +11,13 @@ Validated envelope: order <= 200, |z| <= 1e4.  Complex arguments are meant
 for mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
 normalization sum, so keep Im z below ~10.  Values that underflow double
 precision (huge order, tiny argument) are returned as exact zeros.
+
+array_chain runs the same chains over a 1-D array of arguments at once,
+for point evaluation in blocks (FieldSeries.eval_many).  The scalar chains
+stay the kernel of every per-mode and per-radius call: for one argument an
+array pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
+0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
+|f_n| + |f_(n+1)|, and raise the same errors where either overflows.
 """
 
 from __future__ import annotations
@@ -194,6 +201,90 @@ def sph_chain(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
     return j, y
 
 
+def array_chain(
+    d: int, nmax: int, z, singular: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Orders 0..nmax of J, Y (d = 2) or j, y (d = 3) over a 1-D array of z.
+
+    Returns (regular, singular) arrays of shape (nmax + 1, len(z)); the
+    singular one is None unless asked for.  Each argument runs the scalar
+    chains' algorithm on its own: Miller recurrence from its own start
+    order with its own rescaling, Y_0 and Y_1 from the Neumann sums of
+    _cyl_y01 (accumulated during the downward pass), and upward recurrence
+    of the singular family up to the same overflow limit.  Regular 3d
+    values always come from Miller, also below the turning point.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    mag = np.abs(z)
+    for w in (z[np.argmax(mag)], z[np.argmin(mag)]):
+        _check_order_arg(nmax, w, singular=True)
+    spherical = d == 3
+    half = 0.5 if spherical else 0.0
+    start = (nmax + 1.9 * mag + 36).astype(int)
+    start += start % 2
+    seeds: dict[int, list[int]] = {}
+    for i, m in enumerate(start.tolist()):
+        seeds.setdefault(m, []).append(i)
+    top = max(nmax, 1)
+    raw = np.zeros((top + 1, z.size), dtype=complex)
+    prev, cur = np.zeros_like(z), np.zeros_like(z)
+    # even-order part of the normalization sum and the Neumann sums of Y_0
+    # and Y_0' = -Y_1 (see _cyl_y01)
+    even, s0, s1 = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+    for m in range(int(start.max()), -1, -1):
+        if m in seeds:
+            cur[seeds[m]] = 1.0e-280
+        if m <= top:
+            raw[m] = cur
+        if not spherical and m:
+            k = (m + 1) // 2
+            sgn = 1.0 if k % 2 else -1.0
+            if m % 2:
+                # J_m enters the Y_0' sum as J_(2k-1) and as J_(2(k-1)+1)
+                s1 += sgn * (1.0 / (m + 1) + (1.0 / (m - 1) if m > 1 else 0.0)) * cur
+            else:
+                even += cur
+                s0 += sgn / k * cur
+        if m == 0:
+            break
+        prev, cur = cur, (2.0 * (m + half) / z) * cur - prev
+        if np.abs(cur.view(float)).max() > _RESCALE_LIMIT:
+            big = (np.abs(cur.real) > _RESCALE_LIMIT) | (np.abs(cur.imag) > _RESCALE_LIMIT)
+            for arr in (prev, cur, even, s0, s1):
+                arr[big] *= 1.0e-250
+            raw[:, big] *= 1.0e-250
+    if spherical:
+        sin_z, cos_z = np.sin(z), np.cos(z)
+        j0, j1 = sin_z / z, sin_z / (z * z) - cos_z / z
+        raw *= np.where(np.abs(j0) >= np.abs(j1), j0 / raw[0], j1 / raw[1])
+        y = [-cos_z / z, -cos_z / (z * z) - sin_z / z]
+    else:
+        norm = raw[0] + 2.0 * even
+        if not np.all(norm):
+            bad = z[np.argmin(np.abs(norm))]
+            raise BesselOverflowError(f"Miller normalization sum vanished at z = {bad}")
+        raw /= norm
+        lg = np.log(z / 2.0) + EULER_GAMMA
+        y0 = (2.0 / math.pi) * lg * raw[0] + (4.0 / math.pi) * s0 / norm
+        y0p = (2.0 / math.pi) * (raw[0] / z - lg * raw[1]) + (4.0 / math.pi) * s1 / norm
+        y = [y0, -y0p]
+    if not singular:
+        return raw[: nmax + 1], None
+    sing = np.empty((nmax + 1, z.size), dtype=complex)
+    sing[:2] = y[: nmax + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, nmax):
+            sing[n + 1] = (2.0 * (n + half) / z) * sing[n] - sing[n - 1]
+    over = ~(np.abs(sing.view(float)) <= _OVERFLOW_LIMIT)
+    if over.any():
+        n, col = np.unravel_index(np.argmax(over), over.shape)
+        raise BesselOverflowError(
+            f"{'y' if spherical else 'Y'}_{n}({z[col // 2]}) exceeds representable "
+            "magnitude in upward recurrence"
+        )
+    return raw[: nmax + 1], sing
+
+
 def _regular_at_zero(n: int, spherical: bool) -> BesselEval:
     if n == 0:
         return BesselEval(1.0 + 0.0j, 0.0 + 0.0j)
@@ -277,7 +368,8 @@ def find_root(
     convergence is guaranteed; secant candidates are accepted only when they
     fall inside it.  Terminates when the bracket width is below
     1e-14 * max(1, |x|) and |f(x)| <= 1e-13 * scale, where scale is the
-    larger endpoint magnitude of f at entry.
+    larger endpoint magnitude of f at entry, or, failing that, once no float
+    lies strictly inside the bracket, at the endpoint with the smaller |f|.
 
     Raises
     ------
@@ -303,6 +395,9 @@ def find_root(
         width = hi - lo
         if width <= 1e-14 * max(1.0, abs(x)) and abs(fx) <= 1e-13 * scale:
             return x
+        if math.nextafter(lo, hi) >= hi:
+            # no float left strictly inside: f rounds to its sign change here
+            return lo if abs(flo) <= abs(fhi) else hi
         # secant through the bracket endpoints, clipped away from the edges
         denom = fhi - flo
         cand = lo - flo * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)

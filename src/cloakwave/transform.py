@@ -72,6 +72,11 @@ def radial_inverse(m: BlowupMap, t: float) -> float:
     return (2.0 - eps) * t - (2.0 - 2.0 * eps)
 
 
+def radii(y: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, d) array, each from its own row alone."""
+    return np.sqrt(sum(y[:, i] * y[:, i] for i in range(y.shape[1])))
+
+
 def map_forward(m: BlowupMap, x) -> np.ndarray:
     """Apply the map to a point of the virtual domain."""
     x = np.asarray(x, dtype=float)
@@ -84,12 +89,11 @@ def map_forward(m: BlowupMap, x) -> np.ndarray:
 
 
 def map_inverse(m: BlowupMap, y) -> np.ndarray:
-    """Apply the inverse map to a point of the physical domain."""
+    """Apply the inverse map to a physical point or to each row of an (N, d) array."""
     y = np.asarray(y, dtype=float)
-    t = float(np.linalg.norm(y))
-    if t == 0.0:
-        return y.copy()
-    return y * (radial_inverse(m, t) / t)
+    rows = np.atleast_2d(y)
+    scale = [radial_inverse(m, t) / t if t > 0.0 else 1.0 for t in radii(rows).tolist()]
+    return (rows * np.array(scale)[:, None]).reshape(y.shape)
 
 
 def map_jacobian(m: BlowupMap, x) -> np.ndarray:

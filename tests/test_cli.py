@@ -6,9 +6,12 @@ import os
 
 import numpy as np
 import pytest
+import scipy.special as ss
+from scipy.optimize import brentq
 
 from cloakwave import cli
 from cloakwave.cli import build_run_config, golden_tolerance, parse_config_text
+from cloakwave.fields import FieldSeries
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -347,3 +350,140 @@ tuning = paper
         assert abs(complex(re_, im_) + 1.0) > 1e-3
     for p in summary["detuning_products_paper"]:
         assert 0.1 < p < 0.5
+
+
+def test_instability_singular_alpha0_exits_3(tmp_path, monkeypatch):
+    from cloakwave import mie
+
+    zero = mie.specfun.BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
+    monkeypatch.setattr(mie, "_outgoing", lambda d, n, z: zero)
+    cfg = _write_cfg(
+        tmp_path,
+        """
+experiment = instability
+dimension = 3
+k = 1.0
+eps_list = 1e-2, 1e-3, 1e-4
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 1.0
+tuning = paper
+""",
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["instability", "--config", cfg, "--out", out]) == 3
+    rows = open(os.path.join(out, "results.csv")).read().splitlines()[1:]
+    assert len(rows) == 3
+    assert all("singular: alpha0 denominator vanished" in row for row in rows)
+
+
+@pytest.mark.parametrize(
+    "d, modes, k_stall, kappa_ref",
+    [
+        # 2d monopole: J0'(kappa) = -J1(kappa) = 0 at the third zero of J1
+        (2, 6, 8.306601948455882, lambda: ss.jn_zeros(1, 3)[2]),
+        # 3d mode 8: j8'(kappa) = 0
+        (3, 8, 11.962705989271562, lambda: brentq(
+            lambda x: ss.spherical_jn(8, x, derivative=True), 14.5, 14.8, xtol=1e-15)),
+    ],
+)
+def test_resonances_past_one_ulp_root_bracket(tmp_path, d, modes, k_stall, kappa_ref):
+    # these catalogues reach a root whose bracket shrinks to one ulp while
+    # |f| stays above the finder's tolerance
+    cfg = _write_cfg(
+        tmp_path,
+        f"""
+experiment = resonances
+dimension = {d}
+k = 1.0
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 1.5
+resonances.k_min = 0.5
+resonances.k_max = 12.0
+resonances.modes = {modes}
+""",
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["resonances", "--config", cfg, "--out", out]) == 0
+    found = json.load(open(os.path.join(out, "summary.json")))["resonances"]
+    hit = [r for r in found if abs(r["k"] - k_stall) < 1e-12 and r["mode"] == (0 if d == 2 else 8)]
+    assert len(hit) == 1
+    assert hit[0]["kappa_star"] == pytest.approx(kappa_ref(), rel=1e-13)
+
+
+def test_field_dump_memory_flat_in_grid_size(tmp_path):
+    # the dump evaluates and writes a fixed block of points at a time, so
+    # its peak allocation must not grow with the grid (16x more points here)
+    import tracemalloc
+
+    def peak(points):
+        cfg = _write_cfg(
+            tmp_path,
+            f"""
+experiment = field
+dimension = 2
+k = 2.0
+epsilon = 0.01
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+grid.extent = 3.0
+grid.points = {points}
+""",
+            name=f"grid{points}.cfg",
+        )
+        tracemalloc.reset_peak()
+        assert cli.main(["field", "--config", cfg, "--out", str(tmp_path / f"o{points}")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(41)
+        small = peak(41)
+        large = peak(161)
+    finally:
+        tracemalloc.stop()
+    assert large <= 1.2 * small
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_block_hitting_branch_radii_matches_point_by_point(tmp_path, monkeypatch, d):
+    # step 0.25 puts grid points on the map's branch radii 1 and 2; the dump
+    # must give every point what eval gives it, nudged outward where it fails
+    text = f"""
+experiment = field
+dimension = {d}
+k = 2.0
+epsilon = 0.05
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+incident.kind = plane_wave
+incident.direction = {"1, 0" if d == 2 else "0, 0, 1"}
+grid.extent = 3.0
+grid.points = 25
+"""
+    cfg = _write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    calls = []
+    eval_many = FieldSeries.eval_many
+    monkeypatch.setattr(FieldSeries, "eval_many", lambda s, x: calls.append(len(x)) or eval_many(s, x))
+    assert cli.main(["field", "--config", cfg, "--out", out]) == 0
+    rows = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)
+    series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
+    want, nudged = [], 0
+    for p in rows[:, :d]:
+        try:
+            want.append(series.eval(p))
+        except cli.CloakwaveError:
+            nudged += 1
+            want.append(series.eval(p * (1.0 + 1e-9)))
+    want = np.array(want)
+    assert nudged >= 8
+    # a failing block is halved, not redone point by point: each failing point
+    # costs at most two calls per halving plus its nudge
+    blocks = math.ceil(len(rows) / cli.FIELD_BLOCK)
+    assert len(calls) <= blocks + nudged * (2 * math.ceil(math.log2(cli.FIELD_BLOCK)) + 1)
+    got = rows[:, d] + 1j * rows[:, d + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

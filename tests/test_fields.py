@@ -21,7 +21,6 @@ from cloakwave.fields import (
     blown_up_interior_series,
     default_truncation,
     free_series,
-    grid_values,
     incident_coefficients,
     interior_deviation,
     interior_limit,
@@ -367,15 +366,6 @@ def test_interior_convergence_resonant_to_closed_form():
         assert dev < prev
         prev = dev
     assert prev < 2e-6
-
-
-def test_grid_values_order():
-    med = LayeredMedium(2, (Layer(1.0, 1.0, 1.0),))
-    ser = solve_series(med, 1.0, np.array([1.0 + 0.0j]))
-    pts = np.array([[0.3, 0.0], [0.0, 0.4], [2.5, 0.1]])
-    vals = grid_values(ser, pts)
-    assert vals.shape == (3,)
-    assert vals[0] == ser.eval(pts[0])
 
 
 def test_mode_weight_matches_angular_integrals():

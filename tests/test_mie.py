@@ -192,6 +192,14 @@ def test_alpha0_at_interior_stationary_point():
     assert abs(cf - ms) <= 1e-11 * max(1.0, abs(ms))
 
 
+def test_alpha0_vanishing_denominator_is_singular(monkeypatch):
+    zero = mie.specfun.BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
+    monkeypatch.setattr(mie, "_outgoing", lambda d, n, z: zero)
+    for d in (2, 3):
+        with pytest.raises(SingularSystemError, match="alpha0 denominator"):
+            alpha0_closed_form(d, 1.0, 1e-2, 1.2)
+
+
 def test_alpha0_tuned_is_minus_one():
     for d in (2, 3):
         spec = first_resonance(d, 1.0)

@@ -220,6 +220,17 @@ def test_find_root_bracket_error():
         find_root(lambda t: t * t + 1.0, (-1.0, 1.0))
 
 
+def test_find_root_one_ulp_bracket_returns_better_endpoint():
+    # a sign change between adjacent floats with |f| far above the
+    # tolerance: the bracket cannot shrink further, so the endpoint with the
+    # smaller |f| is the root to working precision
+    c = 8.306601948455883
+    got = find_root(lambda t: 1.0 if t >= c else -2.0, (8.0, 9.0))
+    assert got == c
+    got = find_root(lambda t: 2.0 if t >= c else -1.0, (8.0, 9.0))
+    assert got == math.nextafter(c, 0.0)
+
+
 def test_find_root_tolerances():
     calls = []
 
