@@ -43,13 +43,16 @@ from .mie import (
     first_resonance,
     interior_source_mode_solve,
     blown_up_medium,
-    resonance_condition,
+    resonance_scan,
     tune_sigma,
     tuned_inclusion_config,
     virtual_medium,
 )
 
 DEFAULT_PROBE = (2.0, 4.0)
+# grid points per resonance_scan call in nonresonance_scan: its arrays take
+# about 730 bytes per point at 10 modes, and scan.points is not capped
+SCAN_BLOCK = 4096
 RESONANCE_PROXIMITY = 1e-8
 
 
@@ -162,10 +165,7 @@ def min_resonance_margin(config: CloakConfig, modes: int) -> float:
     if lay is None:
         raise ValidationError("resonance margin defined for homogeneous interiors")
     kappa = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
-    return min(
-        abs(resonance_condition(config.dimension, n, kappa, lay.a)[1])
-        for n in range(modes + 1)
-    )
+    return float(np.min(np.abs(resonance_scan(config.dimension, modes, kappa, lay.a)[1])))
 
 
 def _free_value_at_origin(b: np.ndarray) -> complex:
@@ -213,14 +213,10 @@ def convergence_sweep(
         try:
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b, axis=None if spec.axis is None else tuple(spec.axis))
-            ref = (b, k)
-            vis_l2 = norm_annulus(series, "diff_vs_reference", probe[0], probe[1], reference=ref)
-            vis_h1 = norm_annulus(
-                series, "diff_vs_reference", probe[0], probe[1], reference=ref, norm="h1"
+            vis_l2, vis_h1 = norm_annulus(
+                series, "diff_vs_reference", probe[0], probe[1], reference=(b, k)
             )
-            interior = blown_up_interior_series(cfg, series)
-            int_l2 = interior_deviation(interior, limit)
-            int_h1 = interior_deviation(interior, limit, norm="h1")
+            int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), limit)
         except SingularSystemError as exc:
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
@@ -263,7 +259,7 @@ def shell_probe_visibility(
         vm, k, b, domain="physical", epsilon=config.epsilon,
         axis=None if spec.axis is None else tuple(spec.axis),
     )
-    return norm_annulus(series, "diff_vs_reference", r_in, r_out, reference=(b, k))
+    return norm_annulus(series, "diff_vs_reference", r_in, r_out, reference=(b, k))[0]
 
 
 def instability_sweep(
@@ -288,7 +284,7 @@ def instability_sweep(
     """
     eps = _check_eps_list(eps_list)
     spec0 = first_resonance(d, k, 0)
-    ref_norm = outgoing_mode_norm(d, k, 0, probe[0], probe[1])
+    ref_norm = outgoing_mode_norm(d, k, 0, probe[0], probe[1])[0]
     mode_inc = IncidentSpec("mode", mode=0)
     b = incident_coefficients(mode_inc, k, auto_truncation(mode_inc, k, d), d)
 
@@ -307,11 +303,8 @@ def instability_sweep(
                 sig = tuned.sigma_paper
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b)
-            vis_l2 = norm_annulus(series, "scattered", probe[0], probe[1])
-            vis_h1 = norm_annulus(series, "scattered", probe[0], probe[1], norm="h1")
-            interior = blown_up_interior_series(cfg, series)
-            int_l2 = interior_deviation(interior, None)
-            int_h1 = interior_deviation(interior, None, norm="h1")
+            vis_l2, vis_h1 = norm_annulus(series, "scattered", probe[0], probe[1])
+            int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), None)
         except SingularSystemError as exc:
             rec = SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
@@ -384,6 +377,8 @@ def blowup_sweep(
     eps = _check_eps_list(eps_list)
     spec = first_resonance(d, k, mode)
     interior_layer = Layer(1.0, 1.0, spec.sigma0)
+    # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
+    out_l2, out_h1 = outgoing_mode_norm(d, k, mode, probe[0], probe[1])
 
     def one(e: float) -> SweepRecord:
         try:
@@ -392,14 +387,9 @@ def blowup_sweep(
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
             )
-        sol = series.modes[mode]
-        int_l2 = interior_deviation(series, None)
-        int_h1 = interior_deviation(series, None, norm="h1")
-        # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
-        amp_out = abs(sol.alpha_n)
-        ext_l2 = amp_out * outgoing_mode_norm(d, k, mode, probe[0], probe[1])
-        ext_h1 = amp_out * outgoing_mode_norm(d, k, mode, probe[0], probe[1], norm="h1")
-        return SweepRecord(e, ext_l2, ext_h1, int_l2, int_h1)
+        int_l2, int_h1 = interior_deviation(series, None)
+        amp_out = abs(series.modes[mode].alpha_n)
+        return SweepRecord(e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1)
 
     return tuple(_map_ordered(one, eps, threads))
 
@@ -417,9 +407,8 @@ def nonresonance_scan(
         return math.inf
     if any(k <= 0 for k in ks):
         raise ValidationError("k grid must be positive")
-    slope = math.sqrt(sigma / a)
+    kappa = np.array(ks) * math.sqrt(sigma / a)
     return min(
-        abs(resonance_condition(d, n, k * slope, a)[1])
-        for k in ks
-        for n in range(modes + 1)
+        float(np.min(np.abs(resonance_scan(d, modes, kappa[s : s + SCAN_BLOCK], a)[1])))
+        for s in range(0, kappa.size, SCAN_BLOCK)
     )

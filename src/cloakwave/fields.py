@@ -31,10 +31,10 @@ from .mie import (
     ParticularTerm,
     angular_eigenvalue,
     mode_solve,
-    resonance_condition,
+    resonance_scan,
 )
 from .quadrature import integrate
-from .transform import BlowupMap, map_inverse, radial_inverse, radii
+from .transform import BlowupMap, inverse_branch, map_inverse, radii
 
 TAIL_TOL = 1e-14
 _INTERFACE_TOL = 1e-12
@@ -147,27 +147,9 @@ def incident_coefficients(
     return b
 
 
-def _regular_chain(d: int, n_max: int, z: complex) -> np.ndarray:
-    if d == 3:
-        return specfun._sph_j_only(n_max, complex(z))
-    return specfun._cyl_j_chain_full(n_max, complex(z))[: n_max + 1]
-
-
-def _chain_derivative(f: np.ndarray, z: complex, shift: float) -> np.ndarray:
-    """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1).
-
-    f'_n = f_(n-1) - (n + shift)/z f_n, with shift 0 (cylindrical) or 1
-    (spherical), and f'_0 = -f_1.
-    """
-    der = np.empty(len(f) - 1, dtype=complex)
-    der[0] = -f[1]
-    der[1:] = f[:-2] - ((np.arange(1, len(f) - 1) + shift) / z) * f[1:-1]
-    return der
-
-
 def _check_incident_tail(b: np.ndarray, d: int, k: float, r_eval: float) -> None:
     n_max = len(b) - 1
-    reg = _regular_chain(d, n_max, k * r_eval)
+    reg = specfun.regular_chain(d, n_max, k * r_eval)
     mags = np.abs(b * reg)
     top = float(np.max(mags))
     if top > 0 and mags[-1] > TAIL_TOL * top:
@@ -229,15 +211,12 @@ class FieldSeries:
 
     # -- radial profiles ---------------------------------------------------
 
-    def _layer_of(self, r: float) -> int:
-        for i, lay in enumerate(self.medium.layers):
-            if abs(r - lay.radius) <= _INTERFACE_TOL * max(1.0, lay.radius):
-                raise InterfaceEvaluationError(
-                    f"evaluation at interface radius {lay.radius}"
-                )
-            if r < lay.radius:
-                return i
-        return len(self.medium.layers)
+    def _layer_of(self, r: np.ndarray) -> np.ndarray:
+        """Layer index of each radius (len(layers) = exterior); rejects interfaces."""
+        for lay in self.medium.layers:
+            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * max(1.0, lay.radius)):
+                raise InterfaceEvaluationError(f"evaluation at interface radius {lay.radius}")
+        return sum(r >= lay.radius for lay in self.medium.layers)   # radii increase
 
     def _layer_basis(self, idx: int) -> tuple[complex, np.ndarray, np.ndarray, bool]:
         """(wavenumber, regular and singular coefficients, outgoing?) of a layer.
@@ -252,71 +231,71 @@ class FieldSeries:
         cs = np.array([m.layer_coeffs[idx][1] for m in self.modes])
         return self.medium.wavenumber(self.k, idx), co, cs, False
 
-    def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """(values, derivatives) of every mode's radial profile at radius r."""
-        d = self.medium.dimension
-        n_max = self.truncation
-        idx = self._layer_of(r)
-        kap, co, cs, outgoing = self._layer_basis(idx)
-        if r == 0.0:
-            # only the monopole survives at the center (regular basis = 1)
-            vals = np.zeros(n_max + 1, dtype=complex)
-            ders = np.zeros(n_max + 1, dtype=complex)
-            vals[0] = co[0]
-            for m in self.modes:
-                if m.particular is not None:
-                    pv, pd = m.particular.eval(0.0)
-                    vals[m.n] += pv
-                    ders[m.n] += pd
-            return vals, ders
-        z = kap * r
-        need_sing = bool(np.any(cs != 0))
-        if d == 3:
-            shift = 1.0
+    def radial_many(self, rs, derivatives: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+        """(values, derivatives) of every mode's radial profile at each radius.
+
+        Returns arrays of shape (truncation + 1, rs.size), the derivatives
+        None unless asked for.  Radii are grouped by layer, and each group
+        costs one array-argument chain, so a radius's profile does not
+        depend on the other radii; a scalar rs runs the scalar chains
+        instead (see specfun.chain).  At r = 0 only the monopole's regular
+        part and a particular term survive.
+        """
+        d, n_max = self.dimension, self.truncation
+        shift = 1.0 if d == 3 else 0.0
+        one = np.ndim(rs) == 0
+        rs = np.asarray(rs, dtype=float).ravel()
+        layer = self._layer_of(rs)
+        vals = np.zeros((n_max + 1, rs.size), dtype=complex)
+        ders = np.zeros_like(vals) if derivatives else None
+        for idx in range(len(self.medium.layers) + 1):
+            sel = np.flatnonzero(layer == idx)
+            if not sel.size:
+                continue
+            kap, co, cs, outgoing = self._layer_basis(idx)
+            vals[0, sel[rs[sel] == 0.0]] = co[0]   # regular basis: R_n(0) = [n == 0]
+            sel = sel[rs[sel] > 0.0]
+            if not sel.size:
+                continue
+            z = kap * rs[sel]
+            need_sing = bool(np.any(cs != 0))
+            top = n_max + 1 if derivatives else n_max   # f'_n needs f_(n+1)
+            reg, sing = specfun.chain(d, top, z[0] if one else z, need_sing)
+            if need_sing and outgoing:
+                sing *= 1j
+                sing += reg   # H = J + iY
+            if derivatives:
+                dv = co[:, None] * specfun.chain_derivative(reg, z, shift)
+                if need_sing:
+                    dv += cs[:, None] * specfun.chain_derivative(sing, z, shift)
+                ders[:, sel] = kap * dv
+            # weighted in place, so that a group holds no arrays beyond its chains
+            v = np.multiply(co[:, None], reg[: n_max + 1], out=reg[: n_max + 1])
             if need_sing:
-                jc, yc = specfun.sph_chain(n_max + 1, z)
-            else:
-                jc = specfun._sph_j_only(n_max + 1, complex(z))
-                yc = np.zeros_like(jc)
-        else:
-            shift = 0.0
-            if need_sing:
-                jc, yc = specfun.cyl_chain(n_max + 1, z)
-            else:
-                jc = specfun._cyl_j_chain_full(n_max + 1, complex(z))[: n_max + 2]
-                yc = np.zeros_like(jc)
-        sing = (jc + 1j * yc) if outgoing else yc
-        reg = jc
-        ns = np.arange(n_max + 1)
-        reg_d = np.empty(n_max + 1, dtype=complex)
-        sing_d = np.empty(n_max + 1, dtype=complex)
-        reg_d[0] = -reg[1]
-        sing_d[0] = -sing[1]
-        if n_max >= 1:
-            fac = (ns[1:] + shift) / z
-            reg_d[1:] = reg[0:n_max] - fac * reg[1 : n_max + 1]
-            sing_d[1:] = sing[0:n_max] - fac * sing[1 : n_max + 1]
-        vals = co * reg[: n_max + 1] + cs * sing[: n_max + 1]
-        ders = kap * (co * reg_d + cs * sing_d)
-        if idx == 0:
-            for m in self.modes:
-                if m.particular is not None:
-                    pv, pd = m.particular.eval(r)
-                    vals[m.n] += pv
-                    ders[m.n] += pd
+                v += np.multiply(cs[:, None], sing[: n_max + 1], out=sing[: n_max + 1])
+            vals[:, sel] = v
+        inner = np.flatnonzero(layer == 0)
+        for m in self.modes:
+            if m.particular is not None and inner.size:
+                pv, pd = m.particular.eval(rs[0] if one else rs[inner])
+                vals[m.n, inner] += pv
+                if derivatives:
+                    ders[m.n, inner] += pd
         return vals, ders
 
-    def radial(self, n: int, r: float) -> tuple[complex, complex]:
-        vals, ders = self.radial_all(r)
-        return complex(vals[n]), complex(ders[n])
+    def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """(values, derivatives) of every mode's radial profile at radius r."""
+        vals, ders = self.radial_many(float(r))
+        return vals[:, 0], ders[:, 0]
 
     # -- point evaluation ----------------------------------------------------
 
     def _to_virtual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Virtual-domain images of the rows of x and their radii.
 
-        Rejects, with eval's errors, rows beyond valid_radius, on a branch
-        radius of the map (physical domain) or on a layer interface.
+        Rejects, with eval's errors, rows beyond valid_radius or on a branch
+        radius of the map (physical domain); _layer_of rejects layer
+        interfaces.
         """
         t = radii(x)
         if self.valid_radius is not None and np.any(t >= self.valid_radius):
@@ -332,11 +311,7 @@ class FieldSeries:
                         f"physical evaluation on map branch radius {b}"
                     )
             xv = map_inverse(BlowupMap(self.epsilon, self.dimension), x)
-        r = radii(xv)
-        for lay in self.medium.layers:
-            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * max(1.0, lay.radius)):
-                raise InterfaceEvaluationError(f"evaluation at interface radius {lay.radius}")
-        return xv, r
+        return xv, radii(xv)
 
     def eval(self, x) -> complex:
         """Field value at a point (physical tag composes with the inverse map)."""
@@ -370,55 +345,21 @@ class FieldSeries:
     def eval_many(self, points) -> np.ndarray:
         """Field values at the rows of a (P, d) array, as eval gives them.
 
-        Points are mapped to the virtual domain and grouped by layer; each
-        group costs one array-argument chain (specfun.array_chain) and one
-        angular recurrence, and a row's value does not depend on the other
-        rows.  A block holding a point eval rejects raises eval's error; the
-        origin is left to eval.
+        Points are mapped to the virtual domain, their radial profiles come
+        from radial_many (one array-argument chain per layer) and their
+        angular factors from one recurrence, and a row's value does not
+        depend on the other rows.  A block holding a point eval rejects
+        raises eval's error.
         """
         x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         xv, r = self._to_virtual(x)
-        layer = sum(r >= lay.radius for lay in self.medium.layers)   # radii increase
-        out = np.empty(len(x), dtype=complex)
-        for i in np.flatnonzero(r == 0.0):
-            out[i] = self.eval(x[i])
-        ax = self._axis()
-        for idx in range(len(self.medium.layers) + 1):
-            sel = np.flatnonzero((layer == idx) & (r > 0.0))
-            if not sel.size:
-                continue
-            kap, co, cs, outgoing = self._layer_basis(idx)
-            rs = r[sel]
-            need_sing = bool(np.any(cs != 0))
-            reg, sing = specfun.array_chain(self.dimension, self.truncation, kap * rs, need_sing)
-            vals = co[:, None] * reg
-            if need_sing:
-                if outgoing:
-                    sing *= 1j
-                    sing += reg
-                vals += cs[:, None] * sing
-            if idx == 0:
-                for m in self.modes:
-                    if m.particular is not None:
-                        vals[m.n] += [m.particular.eval(float(rr))[0] for rr in rs]
-            cosg = sum((xv[sel, i] / rs) * ax[i] for i in range(self.dimension))
-            vals *= self._angular(np.clip(cosg, -1.0, 1.0))
-            # row-wise sums over contiguous rows: the same order for any block
-            out[sel] = np.sum(np.ascontiguousarray(vals.T), axis=1)
-        return out
-
-    def check_tail(self, r_max: float) -> None:
-        """Enforce the truncation-tail criterion at the outer probe radius."""
-        d = self.dimension
-        reg = _regular_chain(d, self.truncation, self.k_exterior * r_max)
-        b = np.array([m.b_n for m in self.modes])
-        al = np.array([m.alpha_n for m in self.modes])
-        mags = np.abs(al) + np.abs(b * reg)
-        top = float(np.max(mags))
-        if top > 0 and mags[-1] > TAIL_TOL * top:
-            raise TruncationError(
-                f"series tail {mags[-1]:.3e} exceeds {TAIL_TOL:.0e} x {top:.3e}"
-            )
+        vals, _ = self.radial_many(r, derivatives=False)
+        ax, pos = self._axis(), r > 0.0
+        cosg = np.ones(len(x))   # at the origin only the monopole is nonzero
+        cosg[pos] = sum((xv[pos, i] / r[pos]) * ax[i] for i in range(self.dimension))
+        vals *= self._angular(np.clip(cosg, -1.0, 1.0))
+        # row-wise sums over contiguous rows: the same order for any block
+        return np.sum(np.ascontiguousarray(vals.T), axis=1)
 
 
 def solve_series(
@@ -498,49 +439,69 @@ def _split_points(series: FieldSeries, r_in: float, r_out: float) -> list[float]
     return sorted(cuts)
 
 
-def _mode_profiles(series: FieldSeries, which: str, reference, r: float):
-    """Per-mode (value, derivative) arrays of the measured quantity at radius r."""
+def _mode_profiles(series: FieldSeries, which: str, reference, r: np.ndarray):
+    """Per-mode (value, derivative) arrays, (modes, P), of the measured quantity.
+
+    r holds the nodes of one _split_points segment, which lies on one
+    branch of the blow-up map (physical domain), where the map is affine.
+    """
     d = series.dimension
     if series.domain == "physical":
-        m = BlowupMap(series.epsilon, d)
-        rv = radial_inverse(m, r)
-        drv = 1.0 if r >= 2.0 else ((2.0 - series.epsilon) if r > 1.0 else series.epsilon)
-        vals, ders = series.radial_all(rv)
-        ders = ders * drv
+        slope, offset = inverse_branch(BlowupMap(series.epsilon, d), r[0])
+        vals, ders = series.radial_many(slope * r + offset)
+        ders *= slope
     else:
-        vals, ders = series.radial_all(r)
+        vals, ders = series.radial_many(r)
     if which == "total":
         return vals, ders
     if which == "scattered":
-        if r < series.medium.outer_radius:
+        if np.any(r < series.medium.outer_radius):
             raise ValidationError("scattered norm only defined outside the medium")
         kap = series.k_exterior
-        b = np.array([m.b_n for m in series.modes])
-        z = kap * r
-        jc = (specfun.sph_chain if d == 3 else specfun.cyl_chain)(series.truncation + 1, z)[0]
-        jd = _chain_derivative(jc, z, 1.0 if d == 3 else 0.0)
-        return vals - b * jc[:-1], ders - b * kap * jd
+        b = np.array([m.b_n for m in series.modes])[:, None]
+        jc, jd = specfun.regular_array(d, series.truncation, kap * r)
+        # grouped as in radial_many, so a field with no scattered part gives exact zeros
+        return vals - b * jc, ders - kap * (b * jd)
     if which == "diff_vs_reference":
         if reference is None:
             raise ValidationError("diff_vs_reference needs a reference")
         if isinstance(reference, FieldSeries):
             rvals, rders = _mode_profiles(reference, "total", None, r)
             n = min(len(vals), len(rvals))
-            dv = vals[:n] - rvals[:n]
-            dd = ders[:n] - rders[:n]
-            return dv, dd
+            return vals[:n] - rvals[:n], ders[:n] - rders[:n]
         # analytic pullback of the free field through the limit map
         b, free_k = reference
-        if r <= 1.0:
+        if np.any(r <= 1.0):
             raise ValidationError("free-field pullback undefined at radii <= 1")
-        t0 = r if r >= 2.0 else 2.0 * (r - 1.0)
-        dt0 = 1.0 if r >= 2.0 else 2.0
-        full = _regular_chain(d, series.truncation + 1, free_k * t0)
-        regd = _chain_derivative(full, free_k * t0, 1.0 if d == 3 else 0.0)
-        gv = b * full[:-1]
-        gd = b * free_k * regd * dt0
-        return vals - gv, ders - gd
+        dt0, offset = inverse_branch(BlowupMap(0.0, d), r)
+        gv, gd = specfun.regular_array(d, series.truncation, free_k * (dt0 * r + offset))
+        b = np.asarray(b)[:, None]
+        return vals - b * gv, ders - b * free_k * gd * dt0
     raise ValidationError(f"unknown norm selector {which!r}")
+
+
+def _l2_h1_density(d: int, vals: np.ndarray, ders: np.ndarray, r: np.ndarray, first: int = 0):
+    """(2, P) L2 and H1 densities at radii r of the profiles of modes first, first + 1, ...
+
+    Angular Parseval: each mode weighs mode_weight, and its angular
+    gradient adds the angular eigenvalue times |value|^2 / r^2.
+    """
+    ns = range(first, first + len(vals))
+    w = np.array([mode_weight(d, n) for n in ns])[:, None]
+    nu = np.array([angular_eigenvalue(d, n) for n in ns])[:, None]
+    v2 = np.abs(vals) ** 2
+    l2 = np.sum(w * v2, axis=0)
+    h1 = l2 + np.sum(w * (np.abs(ders) ** 2 + nu * v2 / r**2), axis=0)
+    return np.stack([l2, h1]) * r ** (d - 1)
+
+
+def _norm_pair(dens, cuts, rel_tol: float) -> tuple[float, float]:
+    """(L2, H1) norms from a two-component density integrated between successive cuts."""
+    total = np.zeros(2)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        total += integrate(dens, lo, hi, rel_tol=rel_tol).real
+    l2, h1 = np.sqrt(np.maximum(total, 0.0))
+    return float(l2), float(h1)
 
 
 def norm_annulus(
@@ -549,73 +510,45 @@ def norm_annulus(
     r_in: float,
     r_out: float,
     reference=None,
-    norm: str = "l2",
     rel_tol: float = 1e-11,
-) -> float:
-    """L2 or full H1 norm of a field over an annulus via angular Parseval.
+) -> tuple[float, float]:
+    """(L2, full H1) norms of a field over an annulus via angular Parseval.
 
     which selects the measured quantity: the total field, the scattered
     part (outgoing components only, defined outside the medium), or the
     difference against a reference.  The reference is either another
     FieldSeries on the same domain or a pair (b, k) meaning the analytic
     pullback of the free incident field through the limit map (which is
-    the free field itself outside radius 2).
+    the free field itself outside radius 2).  Both norms come from one
+    two-component quadrature on the same nodes.
     """
     if not 0.0 < r_in < r_out:
         raise ValidationError(f"bad annulus [{r_in}, {r_out}]")
-    if norm not in ("l2", "h1"):
-        raise ValidationError(f"unknown norm kind {norm!r}")
-    d = series.dimension
-    n_max = series.truncation
-    weights = np.array([mode_weight(d, n) for n in range(n_max + 1)])
-    nus = np.array([angular_eigenvalue(d, n) for n in range(n_max + 1)])
 
     def dens(rr: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rr)
-        for i, r in enumerate(rr):
-            vals, ders = _mode_profiles(series, which, reference, float(r))
-            w = weights[: len(vals)]
-            acc = float(np.sum(w * np.abs(vals) ** 2))
-            if norm == "h1":
-                acc += float(
-                    np.sum(w * (np.abs(ders) ** 2 + nus[: len(vals)] * np.abs(vals) ** 2 / r**2))
-                )
-            out[i] = acc * r ** (d - 1)
-        return out
+        return _l2_h1_density(series.dimension, *_mode_profiles(series, which, reference, rr), rr)
 
-    total = 0.0
-    pts = _split_points(series, r_in, r_out)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        total += integrate(dens, lo, hi, rel_tol=rel_tol).real
-    return math.sqrt(max(total, 0.0))
+    return _norm_pair(dens, _split_points(series, r_in, r_out), rel_tol)
 
 
 def outgoing_mode_norm(
-    d: int, k: float, n: int, r_in: float, r_out: float, norm: str = "l2"
-) -> float:
-    """Norm of a unit-coefficient outgoing mode over an annulus.
+    d: int, k: float, n: int, r_in: float, r_out: float
+) -> tuple[float, float]:
+    """(L2, H1) norms of a unit-coefficient outgoing mode over an annulus.
 
-    For n = 0 this is the plain function norm of h_0(k|x|) (3d) or
+    For n = 0 the L2 norm is the plain function norm of h_0(k|x|) (3d) or
     H_0(k|x|) (2d) on the annulus, the reference magnitude of the
     instability experiment.
     """
-    w = mode_weight(d, n)
-    nu = angular_eigenvalue(d, n)
 
     def dens(rr: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rr)
-        for i, r in enumerate(rr):
-            if d == 3:
-                ev = specfun.sph_bessel("h1", n, k * r)
-            else:
-                ev = specfun.cyl_bessel("H1", n, k * r)
-            acc = abs(ev.value) ** 2
-            if norm == "h1":
-                acc += abs(k * ev.derivative) ** 2 + nu * abs(ev.value) ** 2 / r**2
-            out[i] = w * acc * r ** (d - 1)
-        return out
+        z = k * rr
+        reg, sing = specfun.array_chain(d, n + 1, z)
+        h = reg + 1j * sing
+        hd = specfun.chain_derivative(h, z, 1.0 if d == 3 else 0.0)
+        return _l2_h1_density(d, h[n : n + 1], k * hd[n : n + 1], rr, first=n)
 
-    return math.sqrt(integrate(dens, r_in, r_out).real)
+    return _norm_pair(dens, [r_in, r_out], 1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -632,22 +565,21 @@ class InteriorLimit:
     kappa: float = 0.0
     particular: ParticularTerm | None = None
 
-    def radial0(self, r: float) -> tuple[complex, complex]:
-        """Mode-0 radial profile (value, derivative); other modes vanish."""
+    def radial0(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """Mode-0 radial profile (value, derivative) at a radius or an array of radii.
+
+        Other modes vanish.
+        """
+        r = np.asarray(r, dtype=float)
         if self.kind == "zero":
-            return 0.0 + 0.0j, 0.0 + 0.0j
-        d = self.dimension
-        if d == 3:
-            ev = specfun.sph_bessel("j", 0, self.kappa * r)
-        else:
-            ev = specfun.cyl_bessel("J", 0, self.kappa * r)
-        val = self.coefficient * ev.value
-        der = self.coefficient * self.kappa * ev.derivative
+            return np.zeros(r.shape, dtype=complex), np.zeros(r.shape, dtype=complex)
+        vals, ders = specfun.regular_array(self.dimension, 0, self.kappa * r)
+        val = self.coefficient * vals[0].reshape(r.shape)
+        der = self.coefficient * self.kappa * ders[0].reshape(r.shape)
         if self.particular is not None:
             pv, pd = self.particular.eval(r)
-            val += pv
-            der += pd
-        return complex(val), complex(der)
+            val, der = val + pv, der + pd
+        return val, der
 
 
 def interior_limit(
@@ -673,12 +605,8 @@ def interior_limit(
     if abs(complex(lay.sigma).imag) > 0:
         raise UnsupportedConfigurationError("interior limit needs lossless interior")
     kap = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
-    n_check = default_truncation(config.k, 1.0) + 5
-    resonant_modes = [
-        n
-        for n in range(n_check + 1)
-        if abs(resonance_condition(d, n, kap, lay.a)[1]) < 1e-9
-    ]
+    normed = resonance_scan(d, default_truncation(config.k, 1.0) + 5, kap, lay.a)[1][:, 0]
+    resonant_modes = np.flatnonzero(np.abs(normed) < 1e-9).tolist()
     if interior_source is not None:
         spec, amp = interior_source
         if spec.mode in resonant_modes and abs(
@@ -695,19 +623,7 @@ def interior_limit(
         from .mie import eigenfunction_normalization
 
         q = amp * eigenfunction_normalization(spec) / lay.a
-        if abs(kap - spec.kappa_star) <= 1e-9 * spec.kappa_star:
-            part = ParticularTerm(
-                kind="kappa_derivative", coefficient=-q / (2.0 * kap),
-                kappa=kap, kappa_source=complex(spec.kappa_star),
-                order=0, dimension=d,
-            )
-        else:
-            part = ParticularTerm(
-                kind="off_resonance",
-                coefficient=q / (kap * kap - spec.kappa_star**2),
-                kappa=kap, kappa_source=complex(spec.kappa_star),
-                order=0, dimension=d,
-            )
+        part = ParticularTerm.for_source(d, 0, kap, complex(spec.kappa_star), q)
         if d == 3:
             # Neumann condition at the unit sphere fixes the homogeneous part
             _, pd = part.eval(1.0)
@@ -750,36 +666,17 @@ def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldS
 def interior_deviation(
     interior: FieldSeries,
     limit: InteriorLimit | None,
-    norm: str = "l2",
     rel_tol: float = 1e-11,
-) -> float:
-    """L2 or H1 norm over the unit ball of (interior field - limit)."""
-    d = interior.dimension
-    n_max = interior.truncation
-    weights = np.array([mode_weight(d, n) for n in range(n_max + 1)])
-    nus = np.array([angular_eigenvalue(d, n) for n in range(n_max + 1)])
+) -> tuple[float, float]:
+    """(L2, H1) norms over the unit ball of (interior field - limit)."""
 
     def dens(rr: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rr)
-        for i, r in enumerate(rr):
-            vals, ders = interior.radial_all(float(r))
-            if limit is not None:
-                lv, ld = limit.radial0(float(r))
-                vals = vals.copy()
-                ders = ders.copy()
-                vals[0] -= lv
-                ders[0] -= ld
-            acc = float(np.sum(weights * np.abs(vals) ** 2))
-            if norm == "h1":
-                grad = np.abs(ders) ** 2
-                grad[1:] += nus[1:] * np.abs(vals[1:]) ** 2 / r**2
-                acc += float(np.sum(weights * grad))
-            out[i] = acc * r ** (d - 1)
-        return out
+        vals, ders = interior.radial_many(rr)
+        if limit is not None:
+            lv, ld = limit.radial0(rr)
+            vals[0] -= lv
+            ders[0] -= ld
+        return _l2_h1_density(interior.dimension, vals, ders, rr)
 
     cuts = [0.0] + [lay.radius for lay in interior.medium.layers if lay.radius < 1.0] + [1.0]
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(dens, lo, hi, rel_tol=rel_tol).real
-    return math.sqrt(max(total, 0.0))
-
+    return _norm_pair(dens, cuts, rel_tol)

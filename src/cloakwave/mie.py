@@ -240,21 +240,33 @@ class ParticularTerm:
     order: int
     dimension: int
 
-    def eval(self, r: float) -> tuple[complex, complex]:
+    @classmethod
+    def for_source(
+        cls, d: int, n: int, kappa: complex, kappa_source: complex, q: complex
+    ) -> "ParticularTerm":
+        """Particular solution for the source q R_n(kappa_source r) at layer wavenumber kappa."""
+        if abs(kappa - kappa_source) <= 1e-9 * abs(kappa_source):
+            return cls("kappa_derivative", -q / (2.0 * kappa), kappa, kappa_source, n, d)
+        return cls(
+            "off_resonance", q / (kappa * kappa - kappa_source * kappa_source),
+            kappa, kappa_source, n, d,
+        )
+
+    def eval(self, r) -> tuple[np.ndarray, np.ndarray]:
+        """(value, derivative) of the profile at r, a radius or an array of radii."""
         d, n, q = self.dimension, self.order, self.coefficient
-        if self.kind == "kappa_derivative":
-            kap = self.kappa
-            reg = _regular(d, n, kap * r)
-            if r == 0.0:
-                return 0.0 + 0.0j, q * reg.derivative
-            z = kap * r
-            nu = angular_eigenvalue(d, n)
-            d2 = -(d - 1.0) / z * reg.derivative - (1.0 - nu / (z * z)) * reg.value
-            value = q * r * reg.derivative
-            deriv = q * (reg.derivative + kap * r * d2)
-            return value, deriv
-        reg = _regular(d, n, self.kappa_source * r)
-        return q * reg.value, q * self.kappa_source * reg.derivative
+        r = np.asarray(r, dtype=float)
+        kap = self.kappa if self.kind == "kappa_derivative" else self.kappa_source
+        z = kap * r
+        vals, ders = specfun.regular_array(d, n, z)
+        val, der = vals[n].reshape(r.shape), ders[n].reshape(r.shape)
+        if self.kind != "kappa_derivative":
+            return q * val, q * kap * der
+        nu = angular_eigenvalue(d, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 = -(d - 1.0) / z * der - (1.0 - nu / (z * z)) * val
+        deriv = np.where(r == 0.0, q * der, q * (der + kap * r * d2))
+        return q * r * der, deriv
 
 
 @dataclass(frozen=True)
@@ -424,27 +436,30 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
     return complex(-num / den)
 
 
+def _mp_regular(d: int, z) -> tuple:
+    """Monopole regular basis and its derivative, (j_0, j_0') or (J_0, J_0'), in mpmath."""
+    if d == 3:
+        return mp.sin(z) / z, mp.cos(z) / z - mp.sin(z) / z**2
+    return mp.besselj(0, z), -mp.besselj(1, z)
+
+
+def _mp_singular(d: int, z) -> tuple:
+    """Monopole singular basis and its derivative, (y_0, y_0') or (Y_0, Y_0'), in mpmath."""
+    if d == 3:
+        return -mp.cos(z) / z, mp.sin(z) / z + mp.cos(z) / z**2
+    return mp.bessely(0, z), -mp.bessely(1, z)
+
+
 def _alpha0_mp(d: int, k: float, eps: float, k_eps: tuple[float, float]) -> complex:
     with _MP_LOCK, mp.workdps(50):
         t = mp.mpf(k_eps[0]) + mp.mpf(k_eps[1])
         ke = mp.mpf(k) * mp.mpf(eps)
-        if d == 3:
-            j = lambda z: mp.sin(z) / z
-            jp = lambda z: mp.cos(z) / z - mp.sin(z) / z**2
-            h = lambda z: (mp.sin(z) - 1j * mp.cos(z)) / z
-            hp = lambda z: (
-                (mp.cos(z) + 1j * mp.sin(z)) / z
-                - (mp.sin(z) - 1j * mp.cos(z)) / z**2
-            )
-            flux = 1 / mp.mpf(eps)
-        else:
-            j = lambda z: mp.besselj(0, z)
-            jp = lambda z: -mp.besselj(1, z)
-            h = lambda z: mp.besselj(0, z) + 1j * mp.bessely(0, z)
-            hp = lambda z: -(mp.besselj(1, z) + 1j * mp.bessely(1, z))
-            flux = mp.mpf(1)
-        num = ke * jp(ke) * j(t) - flux * t * j(ke) * jp(t)
-        den = ke * hp(ke) * j(t) - flux * t * h(ke) * jp(t)
+        flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
+        j, jp = _mp_regular(d, ke)
+        y, yp = _mp_singular(d, ke)
+        jt, jpt = _mp_regular(d, t)
+        num = ke * jp * jt - flux * t * j * jpt
+        den = ke * (jp + 1j * yp) * jt - flux * t * (j + 1j * y) * jpt
         return complex(-num / den)
 
 
@@ -468,45 +483,68 @@ class ResonanceSpec:
         return self.kappa_star * math.sqrt(self.a / self.sigma0)
 
 
-def resonance_condition(d: int, n: int, kappa: float, a: float = 1.0) -> tuple[float, float]:
-    """(raw, normalized) modal resonance condition at interior argument kappa.
+def _condition(d: int, n: int, kappa, value, derivative, a: float):
+    """(raw, normalized) resonance condition of mode n from R_n and R_n' at kappa.
 
     Zero marks a resonance: in 3d a Neumann eigenvalue j_n'(kappa) = 0; in
     2d the matching of the interior mode to the decaying exterior harmonic,
     J_0'(kappa) = 0 for the monopole and a kappa J_n'(kappa) + n J_n(kappa)
-    for n >= 1.
+    for n >= 1.  Scalars or arrays alike.
     """
-    if d == 3:
-        ev = _regular(3, n, kappa)
-        raw = ev.derivative.real
-        scale = abs(ev.value) + abs(ev.derivative)
-    elif n == 0:
-        ev = _regular(2, 0, kappa)
-        raw = ev.derivative.real
-        scale = abs(ev.value) + abs(ev.derivative)
+    if d == 3 or n == 0:
+        raw = derivative.real
+        scale = abs(value) + abs(derivative)
     else:
-        ev = _regular(2, n, kappa)
-        raw = (a * kappa * ev.derivative + n * ev.value).real
-        scale = abs(a * kappa * ev.derivative) + abs(n * ev.value)
-    return raw, raw / max(scale, 1e-300)
+        raw = (a * kappa * derivative + n * value).real
+        scale = abs(a * kappa * derivative) + abs(n * value)
+    return raw, raw / np.maximum(scale, 1e-300)
+
+
+def resonance_condition(d: int, n: int, kappa: float, a: float = 1.0) -> tuple[float, float]:
+    """(raw, normalized) modal resonance condition at interior argument kappa (see _condition)."""
+    ev = _regular(d, n, kappa)
+    raw, normed = _condition(d, n, kappa, ev.value, ev.derivative, a)
+    return float(raw), float(normed)
+
+
+def resonance_scan(d: int, modes: int, kappa, a: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, normalized) resonance conditions of modes 0..modes at each kappa.
+
+    Returns arrays of shape (modes + 1, kappa.size) from one chain over all
+    orders: an array-argument chain for a grid, a scalar chain for a scalar
+    kappa (see specfun.chain).
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    reg = specfun.chain(d, modes + 1, kappa, singular=False)[0]
+    z = kappa.ravel()
+    der = specfun.chain_derivative(reg, z, 1.0 if d == 3 else 0.0)
+    raw = np.empty((modes + 1, z.size))
+    normed = np.empty_like(raw)
+    for n in range(modes + 1):
+        raw[n], normed[n] = _condition(d, n, z, reg[n], der[n], a)
+    return raw, normed
+
+
+def _sign_changes(vals: np.ndarray) -> np.ndarray:
+    """Grid intervals [i, i + 1] whose left value is zero or that change sign."""
+    return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
 
 
 def first_resonance(d: int, k: float, mode: int = 0, a: float = 1.0) -> ResonanceSpec:
     """First resonant density of the given mode at frequency k."""
     grid = np.linspace(0.3, 12.0, 2400)
-    vals = [resonance_condition(d, mode, x, a)[0] for x in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            kap = float(grid[i])
-            break
-        if vals[i] * vals[i + 1] < 0:
-            kap = find_root(
-                lambda x: resonance_condition(d, mode, x, a)[0],
-                (grid[i], grid[i + 1]),
-            )
-            break
-    else:
+    vals = resonance_scan(d, mode, grid, a)[0][mode]
+    hits = _sign_changes(vals)
+    if not hits.size:
         raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
+    i = int(hits[0])
+    if vals[i] == 0.0:
+        kap = float(grid[i])
+    else:
+        kap = find_root(
+            lambda x: resonance_condition(d, mode, x, a)[0],
+            (grid[i], grid[i + 1]),
+        )
     return ResonanceSpec(
         dimension=d, mode=mode, kappa_star=kap, sigma0=a * (kap / k) ** 2, a=a
     )
@@ -533,26 +571,22 @@ def detect_resonances(
     found: list[ResonanceSpec] = []
     npts = max(64, int((hi - lo) * slope / 0.02) + 2)
     grid = np.linspace(lo, hi, min(npts, 60000))
+    raw = resonance_scan(d, modes, grid * slope, a)[0]
     for n in range(modes + 1):
-        vals = [resonance_condition(d, n, k * slope, a)[0] for k in grid]
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] < 0 or vals[i] == 0.0:
-                if vals[i] == 0.0:
-                    k_root = float(grid[i])
-                else:
-                    k_root = find_root(
-                        lambda k: resonance_condition(d, n, k * slope, a)[0],
-                        (float(grid[i]), float(grid[i + 1])),
-                    )
-                found.append(
-                    ResonanceSpec(
-                        dimension=d,
-                        mode=n,
-                        kappa_star=k_root * slope,
-                        sigma0=sigma,
-                        a=a,
-                    )
+        vals = raw[n]
+        for i in _sign_changes(vals).tolist():
+            if vals[i] == 0.0:
+                k_root = float(grid[i])
+            else:
+                k_root = find_root(
+                    lambda k: resonance_condition(d, n, k * slope, a)[0],
+                    (float(grid[i]), float(grid[i + 1])),
                 )
+            found.append(
+                ResonanceSpec(
+                    dimension=d, mode=n, kappa_star=k_root * slope, sigma0=sigma, a=a
+                )
+            )
     found.sort(key=lambda s: (s.frequency, s.mode))
     return found
 
@@ -626,23 +660,14 @@ def _refine_root_mp(d: int, k: float, eps: float, t0: float) -> tuple[float, flo
     """
     with _MP_LOCK, mp.workdps(60):
         ke = mp.mpf(k) * mp.mpf(eps)
-        if d == 3:
-            reg = lambda z: mp.sin(z) / z
-            regp = lambda z: mp.cos(z) / z - mp.sin(z) / z**2
-            sing = lambda z: -mp.cos(z) / z
-            singp = lambda z: mp.sin(z) / z + mp.cos(z) / z**2
-            flux = 1 / mp.mpf(eps)
-        else:
-            reg = lambda z: mp.besselj(0, z)
-            regp = lambda z: -mp.besselj(1, z)
-            sing = lambda z: mp.bessely(0, z)
-            singp = lambda z: -mp.bessely(1, z)
-            flux = mp.mpf(1)
-        c1 = ke * singp(ke)
-        c2 = flux * sing(ke)
+        flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
+        y, yp = _mp_singular(d, ke)
+        c1 = ke * yp
+        c2 = flux * y
 
         def g(t):
-            return c1 * reg(t) - c2 * t * regp(t)
+            j, jp = _mp_regular(d, t)
+            return c1 * j - c2 * t * jp
 
         t = mp.mpf(t0)
         h = mp.mpf(1e-18)
@@ -717,7 +742,7 @@ def eigenfunction_normalization(spec: ResonanceSpec) -> float:
     d, n, kap = spec.dimension, spec.mode, spec.kappa_star
 
     def dens(r: np.ndarray) -> np.ndarray:
-        vals = np.array([_regular(d, n, kap * ri).value for ri in r])
+        vals = specfun.array_chain(d, n, kap * r, singular=False)[0][n]
         return np.abs(vals) ** 2 * r ** (d - 1)
 
     if d == 3:
@@ -754,25 +779,7 @@ def interior_source_mode_solve(
         part = None
         pv, pd = 0.0 + 0.0j, 0.0 + 0.0j
     else:
-        q_src = amp / lay.a
-        if abs(kap - kap_src) <= 1e-9 * abs(kap_src):
-            part = ParticularTerm(
-                kind="kappa_derivative",
-                coefficient=-q_src / (2.0 * kap),
-                kappa=kap,
-                kappa_source=kap_src,
-                order=n,
-                dimension=d,
-            )
-        else:
-            part = ParticularTerm(
-                kind="off_resonance",
-                coefficient=q_src / (kap * kap - kap_src * kap_src),
-                kappa=kap,
-                kappa_source=kap_src,
-                order=n,
-                dimension=d,
-            )
+        part = ParticularTerm.for_source(d, n, kap, kap_src, amp / lay.a)
         pv, pd = part.eval(1.0)
     kap_ext = medium.exterior_wavenumber(k)
     reg_i = _regular(d, n, kap)

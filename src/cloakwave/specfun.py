@@ -12,10 +12,13 @@ for mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
 normalization sum, so keep Im z below ~10.  Values that underflow double
 precision (huge order, tiny argument) are returned as exact zeros.
 
-array_chain runs the same chains over a 1-D array of arguments at once,
-for point evaluation in blocks (FieldSeries.eval_many).  The scalar chains
-stay the kernel of every per-mode and per-radius call: for one argument an
-array pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
+array_chain runs the same chains over a 1-D array of arguments at once.
+It is the kernel of every array-argument evaluation, whatever the array's
+length: field points in blocks (FieldSeries.eval_many), the nodes of one
+quadrature refinement level (FieldSeries.radial_many, regular_array) and
+resonance scan grids.  The scalar chains stay the kernel of scalar-argument
+calls (the per-mode transfer solve, root-finder targets, closed forms,
+FieldSeries.eval): for one argument an array pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
 |f_n| + |f_(n+1)|, and raise the same errors where either overflows.
 """
@@ -283,6 +286,65 @@ def array_chain(
             "magnitude in upward recurrence"
         )
     return raw[: nmax + 1], sing
+
+
+def regular_chain(d: int, nmax: int, z: complex) -> np.ndarray:
+    """Regular family J_n (d = 2) or j_n (d = 3), orders 0..nmax, at one argument."""
+    if d == 3:
+        return _sph_j_only(nmax, complex(z))
+    return _cyl_j_chain_full(nmax, complex(z))[: nmax + 1]
+
+
+def chain(d: int, nmax: int, z, singular: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """array_chain's (regular, singular) for a scalar z or a 1-D array of z.
+
+    The kernel follows the argument's type, not its length: a scalar runs
+    the scalar chains, which cost 7-35x less for one argument, and gives
+    (nmax + 1, 1) columns; an array runs array_chain whatever its length,
+    so a value does not depend on the batch it came in.
+    """
+    if np.ndim(z) > 0:
+        return array_chain(d, nmax, z, singular)
+    if not singular:
+        return regular_chain(d, nmax, z)[:, None], None
+    reg, sing = (sph_chain if d == 3 else cyl_chain)(nmax, complex(z))
+    return reg[:, None], sing[:, None]
+
+
+def chain_derivative(f: np.ndarray, z, shift: float) -> np.ndarray:
+    """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1).
+
+    f'_n = f_(n-1) - (n + shift)/z f_n, with shift 0 (cylindrical) or 1
+    (spherical), and f'_0 = -f_1.  f may be a 1-D chain at one z or an
+    (N + 2, P) chain over an array of P arguments.
+    """
+    ns = (np.arange(1, len(f) - 1) + shift).reshape((-1,) + (1,) * (f.ndim - 1))
+    der = np.empty(f[:-1].shape, dtype=complex)
+    der[0] = -f[1]
+    der[1:] = f[:-2] - (ns / z) * f[1:-1]
+    return der
+
+
+def regular_array(d: int, nmax: int, z) -> tuple[np.ndarray, np.ndarray]:
+    """Regular family of orders 0..nmax and its argument-derivatives at z.
+
+    Returns (values, derivatives) of shape (nmax + 1, z.size) from one
+    chain call, whose kernel follows z's type (see chain); z = 0 takes the
+    limits of _regular_at_zero.
+    """
+    z = np.asarray(z)
+    flat = z.ravel()
+    vals = np.zeros((nmax + 1, flat.size), dtype=complex)
+    ders = np.zeros_like(vals)
+    nz = flat != 0
+    for n in range(min(nmax, 1) + 1):
+        at0 = _regular_at_zero(n, spherical=d == 3)
+        vals[n, ~nz], ders[n, ~nz] = at0.value, at0.derivative
+    if nz.any():
+        reg = chain(d, nmax + 1, z if z.ndim == 0 else flat[nz], singular=False)[0]
+        vals[:, nz] = reg[:-1]
+        ders[:, nz] = chain_derivative(reg, flat[nz], 1.0 if d == 3 else 0.0)
+    return vals, ders
 
 
 def _regular_at_zero(n: int, spherical: bool) -> BesselEval:

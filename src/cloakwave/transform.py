@@ -56,20 +56,27 @@ def radial_forward(m: BlowupMap, r: float) -> float:
     return (2.0 - 2.0 * eps) / (2.0 - eps) + r / (2.0 - eps)
 
 
-def radial_inverse(m: BlowupMap, t: float) -> float:
-    """Preimage radius; inverse of radial_forward."""
+def inverse_branch(m: BlowupMap, t) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and offset of the inverse map's affine branch at each radius t.
+
+    The preimage radius of t (the inverse of radial_forward) is
+    slope * t + offset: t outside radius 2, eps t on the blown-up ball and
+    ((2 - eps) t - (2 - 2 eps)) on the shell between.
+    """
     eps = m.epsilon
-    if t >= OUTER_RADIUS:
-        return t
+    t = np.asarray(t, dtype=float)
     if eps == 0.0:
-        if t <= 1.0:
+        if np.any(t <= 1.0):
             raise ValidationError(
                 "the limit map has no preimage at radii <= 1 (blown-up region)"
             )
-        return 2.0 * (t - 1.0)
-    if t <= 1.0:
-        return eps * t
-    return (2.0 - eps) * t - (2.0 - 2.0 * eps)
+        shell = (2.0, -2.0)
+    else:
+        shell = (2.0 - eps, -(2.0 - 2.0 * eps))
+    outer, inner = t >= OUTER_RADIUS, t <= 1.0
+    slope = np.where(outer, 1.0, np.where(inner, eps, shell[0]))
+    offset = np.where(outer | inner, 0.0, shell[1])
+    return slope, offset
 
 
 def radii(y: np.ndarray) -> np.ndarray:
@@ -92,8 +99,12 @@ def map_inverse(m: BlowupMap, y) -> np.ndarray:
     """Apply the inverse map to a physical point or to each row of an (N, d) array."""
     y = np.asarray(y, dtype=float)
     rows = np.atleast_2d(y)
-    scale = [radial_inverse(m, t) / t if t > 0.0 else 1.0 for t in radii(rows).tolist()]
-    return (rows * np.array(scale)[:, None]).reshape(y.shape)
+    t = radii(rows)
+    scale = np.ones_like(t)
+    pos = t > 0.0
+    slope, offset = inverse_branch(m, t[pos])
+    scale[pos] = (slope * t[pos] + offset) / t[pos]
+    return (rows * scale[:, None]).reshape(y.shape)
 
 
 def map_jacobian(m: BlowupMap, x) -> np.ndarray:

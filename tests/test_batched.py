@@ -1,4 +1,10 @@
-"""Array-argument Bessel chain and block point evaluation (FieldSeries.eval_many)."""
+"""Array-argument Bessel chain and its batched callers.
+
+Block point evaluation (FieldSeries.eval_many), radial profiles over the
+nodes of a quadrature level (FieldSeries.radial_many), vector-valued
+quadrature, the (L2, H1) norm pairs and resonance scans, each against the
+per-point or per-radius scalar path.
+"""
 
 import dataclasses
 import functools
@@ -9,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cloakwave import specfun
+from cloakwave import mie, quadrature, specfun
 from cloakwave.errors import (
     BesselOverflowError,
     CloakwaveError,
@@ -19,11 +25,29 @@ from cloakwave.errors import (
 from cloakwave.experiments import eigenmode_series
 from cloakwave.fields import (
     IncidentSpec,
+    _split_points,
     auto_truncation,
+    blown_up_interior_series,
     incident_coefficients,
+    interior_deviation,
+    interior_limit,
+    mode_weight,
+    norm_annulus,
+    outgoing_mode_norm,
     solve_series,
 )
-from cloakwave.mie import CloakConfig, Layer, first_resonance, virtual_medium
+from cloakwave.mie import (
+    CloakConfig,
+    Layer,
+    ParticularTerm,
+    angular_eigenvalue,
+    detect_resonances,
+    first_resonance,
+    resonance_condition,
+    resonance_scan,
+    virtual_medium,
+)
+from cloakwave.quadrature import integrate
 
 
 def _scalar_chain(d, nmax, z):
@@ -169,11 +193,12 @@ def test_eval_many_with_particular_term(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_eval_many_point_alone_equals_point_in_block(d):
-    ser = _cloak_series(d)
-    pts = _points(d, np.linspace(0.0, 4.3, 128), seed=10 + d)
-    block = ser.eval_many(pts)
-    alone = np.array([ser.eval_many(p[None])[0] for p in pts])
-    assert np.array_equal(block, alone)
+    # the eigenmode series adds a particular term in layer 0
+    for ser, r_max in ((_cloak_series(d), 4.3), (_eigen_series(d), 3.9)):
+        pts = _points(d, np.linspace(0.0, r_max, 128), seed=10 + d)
+        block = ser.eval_many(pts)
+        alone = np.array([ser.eval_many(p[None])[0] for p in pts])
+        assert np.array_equal(block, alone)
 
 
 def _raised(fn):
@@ -207,3 +232,269 @@ def test_eval_many_rejects_like_eval(d):
         block = np.vstack([good[:2], bad, good[2:]])
         with pytest.raises(type(err), match=re.escape(str(err))):
             ser.eval_many(block)
+
+
+# ---------------------------------------------------------------------------
+# radial_many against per-radius scalar Bessel evaluations
+
+
+def _one(d):
+    """Scalar evaluator and its (regular, singular, outgoing) kinds."""
+    if d == 3:
+        return specfun.sph_bessel, ("j", "y", "h1")
+    return specfun.cyl_bessel, ("J", "Y", "H1")
+
+
+def _particular_scalar(p: ParticularTerm, r: float):
+    """The particular profile from one scalar Bessel evaluation (Bessel's equation for R'')."""
+    one, (reg, _, _) = _one(p.dimension)
+    n, q = p.order, p.coefficient
+    if p.kind == "kappa_derivative":
+        z = p.kappa * r
+        e = one(reg, n, z)
+        nu = angular_eigenvalue(p.dimension, n)
+        d2 = -(p.dimension - 1.0) / z * e.derivative - (1.0 - nu / (z * z)) * e.value
+        return q * r * e.derivative, q * (e.derivative + p.kappa * r * d2)
+    e = one(reg, n, p.kappa_source * r)
+    return q * e.value, q * p.kappa_source * e.derivative
+
+
+def _scalar_profiles(ser, r: float):
+    """(values, derivatives, local sizes) of every mode at r > 0, mode by mode.
+
+    The local size adds the magnitudes of the summed terms, each as
+    |coefficient| (|R_n| + |kappa R_n'|), where the chains' error lives.
+    """
+    one, (reg, sing, out) = _one(ser.dimension)
+    lays = ser.medium.layers
+    idx = sum(r >= lay.radius for lay in lays)
+    if idx == len(lays):
+        kap, skind = ser.k_exterior, out
+        coeffs = [(m.b_n, m.alpha_n) for m in ser.modes]
+    else:
+        kap, skind = ser.medium.wavenumber(ser.k, idx), sing
+        coeffs = [m.layer_coeffs[idx] for m in ser.modes]
+    rows = []
+    for m, (c, s) in zip(ser.modes, coeffs):
+        terms = [(c, one(reg, m.n, kap * r))] + ([(s, one(skind, m.n, kap * r))] if s else [])
+        val = sum(a * e.value for a, e in terms)
+        der = kap * sum(a * e.derivative for a, e in terms)
+        size = sum(abs(a) * (abs(e.value) + abs(kap * e.derivative)) for a, e in terms)
+        if idx == 0 and m.particular is not None:
+            pv, pd = _particular_scalar(m.particular, r)
+            val, der, size = val + pv, der + pd, size + abs(pv) + abs(pd)
+        rows.append((val, der, size))
+    return np.array(rows).T
+
+
+def _layered_series(d):
+    """Plane wave on a two-layer interior, one layer lossy (complex arguments).
+
+    Returns the virtual series (layers at radii 0.05 and 0.1) and its
+    blown-up interior (layers at 0.5 and 1).
+    """
+    k, eps = 2.0, 0.1
+    spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+    cfg = CloakConfig(d, k, eps, (Layer(0.5, 1.3, 2.0 + 0.3j), Layer(1.0, 0.8, 1.5)), spec)
+    b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
+    virt = solve_series(virtual_medium(cfg), k, b)
+    return virt, blown_up_interior_series(cfg, virt)
+
+
+def _source_series(d, detune):
+    """Eigenfunction-driven mode 1: a particular term of either kind in layer 0."""
+    spec = first_resonance(d, 1.0, 1)
+    cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0 * detune),))
+    return eigenmode_series(cfg, spec)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_many_matches_scalar_profiles(d):
+    virt, blown = _layered_series(d)
+    spans = lambda *edges: np.concatenate([np.linspace(lo, hi, 7) for lo, hi in edges])
+    cases = [
+        (virt, spans((0.001, 0.049), (0.051, 0.099), (0.11, 4.0))),
+        (blown, spans((0.01, 0.49), (0.51, 0.99), (1.01, 3.0))),
+    ]
+    for detune, kind in ((1.0, "kappa_derivative"), (1.3, "off_resonance")):
+        ser = _source_series(d, detune)
+        assert {m.particular.kind for m in ser.modes if m.particular is not None} == {kind}
+        cases.append((ser, spans((0.02, 0.98), (1.1, 3.9))))
+    for ser, rs in cases:
+        vals, ders = ser.radial_many(rs)
+        assert vals.shape == ders.shape == (ser.truncation + 1, len(rs))
+        for i, r in enumerate(rs):
+            want_v, want_d, size = _scalar_profiles(ser, float(r))
+            assert np.all(np.abs(vals[:, i] - want_v) <= 1e-13 * size.real)
+            assert np.all(np.abs(ders[:, i] - want_d) <= 1e-13 * size.real)
+
+
+# ---------------------------------------------------------------------------
+# vector-valued quadrature and the (L2, H1) pairs
+
+
+def test_two_component_integrate_matches_one_component():
+    fast = lambda x: np.exp(-x) * np.cos(3.0 * x)
+    slow = lambda x: np.cos(40.0 * x) / (1.0 + x * x)
+    zero = lambda x: 0.0 * x
+    a, b = 0.2, 3.1
+    one = {f: integrate(f, a, b) for f in (fast, slow, zero)}
+    assert np.shape(one[fast]) == ()
+    assert one[zero] == 0.0
+    # a zero component passes the floor at once: the other is bitwise its lone call
+    pair = integrate(lambda x: np.stack([fast(x), zero(x)]), a, b)
+    assert pair.shape == (2,)
+    assert pair[0] == one[fast] and pair[1] == 0.0
+    # the slower component sets the level; each stays within the tolerance
+    pair = integrate(lambda x: np.stack([fast(x), slow(x)]), a, b)
+    assert pair[1] == one[slow]
+    assert abs(pair[0] - one[fast]) <= 1e-11 * abs(one[fast])
+
+
+def test_deep_levels_split_into_bounded_calls(monkeypatch):
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.stack([np.cos(40.0 * x), np.sin(x)])
+
+    whole = integrate(f, 0.0, 3.0)
+    assert max(sizes) > 48
+    monkeypatch.setattr(quadrature, "BATCH_NODES", 48)
+    sizes.clear()
+    assert np.array_equal(integrate(f, 0.0, 3.0), whole)
+    assert max(sizes) == 48
+
+
+def _separate_norms(dens_of, cuts):
+    """L2 and H1 norms as two one-component quadratures of a per-node density."""
+    out = []
+    for comp in (0, 1):
+        f = lambda rr: np.array([dens_of(float(r))[comp] for r in rr])
+        out.append(math.sqrt(sum(integrate(f, lo, hi).real for lo, hi in zip(cuts[:-1], cuts[1:]))))
+    return tuple(out)
+
+
+def _node_density(d, vals, ders, r, first=0):
+    """(L2, H1) densities at one radius, by angular Parseval over modes first, first + 1, ..."""
+    ns = range(first, first + len(vals))
+    w = np.array([mode_weight(d, n) for n in ns])
+    nu = np.array([angular_eigenvalue(d, n) for n in ns])
+    l2 = float(np.sum(w * np.abs(vals) ** 2))
+    grad = float(np.sum(w * (np.abs(ders) ** 2 + nu * np.abs(vals) ** 2 / r**2)))
+    return l2 * r ** (d - 1), (l2 + grad) * r ** (d - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_norm_pairs_match_separate_values(d):
+    virt, _ = _layered_series(d)
+    want = _separate_norms(lambda r: _node_density(d, *virt.radial_all(r), r),
+                           _split_points(virt, 0.07, 3.0))
+    assert norm_annulus(virt, "total", 0.07, 3.0) == pytest.approx(want, rel=1e-10)
+
+    res = first_resonance(d, 1.0)
+    cfg = CloakConfig(d, 1.0, 0.05, (Layer(1.0, 1.0, res.sigma0),))
+    spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+    b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
+    interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
+    lim = interior_limit(d, cfg, b[0])
+
+    def deviation(r):
+        vals, ders = interior.radial_all(r)
+        lv, ld = lim.radial0(r)
+        vals[0] -= lv
+        ders[0] -= ld
+        return _node_density(d, vals, ders, r)
+
+    want = _separate_norms(deviation, [0.0, 1.0])
+    assert interior_deviation(interior, lim) == pytest.approx(want, rel=1e-10)
+
+    def outgoing(r):
+        one, (_, _, kind) = _one(d)
+        e = one(kind, 2, 1.3 * r)
+        return _node_density(d, np.array([e.value]), np.array([1.3 * e.derivative]), r, first=2)
+
+    want = _separate_norms(outgoing, [2.0, 4.0])
+    assert outgoing_mode_norm(d, 1.3, 2, 2.0, 4.0) == pytest.approx(want, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# resonance scans
+
+
+def _scalar_brackets(d, n, kappas):
+    vals = [resonance_condition(d, n, x)[0] for x in kappas]
+    return [i for i in range(len(kappas) - 1) if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0]
+
+
+def test_scan_brackets_and_roots_match_scalar_condition():
+    grid = np.linspace(0.3, 12.0, 2400)
+    for d in (2, 3):
+        for mode in (0, 1):
+            want = _scalar_brackets(d, mode, grid)
+            assert mie._sign_changes(resonance_scan(d, mode, grid)[0][mode]).tolist() == want
+            i = want[0]
+            fun = lambda x: resonance_condition(d, mode, x)[0]
+            root = specfun.find_root(fun, (grid[i], grid[i + 1]))
+            assert first_resonance(d, 1.0, mode).kappa_star == root
+    # the benchmark's catalogue windows: sigma = 1.5, modes 0..6
+    sigma, modes = 1.5, 6
+    slope = math.sqrt(sigma)
+    for d, k_max in ((2, 8.0), (3, 12.0)):
+        ks = np.linspace(0.5, k_max, max(64, int((k_max - 0.5) * slope / 0.02) + 2))
+        raw = resonance_scan(d, modes, ks * slope)[0]
+        want = []
+        for n in range(modes + 1):
+            brackets = _scalar_brackets(d, n, ks * slope)
+            assert mie._sign_changes(raw[n]).tolist() == brackets
+            fun = lambda k: resonance_condition(d, n, k * slope)[0]
+            want += [(n, specfun.find_root(fun, (ks[i], ks[i + 1])) * slope) for i in brackets]
+        got = detect_resonances(d, 1.0, sigma, (0.5, k_max), modes)
+        assert sorted((s.mode, s.kappa_star) for s in got) == sorted(want)
+
+
+def test_scan_matches_scalar_condition():
+    kappas = np.linspace(0.4, 9.0, 50)
+    whole = resonance_scan(2, 4, kappas, a=1.3)
+    for n in range(5):
+        for x, raw, normed in zip(kappas, whole[0][n], whole[1][n]):
+            want_raw, want_normed = resonance_condition(2, n, x, 1.3)
+            assert abs(normed - want_normed) <= 1e-13
+            assert abs(raw - want_raw) <= 1e-13 * abs(raw / normed)   # of the scale
+
+
+# ---------------------------------------------------------------------------
+# call counts: one array chain per quadrature level per layer, one per scan
+
+
+def _counting(monkeypatch):
+    counts = {"array_chain": 0, "levels": 0}
+    chain, composite = specfun.array_chain, quadrature._composite
+
+    def counted_chain(*args, **kw):
+        counts["array_chain"] += 1
+        return chain(*args, **kw)
+
+    def counted_composite(*args, **kw):
+        counts["levels"] += 1
+        return composite(*args, **kw)
+
+    monkeypatch.setattr(specfun, "array_chain", counted_chain)
+    monkeypatch.setattr(quadrature, "_composite", counted_composite)
+    return counts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_one_array_chain_per_level_per_layer(d, monkeypatch):
+    virt, blown = _layered_series(d)
+    counts = _counting(monkeypatch)
+    # three segments (two layers and the exterior), one layer each
+    norm_annulus(virt, "total", 0.03, 2.5)
+    assert counts["array_chain"] == counts["levels"] > 3
+    counts.update(array_chain=0, levels=0)
+    interior_deviation(blown, None)
+    assert counts["array_chain"] == counts["levels"] > 2
+    counts.update(array_chain=0, levels=0)
+    first_resonance(d, 1.0)
+    detect_resonances(d, 1.0, 1.5, (0.5, 8.0), 6)
+    assert counts == {"array_chain": 2, "levels": 0}

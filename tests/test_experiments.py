@@ -1,6 +1,7 @@
 """Experiment drivers: sweeps, fits, scans, determinism, failure handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cloakwave.errors import (
     ValidationError,
 )
 from cloakwave.fields import IncidentSpec, norm_annulus
-from cloakwave.mie import CloakConfig, Layer, first_resonance
+from cloakwave.mie import CloakConfig, Layer, first_resonance, resonance_scan
 
 EPS_LIST = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -55,7 +56,7 @@ def test_eps_one_reproduces_bare_inclusion():
     spec = cfg.incident
     b = incident_coefficients(spec, cfg.k, auto_truncation(spec, cfg.k, 3), 3)
     ser = solve_series(virtual_medium(replace(cfg, epsilon=1.0)), cfg.k, b)
-    direct = norm_annulus(ser, "scattered", 2.0, 4.0)
+    direct = norm_annulus(ser, "scattered", 2.0, 4.0)[0]
     assert rec.visibility_l2 == pytest.approx(direct, rel=1e-12)
 
 
@@ -158,6 +159,17 @@ def test_nonresonance_scan_detects_known_resonance():
 
 def test_nonresonance_scan_empty_grid_sentinel():
     assert ex.nonresonance_scan(3, 1.0, 1.0, [], 5) == math.inf
+
+
+def test_nonresonance_scan_memory_bounded_in_grid_size():
+    # whole-grid arrays for these 20,000 points would peak near 14 MB
+    grid = np.linspace(0.5, 12.0, 20_000)
+    tracemalloc.start()
+    got = ex.nonresonance_scan(3, 1.0, 1.5, grid, 10)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert got == float(np.min(np.abs(resonance_scan(3, 10, grid * math.sqrt(1.5))[1])))
+    assert peak < 6e6
 
 
 def test_fit_rate_exact_line():
