@@ -33,7 +33,7 @@ from .fields import (
     incident_coefficients,
     solve_series,
 )
-from .mie import CloakConfig, Layer, detect_resonances, first_resonance, mode_solve, virtual_medium
+from .mie import CloakConfig, Layer, detect_resonances, first_resonance, solve_modes, virtual_medium
 from .transform import BlowupMap, map_inverse
 
 CSV_HEADER = (
@@ -68,7 +68,7 @@ class RunConfig:
     probe: tuple[float, float]
     truncation: int | None
     tuning: str
-    threads: int
+    threads: int                                 # accepted and echoed; no effect
     blowup_mode: int
     scan_k: tuple[float, float, int, int]        # k_min, k_max, points, modes
     resonance_window: tuple[float, float, int]   # k_min, k_max, modes
@@ -153,6 +153,9 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         raise ValidationError(f"unknown tuning variant {tuning!r}")
     if threads < 1:
         raise ValidationError("threads must be >= 1")
+    if not 1.0 < probe_in < probe_out:
+        # the free-field pullback has no preimage on the blown-up ball
+        raise ValidationError(f"probe annulus ({probe_in}, {probe_out}) must satisfy 1 < r_in < r_out")
     if len({len(radii), len(avals), len(svals)}) != 1:
         raise ValidationError("interior.radii/a/sigma must have equal lengths")
     layers = tuple(Layer(r, a, s) for r, a, s in zip(radii, avals, svals))
@@ -268,7 +271,6 @@ def _run_sweep(config: RunConfig, out_dir: str) -> None:
         config.eps_list,
         probe=config.probe,
         truncation=config.truncation,
-        threads=config.threads,
     )
     _write(os.path.join(out_dir, "results.csv"), records_csv(res.records))
     _write(
@@ -291,7 +293,6 @@ def _run_instability(config: RunConfig, out_dir: str) -> None:
         config.eps_list,
         variant=config.tuning,
         probe=config.probe,
-        threads=config.threads,
     )
     _write(os.path.join(out_dir, "results.csv"), records_csv(res.records))
     extra = {
@@ -320,7 +321,6 @@ def _run_blowup(config: RunConfig, out_dir: str) -> None:
         config.eps_list,
         mode=config.blowup_mode,
         probe=config.probe,
-        threads=config.threads,
     )
     _write(os.path.join(out_dir, "results.csv"), records_csv(records))
     prods = [
@@ -498,11 +498,10 @@ def _run_modes(config: RunConfig, out_dir: str) -> None:
     b = incident_coefficients(spec, cloak.k, n_max, cloak.dimension)
     medium = virtual_medium(cloak)
     lines = ["n,b_re,b_im,alpha_re,alpha_im,inner_c_re,inner_c_im"]
-    for n in range(n_max + 1):
-        sol = mode_solve(medium, cloak.k, n, b[n])
+    for sol in solve_modes(medium, cloak.k, b):
         c0 = sol.layer_coeffs[0][0]
         lines.append(
-            f"{n},{_fmt(sol.b_n.real)},{_fmt(sol.b_n.imag)},"
+            f"{sol.n},{_fmt(sol.b_n.real)},{_fmt(sol.b_n.imag)},"
             f"{_fmt(sol.alpha_n.real)},{_fmt(sol.alpha_n.imag)},"
             f"{_fmt(c0.real)},{_fmt(c0.imag)}"
         )
@@ -580,7 +579,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to key = value config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="accepted for existing scripts and configs; rows run one after another",
+        )
         p.add_argument("--truncation", type=int, default=None)
         p.add_argument("--tuning", choices=["paper", "exact"], default=None)
     args = parser.parse_args(argv)

@@ -1,15 +1,16 @@
 """Reproducible experiment drivers over the modal solver.
 
 Each sweep maps a decreasing list of regularization parameters to one
-record of norms and fitted quantities.  Rows are independent, may be
-computed concurrently, and are always reduced in the given epsilon order,
-so outputs are identical for any thread count.
+record of norms and fitted quantities.  Rows are independent and computed
+one after another in the given epsilon order.  The sweeps' `threads`
+argument is accepted for compatibility with existing callers and configs
+and has no effect: a row costs milliseconds and runs Python that holds the
+interpreter lock, so a pool of threads never paid for itself.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,7 @@ from .mie import (
     first_resonance,
     interior_source_mode_solve,
     blown_up_medium,
+    eigenfunction_normalization,
     resonance_scan,
     tune_sigma,
     tuned_inclusion_config,
@@ -94,13 +96,6 @@ class InstabilityResult:
     reference_norm: float
     products_paper: tuple[float, ...]
     products_eq: tuple[float, ...]
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_rate(records, model: str) -> RateFit:
@@ -185,8 +180,9 @@ def convergence_sweep(
     """Visibility and interior-limit deviation across a regularization sweep.
 
     Per epsilon: the virtual small-inclusion problem is solved at the
-    config's frequency, the visibility is the norm of (field - free-field
-    pullback) over the probe annulus, and the interior deviation is
+    config's frequency, the visibility is the norm of (cloaked field -
+    free-field pullback) over the probe annulus, which may reach into the
+    shell (radius > 1), and the interior deviation is
     measured against the closed-form interior limit.  The rate fit uses
     epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less than a
     decade is reported as degenerate instead of failing the sweep.
@@ -213,8 +209,11 @@ def convergence_sweep(
         try:
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b, axis=None if spec.axis is None else tuple(spec.axis))
+            # the cloaked field: the same series outside radius 2, composed
+            # with the inverse map on a probe reaching into the shell
+            cloaked = replace(series, domain="physical", epsilon=e)
             vis_l2, vis_h1 = norm_annulus(
-                series, "diff_vs_reference", probe[0], probe[1], reference=(b, k)
+                cloaked, "diff_vs_reference", probe[0], probe[1], reference=(b, k)
             )
             int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), limit)
         except SingularSystemError as exc:
@@ -223,7 +222,7 @@ def convergence_sweep(
             )
         return SweepRecord(e, vis_l2, vis_h1, int_l2, int_h1)
 
-    records = tuple(_map_ordered(one, eps, threads))
+    records = tuple(one(e) for e in eps)
     clean = [r for r in records if not r.flags]
     model = "log_eps" if d == 3 else "log_inv_ln_eps"
     try:
@@ -317,7 +316,7 @@ def instability_sweep(
         )
         return rec, tuned
 
-    rows = _map_ordered(one, eps, threads)
+    rows = [one(e) for e in eps]
     records = tuple(r for r, _ in rows)
     tuned = tuple(t for _, t in rows if t is not None)
     products_paper = []
@@ -334,17 +333,21 @@ def instability_sweep(
 
 
 def eigenmode_series(
-    config: CloakConfig, spec: ResonanceSpec, amplitude: float = 1.0
+    config: CloakConfig,
+    spec: ResonanceSpec,
+    amplitude: float = 1.0,
+    eigen_norm: float | None = None,
 ) -> FieldSeries:
     """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
 
     The source is spec's L2-normalized radial eigenfunction times amplitude *
     eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
+    eigen_norm as in interior_source_mode_solve.
     """
     d, eps = config.dimension, config.epsilon
     med = blown_up_medium(config)
     sol = interior_source_mode_solve(
-        med, config.k, spec, normalization=amplitude * eps ** (2 - d)
+        med, config.k, spec, normalization=amplitude * eps ** (2 - d), eigen_norm=eigen_norm
     )
     modes = tuple(
         ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
@@ -379,10 +382,13 @@ def blowup_sweep(
     interior_layer = Layer(1.0, 1.0, spec.sigma0)
     # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
     out_l2, out_h1 = outgoing_mode_norm(d, k, mode, probe[0], probe[1])
+    eigen_norm = eigenfunction_normalization(spec)   # one quadrature for every row
 
     def one(e: float) -> SweepRecord:
         try:
-            series = eigenmode_series(CloakConfig(d, k, e, (interior_layer,)), spec, amplitude)
+            series = eigenmode_series(
+                CloakConfig(d, k, e, (interior_layer,)), spec, amplitude, eigen_norm
+            )
         except SingularSystemError as exc:
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
@@ -391,7 +397,7 @@ def blowup_sweep(
         amp_out = abs(series.modes[mode].alpha_n)
         return SweepRecord(e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1)
 
-    return tuple(_map_ordered(one, eps, threads))
+    return tuple(one(e) for e in eps)
 
 
 def nonresonance_scan(

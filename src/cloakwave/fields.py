@@ -17,7 +17,6 @@ import numpy as np
 
 from . import specfun
 from .errors import (
-    BesselOverflowError,
     InterfaceEvaluationError,
     TruncationError,
     UnsupportedConfigurationError,
@@ -30,8 +29,8 @@ from .mie import (
     ModeSolution,
     ParticularTerm,
     angular_eigenvalue,
-    mode_solve,
     resonance_scan,
+    solve_modes,
 )
 from .quadrature import integrate
 from .transform import BlowupMap, inverse_branch, map_inverse, radii
@@ -372,34 +371,18 @@ def solve_series(
     axis: tuple[float, ...] | None = None,
     valid_radius: float | None = None,
 ) -> FieldSeries:
-    """Mode-solve every order of an incident coefficient vector.
+    """Series of every order of an incident coefficient vector (one solve_modes call).
 
     Orders so deep in the evanescent regime that the singular basis
     overflows double precision at an interface (high order at a tiny
     inclusion radius) scatter nothing at working precision and keep only
-    their incident part.
+    their incident part (solve_modes' last-order fallback).
     """
-    modes = []
-    for n in range(len(b)):
-        try:
-            modes.append(mode_solve(medium, k, n, b[n]))
-        except BesselOverflowError:
-            modes.append(
-                ModeSolution(
-                    n=n,
-                    b_n=complex(b[n]),
-                    alpha_n=0.0 + 0.0j,
-                    layer_coeffs=tuple(
-                        (0.0 + 0.0j, 0.0 + 0.0j) for _ in medium.layers
-                    ),
-                )
-            )
-    modes = tuple(modes)
     return FieldSeries(
         dimension=medium.dimension,
         k=k,
         truncation=len(b) - 1,
-        modes=modes,
+        modes=solve_modes(medium, k, b),
         medium=medium,
         domain=domain,
         epsilon=epsilon,
@@ -427,15 +410,19 @@ def free_series(
 # norms
 
 
-def _split_points(series: FieldSeries, r_in: float, r_out: float) -> list[float]:
-    cuts = {r_in, r_out}
-    for lay in series.medium.layers:
-        if r_in < lay.radius < r_out:
-            cuts.add(lay.radius)
-    if series.domain == "physical":
-        for b in (1.0, 2.0):
-            if r_in < b < r_out:
-                cuts.add(b)
+def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None) -> list[float]:
+    """[r_in, r_out] cut at every radius where a profile of the measured quantity has a kink.
+
+    Those are the layer radii of the series and of a reference series, and
+    the map's branch radii 1 and 2 for a physical-domain series and for the
+    free-field pullback reference (a (b, k) pair), which follows the map.
+    """
+    kinks = [lay.radius for lay in series.medium.layers]
+    if series.domain == "physical" or isinstance(reference, tuple):
+        kinks += [1.0, 2.0]
+    cuts = {r_in, r_out} | {r for r in kinks if r_in < r < r_out}
+    if isinstance(reference, FieldSeries):
+        cuts.update(_split_points(reference, r_in, r_out))
     return sorted(cuts)
 
 
@@ -528,7 +515,8 @@ def norm_annulus(
     def dens(rr: np.ndarray) -> np.ndarray:
         return _l2_h1_density(series.dimension, *_mode_profiles(series, which, reference, rr), rr)
 
-    return _norm_pair(dens, _split_points(series, r_in, r_out), rel_tol)
+    cuts = _split_points(series, r_in, r_out, reference if which == "diff_vs_reference" else None)
+    return _norm_pair(dens, cuts, rel_tol)
 
 
 def outgoing_mode_norm(

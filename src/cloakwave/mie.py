@@ -1,10 +1,12 @@
-"""Exact per-mode transfer-matrix solver for concentric layered media.
+"""Exact transfer-matrix solver for concentric layered media, all modes at once.
 
 Each angular mode of the Helmholtz equation in a concentric isotropic
 medium reduces to a radial two-point transmission problem.  Coefficients
 are propagated across interfaces by 2x2 matrices built from continuity of
-the field and of the flux a * du/dr; a dense assembly of the full interface
-system exists as a test oracle only.
+the field and of the flux a * du/dr; every order's matrices come from one
+Bessel chain per interface side, and the 2x2 systems of all orders are
+solved as arrays.  A dense per-mode assembly lives with the tests as their
+oracle.
 
 Also here: the small-inclusion (virtual) media obtained by pulling the
 cloak problem back through the blow-up map, the closed-form monopole
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -35,10 +36,6 @@ from .specfun import find_root
 
 FREQUENCY_CAP = 50.0
 CONDITION_CAP = 1.0e12
-
-# mpmath's working precision is process-global; concurrent sweep rows must
-# not race the extended-precision sections
-_MP_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -175,49 +172,35 @@ def angular_eigenvalue(d: int, n: int) -> float:
     return float(n * (n + 1)) if d == 3 else float(n * n)
 
 
-def _interface_matrix(
-    d: int, n: int, a: float, kappa: complex, r: float, outgoing: bool
-) -> np.ndarray:
-    """Columns: (regular, singular-or-outgoing) basis; rows: value, flux."""
-    reg = _regular(d, n, kappa * r)
-    sing = _outgoing(d, n, kappa * r) if outgoing else _singular(d, n, kappa * r)
-    return np.array(
-        [
-            [reg.value, sing.value],
-            [a * kappa * reg.derivative, a * kappa * sing.derivative],
-        ],
-        dtype=complex,
-    )
+def _solve_stack(m: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the stacked 2x2 systems m[p] y[p] = rhs[p]: (y, condition numbers).
+
+    Columns are equilibrated first (each column's value/flux ratio is
+    modest, while the regular/singular ratio between columns can exceed the
+    double range for deep evanescent modes), then rows; only near-parallel
+    columns (a true resonance) should bring a condition number up to
+    CONDITION_CAP.  The caller checks it.
+    """
+    # a singular row (det = 0, or non-finite after an earlier singular
+    # interface) yields an infinite or NaN condition number, not a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cs = np.maximum(np.max(np.abs(m), axis=1), 1e-300)   # (P, 2): per column
+        ms = m / cs[:, None, :]
+        rs = np.maximum(np.max(np.abs(ms), axis=2), 1e-300)  # (P, 2): per row
+        ms /= rs[:, :, None]
+        det = ms[:, 0, 0] * ms[:, 1, 1] - ms[:, 0, 1] * ms[:, 1, 0]
+        fro2 = np.sum(np.abs(ms.reshape(-1, 4)) ** 2, axis=1)
+        adet = np.abs(det)
+        smax2 = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 * fro2 - 4.0 * adet**2, 0.0)))
+        b = rhs / rs
+        cond = np.where(det == 0, math.inf, smax2 / adet)
+        y0 = (ms[:, 1, 1] * b[:, 0] - ms[:, 0, 1] * b[:, 1]) / det
+        y1 = (ms[:, 0, 0] * b[:, 1] - ms[:, 1, 0] * b[:, 0]) / det
+        return np.stack([y0 / cs[:, 0], y1 / cs[:, 1]], axis=1), cond
 
 
-def _cond2x2(m: np.ndarray) -> float:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    fro2 = float(np.sum(np.abs(m) ** 2))
-    if det == 0:
-        return math.inf
-    smax2 = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)))
-    return smax2 / abs(det)
-
-
-def _solve2x2(m: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    # equilibrate columns first (each column's value/flux ratio is modest,
-    # while the regular/singular ratio between columns can exceed the double
-    # range for deep evanescent modes), then rows; only near-parallel
-    # columns (a true resonance) should trip the condition check
-    cs = np.maximum(np.max(np.abs(m), axis=0), 1e-300)
-    ms = m / cs[None, :]
-    rs = np.maximum(np.max(np.abs(ms), axis=1), 1e-300)
-    ms = ms / rs[:, None]
-    cond = _cond2x2(ms)
-    if not cond < CONDITION_CAP:
-        raise SingularSystemError(
-            f"interface system in {context} has condition number {cond:.3e}"
-        )
-    b = rhs / rs
-    det = ms[0, 0] * ms[1, 1] - ms[0, 1] * ms[1, 0]
-    y0 = (ms[1, 1] * b[0] - ms[0, 1] * b[1]) / det
-    y1 = (ms[0, 0] * b[1] - ms[1, 0] * b[0]) / det
-    return np.array([y0 / cs[0], y1 / cs[1]], dtype=complex)
+def _condition_message(context: str, cond: float) -> str:
+    return f"interface system in {context} has condition number {cond:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -280,131 +263,107 @@ class ModeSolution:
     particular: ParticularTerm | None = None
 
 
-def mode_solve(medium: LayeredMedium, k: float, n: int, b_n: complex) -> ModeSolution:
-    """Solve one angular mode of the scattering problem.
+def _interface_side(
+    d: int, n_max: int, a: float, kappa: complex, r: float, outgoing: bool
+) -> np.ndarray:
+    """Interface matrices of orders 0..last on one side, shape (last + 1, 2, 2).
 
-    The exterior field is b_n * (regular basis) + alpha_n * (outgoing basis)
-    of argument k_ext r; interior coefficients enforce continuity of the
-    field and of a * du/dr at every interface, with only the regular basis
-    in the innermost layer.
+    Columns: regular and singular (or outgoing) basis; rows: value and flux
+    a * kappa * f'.  One scalar chain covers every order; last is n_max, or
+    the highest order whose singular chain up to order last + 1 stays below
+    the overflow limit.
+    """
+    z = kappa * r
+    reg, sing = specfun.chain(d, n_max + 1, z, partial=True)
+    last = len(sing) - 2          # f'_n needs f_(n+1)
+    shift = 1.0 if d == 3 else 0.0
+    rd = specfun.chain_derivative(reg[: last + 2, 0], z, shift)
+    sd = specfun.chain_derivative(sing[:, 0], z, shift)
+    sv = sing[: last + 1, 0]
+    if outgoing:
+        # H = J + iY, value and derivative assembled from the components
+        sv, sd = reg[: last + 1, 0] + 1j * sv, rd + 1j * sd
+    m = np.empty((last + 1, 2, 2), dtype=complex)
+    m[:, 0, 0] = reg[: last + 1, 0]
+    m[:, 0, 1] = sv
+    m[:, 1, 0] = a * kappa * rd
+    m[:, 1, 1] = a * kappa * sd
+    return m
 
-    Raises SingularSystemError when an interface system is numerically
-    singular (a true resonance hit); never regularizes silently.
+
+def solve_modes(medium: LayeredMedium, k: float, b) -> tuple[ModeSolution, ...]:
+    """Solve every angular mode 0..len(b) - 1 of the scattering problem.
+
+    Mode n's exterior field is b[n] * (regular basis) + alpha_n *
+    (outgoing basis) of argument k_ext r; interior coefficients enforce
+    continuity of the field and of a * du/dr at every interface, with only
+    the regular basis in the innermost layer.  Each interface side makes
+    one scalar chain over all orders, and the interface systems of all
+    orders are solved as (N + 1, 2, 2) arrays.
+
+    Last-order fallback: mode n needs the singular basis up to order n + 1
+    at every interface argument, the innermost layer's included (its
+    singular coefficient is zero, but the chain is taken).  An order whose
+    chain passes the overflow limit at any of them is so deep in the
+    evanescent regime that it scatters nothing at working precision: the
+    mode keeps only its incident part, with alpha_n and every layer
+    coefficient zero.  Outgoing coefficients below the noise floor of the
+    interface solve (|d| <= 1e-14 |c|) are reported as exact zeros.
+
+    Raises SingularSystemError, naming the lowest offending mode, when an
+    interface system is numerically singular (a true resonance hit); never
+    regularizes silently.
     """
     if k <= 0 or k > FREQUENCY_CAP:
         raise ValidationError(f"k must lie in (0, {FREQUENCY_CAP}], got {k}")
-    if n < 0 or n > specfun.ORDER_CAP:
-        raise ValidationError(f"mode {n} outside [0, {specfun.ORDER_CAP}]")
-    d = medium.dimension
-    vec = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    raw: list[tuple[complex, complex]] = []
-    for i, lay in enumerate(medium.layers):
-        raw.append((vec[0], vec[1]))
-        kap = medium.wavenumber(k, i)
-        left = _interface_matrix(d, n, lay.a, kap, lay.radius, outgoing=False)
-        rhs = left @ vec
-        last = i == len(medium.layers) - 1
-        if last:
-            kap_r = medium.exterior_wavenumber(k)
-            a_r = medium.exterior_a
+    b = np.asarray(b, dtype=complex)
+    n_max = len(b) - 1
+    if n_max < 0 or n_max > specfun.ORDER_CAP:
+        raise ValidationError(f"mode {n_max} outside [0, {specfun.ORDER_CAP}]")
+    d, layers = medium.dimension, medium.layers
+    vec = np.zeros((n_max + 1, 2), dtype=complex)
+    vec[:, 0] = 1.0
+    raw = np.empty((n_max + 1, len(layers), 2), dtype=complex)
+    alive = n_max + 1             # orders solvable at every interface so far
+    failures: dict[int, str] = {}
+    for i, lay in enumerate(layers):
+        raw[:, i] = vec
+        left = _interface_side(d, n_max, lay.a, medium.wavenumber(k, i), lay.radius, False)
+        if i == len(layers) - 1:
+            a_r, kap_r = medium.exterior_a, medium.exterior_wavenumber(k)
         else:
-            kap_r = medium.wavenumber(k, i + 1)
-            a_r = medium.layers[i + 1].a
-        right = _interface_matrix(d, n, a_r, kap_r, lay.radius, outgoing=last)
-        vec = _solve2x2(right, rhs, f"mode {n} at radius {lay.radius:.6g}")
-    c_ext, d_ext = vec
-    if abs(c_ext) * CONDITION_CAP < abs(d_ext) or c_ext == 0:
-        raise SingularSystemError(
-            f"mode {n}: vanishing regular exterior component (resonant system)"
+            a_r, kap_r = layers[i + 1].a, medium.wavenumber(k, i + 1)
+        right = _interface_side(d, n_max, a_r, kap_r, lay.radius, i == len(layers) - 1)
+        alive = min(alive, len(left), len(right))
+        rhs = np.sum(left[:alive] * vec[:alive, None, :], axis=2)
+        vec[:alive], cond = _solve_stack(right[:alive], rhs)
+        for n in np.flatnonzero(~(cond < CONDITION_CAP)).tolist():
+            failures.setdefault(
+                n, _condition_message(f"mode {n} at radius {lay.radius:.6g}", cond[n])
+            )
+    c_ext, d_ext = vec[:alive, 0], vec[:alive, 1]
+    vanishing = (np.abs(c_ext) * CONDITION_CAP < np.abs(d_ext)) | (c_ext == 0)
+    for n in np.flatnonzero(vanishing).tolist():
+        failures.setdefault(
+            n, f"mode {n}: vanishing regular exterior component (resonant system)"
         )
-    if abs(d_ext) <= 1e-14 * abs(c_ext):
-        # below the noise floor of the interface solve; reporting a nonzero
-        # value here would let the singular-basis growth of deep evanescent
-        # modes amplify round-off into the evaluated field
-        d_ext = 0.0 + 0.0j
-    scale = b_n / c_ext
-    alpha = d_ext * scale
-    coeffs = tuple((c * scale, dd * scale) for c, dd in raw)
-    return ModeSolution(n=n, b_n=complex(b_n), alpha_n=complex(alpha), layer_coeffs=coeffs)
-
-
-def mode_solve_dense(
-    medium: LayeredMedium, k: float, n: int, b_n: complex
-) -> ModeSolution:
-    """Dense assembly of the full interface system; test oracle only."""
-    d = medium.dimension
-    nlay = len(medium.layers)
-    size = 2 * nlay
-    A = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-
-    def col_of(layer: int) -> tuple[int, int]:
-        # innermost layer holds a single regular coefficient
-        return (0, -1) if layer == 0 else (2 * layer - 1, 2 * layer)
-
-    for i, lay in enumerate(medium.layers):
-        kap = medium.wavenumber(k, i)
-        left = _interface_matrix(d, n, lay.a, kap, lay.radius, outgoing=False)
-        c_col, d_col = col_of(i)
-        for row in (0, 1):
-            A[2 * i + row, c_col] += left[row, 0]
-            if d_col >= 0:
-                A[2 * i + row, d_col] += left[row, 1]
-        last = i == nlay - 1
-        if last:
-            kap_r = medium.exterior_wavenumber(k)
-            right = _interface_matrix(
-                d, n, medium.exterior_a, kap_r, lay.radius, outgoing=True
-            )
-            for row in (0, 1):
-                A[2 * i + row, size - 1] -= right[row, 1]
-                rhs[2 * i + row] += b_n * right[row, 0]
-        else:
-            kap_r = medium.wavenumber(k, i + 1)
-            right = _interface_matrix(
-                d, n, medium.layers[i + 1].a, kap_r, lay.radius, outgoing=False
-            )
-            c_col, d_col = col_of(i + 1)
-            for row in (0, 1):
-                A[2 * i + row, c_col] -= right[row, 0]
-                A[2 * i + row, d_col] -= right[row, 1]
-    sol = np.linalg.solve(A, rhs)
-    coeffs = [(sol[0], 0.0 + 0.0j)]
-    for i in range(1, nlay):
-        coeffs.append((sol[2 * i - 1], sol[2 * i]))
-    return ModeSolution(
-        n=n, b_n=complex(b_n), alpha_n=complex(sol[-1]), layer_coeffs=tuple(coeffs)
+    if failures:
+        raise SingularSystemError(failures[min(failures)])
+    # below the noise floor of the interface solve; reporting a nonzero value
+    # here would let the singular-basis growth of deep evanescent modes
+    # amplify round-off into the evaluated field
+    d_ext = np.where(np.abs(d_ext) <= 1e-14 * np.abs(c_ext), 0.0 + 0.0j, d_ext)
+    scale = b[:alive] / c_ext
+    alpha = (d_ext * scale).tolist()
+    coeffs = (raw[:alive] * scale[:, None, None]).tolist()
+    zero = tuple((0.0 + 0.0j, 0.0 + 0.0j) for _ in layers)
+    return tuple(
+        ModeSolution(n=n, b_n=complex(b[n]), alpha_n=alpha[n],
+                     layer_coeffs=tuple(map(tuple, coeffs[n])))
+        if n < alive else
+        ModeSolution(n=n, b_n=complex(b[n]), alpha_n=0.0 + 0.0j, layer_coeffs=zero)
+        for n in range(n_max + 1)
     )
-
-
-def continuity_residual(medium: LayeredMedium, k: float, sol: ModeSolution) -> float:
-    """Worst relative interface mismatch of a mode solution (diagnostic)."""
-    d, n = medium.dimension, sol.n
-    worst = 0.0
-    for i, lay in enumerate(medium.layers):
-        kap = medium.wavenumber(k, i)
-        left = _interface_matrix(d, n, lay.a, kap, lay.radius, outgoing=False)
-        lval = left @ np.array(sol.layer_coeffs[i])
-        if sol.particular is not None and i == 0:
-            pv, pd = sol.particular.eval(lay.radius)
-            lval = lval + np.array([pv, lay.a * pd])
-        last = i == len(medium.layers) - 1
-        if last:
-            right = _interface_matrix(
-                d, n, medium.exterior_a, medium.exterior_wavenumber(k),
-                lay.radius, outgoing=True,
-            )
-            rvec = np.array([sol.b_n, sol.alpha_n])
-        else:
-            right = _interface_matrix(
-                d, n, medium.layers[i + 1].a, medium.wavenumber(k, i + 1),
-                lay.radius, outgoing=False,
-            )
-            rvec = np.array(sol.layer_coeffs[i + 1])
-        rval = right @ rvec
-        scale = max(np.max(np.abs(lval)), np.max(np.abs(rval)), 1e-300)
-        worst = max(worst, float(np.max(np.abs(lval - rval)) / scale))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +410,7 @@ def _mp_singular(d: int, z) -> tuple:
 
 
 def _alpha0_mp(d: int, k: float, eps: float, k_eps: tuple[float, float]) -> complex:
-    with _MP_LOCK, mp.workdps(50):
+    with mp.workdps(50):
         t = mp.mpf(k_eps[0]) + mp.mpf(k_eps[1])
         ke = mp.mpf(k) * mp.mpf(eps)
         flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
@@ -630,10 +589,11 @@ class TunedSigma:
         return (self.kappa_star / self.k) ** 2
 
 
-def _im_denominator(d: int, k: float, eps: float, t: float) -> float:
+def _im_denominator(
+    d: int, k: float, eps: float, sing_e: specfun.BesselEval, t: float
+) -> float:
+    """Im of alpha0's denominator at interior argument t; sing_e is Y_0 or y_0 at k eps."""
     ke = k * eps
-    reg_e = _regular(d, 0, ke)
-    sing_e = _singular(d, 0, ke)
     reg_i = _regular(d, 0, t)
     flux = 1.0 / eps if d == 3 else 1.0
     val = (
@@ -658,7 +618,7 @@ def _refine_root_mp(d: int, k: float, eps: float, t0: float) -> tuple[float, flo
     The root is a simple zero; a few Newton steps from the double root give
     ~40 digits, split into a double-double (hi, lo) pair.
     """
-    with _MP_LOCK, mp.workdps(60):
+    with mp.workdps(60):
         ke = mp.mpf(k) * mp.mpf(eps)
         flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
         y, yp = _mp_singular(d, ke)
@@ -700,7 +660,8 @@ def tune_sigma(
     kap = spec.kappa_star
     half_width = 0.4
     if variant == "exact":
-        fun = lambda t: _im_denominator(d, k, eps, t)
+        sing_e = _singular(d, 0, k * eps)   # exterior factor, fixed over the search
+        fun = lambda t: _im_denominator(d, k, eps, sing_e, t)
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
     try:
@@ -754,7 +715,11 @@ def eigenfunction_normalization(spec: ResonanceSpec) -> float:
 
 
 def interior_source_mode_solve(
-    medium: LayeredMedium, k: float, spec: ResonanceSpec, normalization: float
+    medium: LayeredMedium,
+    k: float,
+    spec: ResonanceSpec,
+    normalization: float,
+    eigen_norm: float | None = None,
 ) -> ModeSolution:
     """Transmission solve with the normalized eigenfunction as interior source.
 
@@ -762,7 +727,9 @@ def interior_source_mode_solve(
     where e is the L2-normalized radial mode of spec, and the incident
     field is zero.  The particular solution comes from the derivative-in-
     wavenumber identity when the source oscillates at the layer wavenumber,
-    and from the resolvent quotient otherwise.
+    and from the resolvent quotient otherwise.  eigen_norm is
+    eigenfunction_normalization(spec), a quadrature, computed here unless a
+    caller that solves many rows for one spec passes it.
     """
     if len(medium.layers) != 1:
         raise UnsupportedConfigurationError(
@@ -774,7 +741,9 @@ def interior_source_mode_solve(
     d, n = medium.dimension, spec.mode
     kap = medium.wavenumber(k, 0)
     kap_src = complex(spec.kappa_star)
-    amp = normalization * eigenfunction_normalization(spec)
+    if eigen_norm is None:
+        eigen_norm = eigenfunction_normalization(spec)
+    amp = normalization * eigen_norm
     if amp == 0.0:
         part = None
         pv, pd = 0.0 + 0.0j, 0.0 + 0.0j
@@ -792,7 +761,10 @@ def interior_source_mode_solve(
         dtype=complex,
     )
     rhs = np.array([-pv, -lay.a * pd], dtype=complex)
-    c, alpha = _solve2x2(m, rhs, f"interior-source mode {n}")
+    y, cond = _solve_stack(m[None], rhs[None])
+    if not cond[0] < CONDITION_CAP:
+        raise SingularSystemError(_condition_message(f"interior-source mode {n}", cond[0]))
+    c, alpha = y[0]
     return ModeSolution(
         n=n,
         b_n=0.0 + 0.0j,

@@ -10,17 +10,22 @@ the singular family follow by upward recurrence (stable: Y is dominant).
 Validated envelope: order <= 200, |z| <= 1e4.  Complex arguments are meant
 for mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
 normalization sum, so keep Im z below ~10.  Values that underflow double
-precision (huge order, tiny argument) are returned as exact zeros.
+precision (huge order, tiny argument) are returned as exact zeros.  A
+singular order past the overflow limit raises BesselOverflowError, unless
+a scalar chain is asked for partial results: it then ends at the last
+representable order.
 
 array_chain runs the same chains over a 1-D array of arguments at once.
 It is the kernel of every array-argument evaluation, whatever the array's
 length: field points in blocks (FieldSeries.eval_many), the nodes of one
 quadrature refinement level (FieldSeries.radial_many, regular_array) and
 resonance scan grids.  The scalar chains stay the kernel of scalar-argument
-calls (the per-mode transfer solve, root-finder targets, closed forms,
-FieldSeries.eval): for one argument an array pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
-0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
-|f_n| + |f_(n+1)|, and raise the same errors where either overflows.
+calls: the all-orders transfer solve (one partial chain per interface
+side), root-finder targets, closed forms and FieldSeries.eval; for one
+argument an array pass costs 7-35x more.  Over orders 0..200,
+1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
+of the local size |f_n| + |f_(n+1)|, and raise the same errors where
+either overflows.
 """
 
 from __future__ import annotations
@@ -127,34 +132,46 @@ def _cyl_y01(z: complex, jch: np.ndarray) -> tuple[complex, complex]:
     return y0, -y0p
 
 
-def cyl_chain(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def _upward(y0: complex, y1: complex, nmax: int, z: complex, half: float,
+            name: str, partial: bool) -> np.ndarray:
+    """Singular family of orders 0..nmax by upward recurrence from y0, y1.
+
+    An order passing the overflow limit raises BesselOverflowError, or,
+    with partial, ends the chain: the array then holds orders 0..last,
+    the last representable order.
+    """
+    y = np.zeros(nmax + 1, dtype=complex)
+    y[: 2] = (y0, y1)[: nmax + 1]
+    for n in range(1, nmax):
+        nxt = (2.0 * (n + half) / z) * y[n] - y[n - 1]
+        if abs(nxt.real) > _OVERFLOW_LIMIT or abs(nxt.imag) > _OVERFLOW_LIMIT:
+            if partial:
+                return y[: n + 1]
+            raise BesselOverflowError(
+                f"{name}_{n + 1}({z}) exceeds representable magnitude in upward recurrence"
+            )
+        y[n + 1] = nxt
+    return y
+
+
+def cyl_chain(nmax: int, z: complex, partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Cylindrical J_n(z) and Y_n(z) for all orders 0..nmax at once.
 
     Parameters
     ----------
     nmax : highest order required (<= ORDER_CAP).
     z : complex argument, z != 0, |z| <= ARG_CAP.
+    partial : end the Y chain at its last representable order instead of
+        raising BesselOverflowError (see _upward).
 
     Returns
     -------
-    (J, Y) : complex arrays of length nmax + 1.
+    (J, Y) : complex arrays of length nmax + 1 (Y shorter if partial).
     """
     z = _check_order_arg(nmax, z, singular=True)
     full = _cyl_j_chain_full(nmax, z)
-    j = full[: nmax + 1].copy()
     y0, y1 = _cyl_y01(z, full)
-    y = np.zeros(nmax + 1, dtype=complex)
-    y[0] = y0
-    if nmax >= 1:
-        y[1] = y1
-    for n in range(1, nmax):
-        nxt = (2.0 * n / z) * y[n] - y[n - 1]
-        if abs(nxt.real) > _OVERFLOW_LIMIT or abs(nxt.imag) > _OVERFLOW_LIMIT:
-            raise BesselOverflowError(
-                f"Y_{n + 1}({z}) exceeds representable magnitude in upward recurrence"
-            )
-        y[n + 1] = nxt
-    return j, y
+    return full[: nmax + 1].copy(), _upward(y0, y1, nmax, z, 0.0, "Y", partial)
 
 
 def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
@@ -163,45 +180,36 @@ def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
     j0 = sin_z / z
     j1 = sin_z / (z * z) - cos_z / z
     j = np.zeros(nmax + 1, dtype=complex)
-    if nmax <= int(0.9 * abs(z)):
-        # upward recurrence is stable below the turning point
-        j[0] = j0
-        if nmax >= 1:
-            j[1] = j1
-        for n in range(1, nmax):
-            j[n + 1] = (2.0 * n + 1.0) / z * j[n] - j[n - 1]
-    else:
+    up = min(nmax, int(0.9 * abs(z)))
+    if nmax > up:
         raw = _miller_j_chain(nmax, z, spherical=True)
         if abs(j0) >= abs(j1):
             scale = j0 / raw[0]
         else:
             scale = j1 / raw[1]
         j[:] = raw[: nmax + 1] * scale
+    if up or not nmax:
+        # upward recurrence is stable below the turning point; those orders
+        # take it whatever nmax, so an order's value does not depend on it
+        j[:2] = (j0, j1)[: up + 1]
+        for n in range(1, up):
+            j[n + 1] = (2.0 * n + 1.0) / z * j[n] - j[n - 1]
     return j
 
 
-def sph_chain(nmax: int, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def sph_chain(nmax: int, z: complex, partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Spherical j_n(z) and y_n(z) for all orders 0..nmax at once.
 
     j_0 and y_0 are the closed forms sin z / z and -cos z / z; the regular
-    chain is normalized against whichever of j_0, j_1 is larger.
+    chain is normalized against whichever of j_0, j_1 is larger.  partial
+    as in cyl_chain.
     """
     z = _check_order_arg(nmax, z, singular=True)
     j = _sph_j_only(nmax, z)
     sin_z = cmath.sin(z)
     cos_z = cmath.cos(z)
-    y = np.zeros(nmax + 1, dtype=complex)
-    y[0] = -cos_z / z
-    if nmax >= 1:
-        y[1] = -cos_z / (z * z) - sin_z / z
-    for n in range(1, nmax):
-        nxt = (2.0 * n + 1.0) / z * y[n] - y[n - 1]
-        if abs(nxt.real) > _OVERFLOW_LIMIT or abs(nxt.imag) > _OVERFLOW_LIMIT:
-            raise BesselOverflowError(
-                f"y_{n + 1}({z}) exceeds representable magnitude in upward recurrence"
-            )
-        y[n + 1] = nxt
-    return j, y
+    y0, y1 = -cos_z / z, -cos_z / (z * z) - sin_z / z
+    return j, _upward(y0, y1, nmax, z, 0.5, "y", partial)
 
 
 def array_chain(
@@ -215,7 +223,9 @@ def array_chain(
     order with its own rescaling, Y_0 and Y_1 from the Neumann sums of
     _cyl_y01 (accumulated during the downward pass), and upward recurrence
     of the singular family up to the same overflow limit.  Regular 3d
-    values always come from Miller, also below the turning point.
+    values of orders up to 0.9 |z| come from upward recurrence, as in
+    _sph_j_only: through the ~|z| oscillatory steps below the turning point
+    Miller's downward pass loses about 1e-13 at |z| ~ 600.
     """
     z = np.asarray(z, dtype=complex).ravel()
     mag = np.abs(z)
@@ -260,6 +270,13 @@ def array_chain(
         sin_z, cos_z = np.sin(z), np.cos(z)
         j0, j1 = sin_z / z, sin_z / (z * z) - cos_z / z
         raw *= np.where(np.abs(j0) >= np.abs(j1), j0 / raw[0], j1 / raw[1])
+        up = np.minimum(nmax, (0.9 * mag).astype(int))
+        raw[0] = np.where((up > 0) | (nmax == 0), j0, raw[0])
+        raw[1] = np.where(up > 0, j1, raw[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(1, int(up.max())):
+                nxt = ((2.0 * n + 1.0) / z) * raw[n] - raw[n - 1]
+                raw[n + 1] = np.where(up > n, nxt, raw[n + 1])
         y = [-cos_z / z, -cos_z / (z * z) - sin_z / z]
     else:
         norm = raw[0] + 2.0 * even
@@ -295,19 +312,23 @@ def regular_chain(d: int, nmax: int, z: complex) -> np.ndarray:
     return _cyl_j_chain_full(nmax, complex(z))[: nmax + 1]
 
 
-def chain(d: int, nmax: int, z, singular: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def chain(
+    d: int, nmax: int, z, singular: bool = True, partial: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
     """array_chain's (regular, singular) for a scalar z or a 1-D array of z.
 
     The kernel follows the argument's type, not its length: a scalar runs
     the scalar chains, which cost 7-35x less for one argument, and gives
     (nmax + 1, 1) columns; an array runs array_chain whatever its length,
-    so a value does not depend on the batch it came in.
+    so a value does not depend on the batch it came in.  partial (scalar z
+    only) ends the singular chain at its last representable order instead
+    of raising, so it may hold fewer rows than the regular one.
     """
     if np.ndim(z) > 0:
         return array_chain(d, nmax, z, singular)
     if not singular:
         return regular_chain(d, nmax, z)[:, None], None
-    reg, sing = (sph_chain if d == 3 else cyl_chain)(nmax, complex(z))
+    reg, sing = (sph_chain if d == 3 else cyl_chain)(nmax, complex(z), partial)
     return reg[:, None], sing[:, None]
 
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the package's own evaluation paths:
-power series, plain bisection, Chebyshev collocation and banded finite
-differences provide expected values computed on a different route.
+power series, plain bisection, Chebyshev collocation, banded finite
+differences and a dense per-mode interface assembly over scipy's Bessel
+functions provide expected values computed on a different route.
 """
 
 from __future__ import annotations
@@ -251,3 +252,95 @@ def fd_interior_source_solve(
             rhs[i] = src(ri) if inside else 0.0
     sol = sla.solve_banded((2, 2), band, rhs)
     return r, sol
+
+
+# -- dense per-mode transmission solve ------------------------------------------
+
+
+def _interface_matrix(d: int, n: int, a: float, kappa: complex, r: float, outgoing: bool):
+    """Columns: regular, singular (or outgoing) basis of order n at kappa r;
+    rows: value and flux a * kappa * f'.  Bessel values from scipy."""
+    from scipy import special
+
+    z = complex(kappa * r)
+    if d == 3:
+        j, jp = special.spherical_jn(n, z), special.spherical_jn(n, z, derivative=True)
+        y, yp = special.spherical_yn(n, z), special.spherical_yn(n, z, derivative=True)
+    else:
+        j, jp = special.jv(n, z), special.jvp(n, z)
+        y, yp = special.yv(n, z), special.yvp(n, z)
+    if outgoing:
+        y, yp = j + 1j * y, jp + 1j * yp
+    return np.array([[j, y], [a * kappa * jp, a * kappa * yp]], dtype=complex)
+
+
+def mode_solve_dense(medium, k: float, n: int, b_n: complex):
+    """Mode n by dense assembly of the full interface system (np.linalg.solve).
+
+    Unknowns: the innermost layer's regular coefficient, both coefficients
+    of every further layer, and alpha_n; no equilibration.
+    """
+    from cloakwave.mie import ModeSolution
+
+    d = medium.dimension
+    nlay = len(medium.layers)
+    size = 2 * nlay
+    A = np.zeros((size, size), dtype=complex)
+    rhs = np.zeros(size, dtype=complex)
+
+    def col_of(layer: int) -> tuple[int, int]:
+        # innermost layer holds a single regular coefficient
+        return (0, -1) if layer == 0 else (2 * layer - 1, 2 * layer)
+
+    for i, lay in enumerate(medium.layers):
+        left = _interface_matrix(d, n, lay.a, medium.wavenumber(k, i), lay.radius, False)
+        c_col, d_col = col_of(i)
+        A[2 * i : 2 * i + 2, c_col] += left[:, 0]
+        if d_col >= 0:
+            A[2 * i : 2 * i + 2, d_col] += left[:, 1]
+        if i == nlay - 1:
+            right = _interface_matrix(
+                d, n, medium.exterior_a, medium.exterior_wavenumber(k), lay.radius, True
+            )
+            A[2 * i : 2 * i + 2, size - 1] -= right[:, 1]
+            rhs[2 * i : 2 * i + 2] += b_n * right[:, 0]
+        else:
+            right = _interface_matrix(
+                d, n, medium.layers[i + 1].a, medium.wavenumber(k, i + 1), lay.radius, False
+            )
+            c_col, d_col = col_of(i + 1)
+            A[2 * i : 2 * i + 2, c_col] -= right[:, 0]
+            A[2 * i : 2 * i + 2, d_col] -= right[:, 1]
+    sol = np.linalg.solve(A, rhs)
+    coeffs = [(sol[0], 0.0 + 0.0j)]
+    for i in range(1, nlay):
+        coeffs.append((sol[2 * i - 1], sol[2 * i]))
+    return ModeSolution(
+        n=n, b_n=complex(b_n), alpha_n=complex(sol[-1]), layer_coeffs=tuple(coeffs)
+    )
+
+
+def continuity_residual(medium, k: float, sol) -> float:
+    """Worst relative interface mismatch of field and flux of a mode solution."""
+    d, n = medium.dimension, sol.n
+    worst = 0.0
+    for i, lay in enumerate(medium.layers):
+        left = _interface_matrix(d, n, lay.a, medium.wavenumber(k, i), lay.radius, False)
+        lval = left @ np.array(sol.layer_coeffs[i])
+        if sol.particular is not None and i == 0:
+            pv, pd = sol.particular.eval(lay.radius)
+            lval = lval + np.array([pv, lay.a * pd])
+        if i == len(medium.layers) - 1:
+            right = _interface_matrix(
+                d, n, medium.exterior_a, medium.exterior_wavenumber(k), lay.radius, True
+            )
+            rvec = np.array([sol.b_n, sol.alpha_n])
+        else:
+            right = _interface_matrix(
+                d, n, medium.layers[i + 1].a, medium.wavenumber(k, i + 1), lay.radius, False
+            )
+            rvec = np.array(sol.layer_coeffs[i + 1])
+        rval = right @ rvec
+        scale = max(np.max(np.abs(lval)), np.max(np.abs(rval)), 1e-300)
+        worst = max(worst, float(np.max(np.abs(lval - rval)) / scale))
+    return worst

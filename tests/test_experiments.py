@@ -133,11 +133,11 @@ def test_blowup_singular_row_is_flagged(monkeypatch):
     real = mod.interior_source_mode_solve
     calls = {"n": 0}
 
-    def flaky(med, k, spec, normalization):
+    def flaky(med, k, spec, normalization, **kw):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SingularSystemError("injected resonance hit")
-        return real(med, k, spec, normalization)
+        return real(med, k, spec, normalization, **kw)
 
     monkeypatch.setattr(mod, "interior_source_mode_solve", flaky)
     recs = ex.blowup_sweep(3, 1.0, (1e-2, 1e-3, 1e-4))
@@ -326,3 +326,27 @@ def test_shell_probe_matches_pointwise_sampling():
             )
     brute = math.sqrt(np.trapezoid(np.trapezoid(vals, ths, axis=1), rs))
     assert abs(v - brute) < 1e-3 * v
+
+
+def test_blowup_sweep_normalizes_the_eigenfunction_once(monkeypatch):
+    from cloakwave import mie
+
+    real = mie.eigenfunction_normalization
+    specs = []
+
+    def counting(spec):
+        specs.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(mie, "eigenfunction_normalization", counting)
+    monkeypatch.setattr(ex, "eigenfunction_normalization", counting)
+    for d in (2, 3):
+        specs.clear()
+        eps = (1e-2, 3e-3, 1e-3, 3e-4)
+        recs = ex.blowup_sweep(d, 1.0, eps)
+        assert len(specs) == 1   # one quadrature for the sweep, not one per row
+        spec = first_resonance(d, 1.0)
+        # rows equal those of per-row normalization, bitwise
+        for e, rec in zip(eps, recs):
+            series = ex.eigenmode_series(CloakConfig(d, 1.0, e, (Layer(1.0, 1.0, spec.sigma0),)), spec)
+            assert rec.interior_h1 == ex.interior_deviation(series, None)[1]

@@ -19,14 +19,12 @@ from cloakwave.mie import (
     LayeredMedium,
     alpha0_closed_form,
     blown_up_medium,
-    continuity_residual,
     detect_resonances,
     eigenfunction_normalization,
     first_resonance,
     interior_source_mode_solve,
-    mode_solve,
-    mode_solve_dense,
     resonance_condition,
+    solve_modes,
     tune_sigma,
     tuned_inclusion_config,
     virtual_medium,
@@ -34,14 +32,23 @@ from cloakwave.mie import (
 
 from oracles import (
     bisect,
+    continuity_residual,
     fd_interior_source_solve,
     first_j1_zero,
     first_tan_fixed_point,
     j1_series,
+    mode_solve_dense,
 )
 
 KAPPA3 = 4.493409457909064   # frozen from first_tan_fixed_point()
 KAPPA2 = 3.8317059702075125  # frozen from first_j1_zero()
+
+
+def _mode(med, k, n, b_n):
+    """Mode n of solve_modes, with b_n the only nonzero incident coefficient."""
+    b = np.zeros(n + 1, dtype=complex)
+    b[n] = b_n
+    return solve_modes(med, k, b)[n]
 
 
 def _random_medium(rng, d, nlayers, lossy=False):
@@ -62,7 +69,7 @@ def test_homogeneous_medium_scatters_nothing():
     for d in (2, 3):
         med = LayeredMedium(d, (Layer(1.0, 1.0, 1.0), Layer(1.7, 1.0, 1.0)))
         for n in (0, 1, 4):
-            sol = mode_solve(med, 1.3, n, 1.0)
+            sol = _mode(med, 1.3, n, 1.0)
             assert sol.alpha_n == 0.0
             # interior coefficients reproduce the incident regular function
             assert abs(sol.layer_coeffs[0][0] - 1.0) < 1e-12
@@ -76,7 +83,7 @@ def test_transfer_matches_dense_assembly():
             med = _random_medium(rng, d, int(rng.integers(1, 5)), lossy=trial % 4 == 0)
             k = float(rng.uniform(0.4, 2.5))
             for n in (0, 1, 2):
-                a = mode_solve(med, k, n, 1.0)
+                a = _mode(med, k, n, 1.0)
                 b = mode_solve_dense(med, k, n, 1.0)
                 assert abs(a.alpha_n - b.alpha_n) <= 1e-11 * max(1.0, abs(b.alpha_n))
                 for (c1, d1), (c2, d2) in zip(a.layer_coeffs, b.layer_coeffs):
@@ -90,7 +97,7 @@ def test_interface_continuity_residual():
     for d in (2, 3):
         med = _random_medium(rng, d, 3)
         for n in (0, 1, 2):
-            sol = mode_solve(med, 1.1, n, 1.0)
+            sol = _mode(med, 1.1, n, 1.0)
             assert continuity_residual(med, 1.1, sol) < 1e-11
 
 
@@ -127,8 +134,8 @@ def test_scaling_equivalence_virtual_vs_blown_up():
                 (Layer(1.0, float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))),),
             )
             for n in (0, 1):
-                a1 = mode_solve(virtual_medium(cfg), cfg.k, n, 1.0).alpha_n
-                a2 = mode_solve(blown_up_medium(cfg), cfg.k, n, 1.0).alpha_n
+                a1 = _mode(virtual_medium(cfg), cfg.k, n, 1.0).alpha_n
+                a2 = _mode(blown_up_medium(cfg), cfg.k, n, 1.0).alpha_n
                 assert abs(a1 - a2) <= 1e-11 * max(1.0, abs(a1))
 
 
@@ -137,11 +144,11 @@ def test_unitarity_lossless_and_absorption_lossy():
     for d in (2, 3):
         med = _random_medium(rng, d, 3)
         for n in range(6):
-            s = mode_solve(med, 1.4, n, 1.0).alpha_n
+            s = _mode(med, 1.4, n, 1.0).alpha_n
             assert abs(s.real + abs(s) ** 2) <= 1e-10
         lossy = _random_medium(rng, d, 2, lossy=True)
         for n in range(4):
-            s = mode_solve(lossy, 1.4, n, 1.0).alpha_n
+            s = _mode(lossy, 1.4, n, 1.0).alpha_n
             assert s.real + abs(s) ** 2 <= 1e-12
 
 
@@ -152,7 +159,7 @@ def test_alpha_decays_superexponentially():
         start = int(math.e * k * 1.2 / 2) + 1
         prev = None
         for n in range(start, start + 10):
-            cur = abs(mode_solve(med, k, n, 1.0).alpha_n)
+            cur = abs(_mode(med, k, n, 1.0).alpha_n)
             if prev is not None:
                 assert cur < prev or cur == 0.0
             if cur == 0.0:
@@ -172,7 +179,7 @@ def test_alpha0_closed_form_matches_mode_solve():
             k_eps = float(rng.uniform(0.5, 6.0))
             sigma_eq = (k_eps / k) ** 2
             cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, sigma_eq),))
-            ms = mode_solve(blown_up_medium(cfg), k, 0, 1.0).alpha_n
+            ms = _mode(blown_up_medium(cfg), k, 0, 1.0).alpha_n
             cf = alpha0_closed_form(d, k, eps, k_eps)
             assert abs(ms - cf) <= 1e-11 * max(1.0, abs(cf))
 
@@ -188,7 +195,7 @@ def test_alpha0_at_interior_stationary_point():
     k, eps = 1.0, 0.03
     cf = alpha0_closed_form(3, k, eps, KAPPA3)
     cfg = CloakConfig(3, k, eps, (Layer(1.0, 1.0, (KAPPA3 / k) ** 2),))
-    ms = mode_solve(blown_up_medium(cfg), k, 0, 1.0).alpha_n
+    ms = _mode(blown_up_medium(cfg), k, 0, 1.0).alpha_n
     assert abs(cf - ms) <= 1e-11 * max(1.0, abs(ms))
 
 
@@ -206,7 +213,7 @@ def test_alpha0_tuned_is_minus_one():
         tuned = tune_sigma(d, 1.0, 1e-2, spec, "exact")
         cf = alpha0_closed_form(d, 1.0, 1e-2, tuned.k_eps_dd)
         assert abs(cf + 1.0) < 1e-8
-        ms = mode_solve(blown_up_medium(tuned_inclusion_config(tuned)), 1.0, 0, 1.0)
+        ms = _mode(blown_up_medium(tuned_inclusion_config(tuned)), 1.0, 0, 1.0)
         assert abs(ms.alpha_n + 1.0) < 1e-8
 
 
@@ -407,20 +414,36 @@ def test_interior_source_requires_single_unit_layer():
         interior_source_mode_solve(med, 1.0, spec, 1.0)
 
 
-def test_singular_system_error_surfaces():
-    m = np.array([[1.0 + 0j, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularSystemError):
-        mie._solve2x2(m, np.array([1.0 + 0j, 0.0]), "unit test")
+def test_singular_system_error_surfaces(monkeypatch):
+    # parallel columns give an infinite condition number; the all-orders
+    # solve then raises for the lowest mode, naming its first bad interface
+    m = np.array([[[1.0 + 0j, 2.0], [2.0, 4.0]]])
+    _, cond = mie._solve_stack(m, np.array([[1.0 + 0j, 0.0]]))
+    assert not cond[0] < mie.CONDITION_CAP
+    real = mie._solve_stack
+    calls = []
+
+    def bad_rows(m, rhs):
+        y, cond = real(m, rhs)
+        # mode 3 fails at the first interface, mode 1 only at the second
+        cond[3 if not calls else 1] = math.inf
+        calls.append(1)
+        return y, cond
+
+    monkeypatch.setattr(mie, "_solve_stack", bad_rows)
+    med = LayeredMedium(3, (Layer(0.5, 1.0, 2.0), Layer(1.0, 1.0, 1.5)))
+    with pytest.raises(SingularSystemError, match="mode 1 at radius 1 "):
+        solve_modes(med, 1.0, np.ones(6))
 
 
 def test_mode_solve_validation():
     med = LayeredMedium(3, (Layer(1.0, 1.0, 1.0),))
     with pytest.raises(ValidationError):
-        mode_solve(med, 0.0, 0, 1.0)
+        _mode(med, 0.0, 0, 1.0)
     with pytest.raises(ValidationError):
-        mode_solve(med, 60.0, 0, 1.0)
+        _mode(med, 60.0, 0, 1.0)
     with pytest.raises(ValidationError):
-        mode_solve(med, 1.0, 300, 1.0)
+        _mode(med, 1.0, 300, 1.0)
 
 
 def test_layer_validation():
@@ -444,8 +467,8 @@ def test_layer_validation():
 )
 def test_mode_solve_linearity_property(d, k, a, s, n):
     med = LayeredMedium(d, (Layer(1.0, a, s),))
-    one = mode_solve(med, k, n, 1.0)
-    scaled = mode_solve(med, k, n, 2.5 - 1.5j)
+    one = _mode(med, k, n, 1.0)
+    scaled = _mode(med, k, n, 2.5 - 1.5j)
     assert abs(scaled.alpha_n - (2.5 - 1.5j) * one.alpha_n) <= 1e-12 * max(
         1.0, abs(one.alpha_n)
     )
@@ -458,6 +481,123 @@ def test_deep_evanescent_modes_survive_equilibration():
     cfg = CloakConfig(3, 10.0, 0.05, (Layer(1.0, 1.0, 1.5),))
     vm = virtual_medium(cfg)
     for n in (20, 40, 60):
-        a = mode_solve(vm, 10.0, n, 1.0).alpha_n
+        a = _mode(vm, 10.0, n, 1.0).alpha_n
         b = mode_solve_dense(vm, 10.0, n, 1.0).alpha_n
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+# -- all-orders solve -----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    k=st.floats(min_value=0.3, max_value=10.0),
+    log_eps=st.floats(min_value=-3.0, max_value=0.0),
+    layers=st.lists(
+        st.tuples(
+            st.floats(min_value=0.3, max_value=3.0),
+            st.floats(min_value=0.3, max_value=3.0),
+            st.sampled_from([0.0, 0.1, 1.0]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_solve_modes_matches_dense_oracle_property(d, k, log_eps, layers):
+    # the pulled-back inclusion of a 1-3 layer interior, lossy layers
+    # included, against the dense per-mode assembly over scipy's Bessel
+    # functions, from mode 0 through the turning point at the unit radius
+    nlay = len(layers)
+    interior = tuple(
+        Layer((i + 1) / nlay, a, complex(s, loss)) for i, (a, s, loss) in enumerate(layers)
+    )
+    med = virtual_medium(CloakConfig(d, k, 10.0**log_eps, interior))
+    n_max = int(math.e * k / 2) + 8
+    for sol in solve_modes(med, k, np.ones(n_max + 1)):
+        dense = mode_solve_dense(med, k, sol.n, 1.0)
+        assert abs(sol.alpha_n - dense.alpha_n) <= 1e-11 * max(1.0, abs(dense.alpha_n))
+        if sol.alpha_n != 0:
+            # a zero below the noise floor drops a term that the singular
+            # basis's growth makes visible in the exterior flux
+            assert continuity_residual(med, k, sol) < 1e-10
+
+
+def test_solve_modes_takes_one_chain_per_interface_side(monkeypatch):
+    real = mie.specfun.chain
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(args[2])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(mie.specfun, "chain", counting)
+    for d in (2, 3):
+        for nlay in (1, 2, 3):
+            calls.clear()
+            layers = tuple(Layer((i + 1) / nlay, 1.0 + 0.1 * i, 1.5) for i in range(nlay))
+            modes = solve_modes(LayeredMedium(d, layers), 4.0, np.ones(31))
+            assert len(modes) == 31
+            # each interface seen from inside and from outside, one scalar
+            # argument each, whatever the truncation
+            assert len(calls) == 2 * nlay
+            assert all(np.ndim(z) == 0 for z in calls)
+
+
+# (first order with alpha_n = 0, first order taking the overflow fallback)
+# of the k = 30 plane-wave sweep media (unit interior, sigma = 1, truncation
+# 179), as the per-mode solve gave them
+_HIGHK_ZERO_ORDERS = {
+    (2, 1e-1): (14, 172), (2, 3e-2): (9, 137), (2, 1e-2): (6, 114),
+    (2, 3e-3): (5, 96), (2, 1e-3): (4, 84),
+    (3, 1e-1): (13, 172), (3, 3e-2): (8, 136), (3, 1e-2): (6, 114),
+    (3, 3e-3): (4, 96), (3, 1e-3): (4, 83),
+}
+
+
+def test_overflow_fallback_orders_are_pinned():
+    from cloakwave.fields import IncidentSpec, incident_coefficients
+
+    for (d, eps), (first_zero, first_fallback) in _HIGHK_ZERO_ORDERS.items():
+        inc = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+        b = incident_coefficients(inc, 30.0, 179, d)
+        med = virtual_medium(CloakConfig(d, 30.0, eps, (Layer(1.0, 1.0, 1.0),)))
+        modes = solve_modes(med, 30.0, b)
+        zero = [m.n for m in modes if m.alpha_n == 0]
+        fallback = [m.n for m in modes if not any(c or dd for c, dd in m.layer_coeffs)]
+        assert zero == list(range(first_zero, 180)), (d, eps)
+        assert fallback == list(range(first_fallback, 180)), (d, eps)
+        # a fallback order keeps its incident coefficient
+        assert all(modes[n].b_n == b[n] for n in fallback)
+
+
+def test_tuning_target_takes_one_chain_per_evaluation(monkeypatch):
+    from cloakwave import specfun
+
+    counts = {"chains": 0, "targets": 0}
+    for name in ("cyl_bessel", "sph_bessel"):
+        real_fn = getattr(specfun, name)
+
+        def counting(*args, _real=real_fn):
+            counts["chains"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(specfun, name, counting)
+    real_find = mie.find_root
+
+    def counting_find(f, bracket):
+        def target(t):
+            counts["targets"] += 1
+            return f(t)
+
+        return real_find(target, bracket)
+
+    monkeypatch.setattr(mie, "find_root", counting_find)
+    for d in (2, 3):
+        spec = first_resonance(d, 1.0)
+        counts.update(chains=0, targets=0)
+        tune_sigma(d, 1.0, 1e-3, spec, "exact")
+        assert counts["targets"] > 5
+        # the exterior singular factor once, then the interior regular
+        # function once per evaluation of the target
+        assert counts["chains"] == counts["targets"] + 1

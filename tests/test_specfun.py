@@ -252,3 +252,17 @@ def test_find_root_property_cubic(root, scale):
     f = lambda t: scale * (t - root) ** 3 + 0.3 * (t - root)
     got = find_root(f, (root - 1.7, root + 2.1))
     assert abs(got - root) <= 1e-9 * max(1.0, abs(root))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_chain_ends_at_last_representable_order(d):
+    from cloakwave.specfun import chain
+
+    for z in (0.05, 0.3):
+        reg, sing = chain(d, 180, z, partial=True)
+        last = len(sing) - 1
+        assert len(reg) == 181 and 0 < last < 180
+        full = chain(d, last, z)[1]   # up to the last order: no error
+        assert np.allclose(full, sing, rtol=1e-13, atol=0.0)
+        with pytest.raises(BesselOverflowError):
+            chain(d, last + 1, z)
