@@ -10,15 +10,16 @@ failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
+from . import __version__, specfun
 from .errors import CloakwaveError, SingularSystemError, ValidationError
 from .experiments import (
     blowup_sweep,
@@ -68,7 +69,6 @@ class RunConfig:
     probe: tuple[float, float]
     truncation: int | None
     tuning: str
-    threads: int                                 # accepted and echoed; no effect
     blowup_mode: int
     scan_k: tuple[float, float, int, int]        # k_min, k_max, points, modes
     resonance_window: tuple[float, float, int]   # k_min, k_max, modes
@@ -96,12 +96,35 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def _number(raw: str, kind: type = float):
+    """raw as a finite number of type kind, else ValidationError."""
+    try:
+        x = kind(raw)
+        if cmath.isfinite(x):
+            return x
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed numeric value in config: {exc}") from exc
+    raise ValidationError(f"non-finite value in config: {raw}")
+
+
 def _floats(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.replace(",", " ").split()]
+    return [_number(tok) for tok in raw.replace(",", " ").split()]
 
 
 def _complexes(raw: str) -> list[complex]:
-    return [complex(tok) for tok in raw.replace(",", " ").split()]
+    return [_number(tok, complex) for tok in raw.replace(",", " ").split()]
+
+
+def _count(key: str, value: int, cap: float = math.inf) -> int:
+    """value if it lies in [0, cap], else ValidationError naming key."""
+    if not 0 <= value <= cap:
+        raise ValidationError(f"{key} = {value} outside [0, {cap}]")
+    return value
+
+
+def _truncation(value: int) -> int | None:
+    """A validated truncation; 0 selects the automatic one (None)."""
+    return _count("truncation", value, specfun.ORDER_CAP) or None
 
 
 def build_run_config(kv: dict[str, str]) -> RunConfig:
@@ -116,43 +139,41 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     experiment = get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}")
-    try:
-        dimension = int(get("dimension"))
-        k = float(get("k"))
-        epsilon = float(get("epsilon", "0.1"))
-        radii = _floats(get("interior.radii", "1.0"))
-        avals = _floats(get("interior.a", "1.0"))
-        svals = _complexes(get("interior.sigma", "1.0"))
-        eps_list = tuple(_floats(get("eps_list", "1e-1, 3e-2, 1e-2, 3e-3, 1e-3")))
-        probe_in = float(get("probe.r_in", "2.0"))
-        probe_out = float(get("probe.r_out", "4.0"))
-        truncation = int(get("truncation", "0")) or None
-        tuning = get("tuning", "exact")
-        threads = int(get("threads", "1"))
-        blowup_mode = int(get("blowup.mode", "0"))
-        scan_k = (
-            float(get("scan.k_min", "0.01")),
-            float(get("scan.k_max", "1.0")),
-            int(get("scan.points", "100")),
-            int(get("scan.modes", "10")),
-        )
-        resonance_window = (
-            float(get("resonances.k_min", "0.1")),
-            float(get("resonances.k_max", "6.0")),
-            int(get("resonances.modes", "3")),
-        )
-        grid_extent = float(get("grid.extent", "3.0"))
-        grid_points = int(get("grid.points", "41"))
-        amplitude = complex(get("incident.amplitude", "1.0"))
-    except ValueError as exc:
-        raise ValidationError(f"malformed numeric value in config: {exc}") from exc
+
+    def count(key: str, default: str, cap: float = math.inf) -> int:
+        return _count(key, _number(get(key, default), int), cap)
+
+    dimension = _number(get("dimension"), int)
+    k = _number(get("k"))
+    epsilon = _number(get("epsilon", "0.1"))
+    radii = _floats(get("interior.radii", "1.0"))
+    avals = _floats(get("interior.a", "1.0"))
+    svals = _complexes(get("interior.sigma", "1.0"))
+    eps_list = tuple(_floats(get("eps_list", "1e-1, 3e-2, 1e-2, 3e-3, 1e-3")))
+    probe_in = _number(get("probe.r_in", "2.0"))
+    probe_out = _number(get("probe.r_out", "4.0"))
+    truncation = _truncation(_number(get("truncation", "0"), int))
+    tuning = get("tuning", "exact")
+    blowup_mode = count("blowup.mode", "0")
+    scan_k = (
+        _number(get("scan.k_min", "0.01")),
+        _number(get("scan.k_max", "1.0")),
+        count("scan.points", "100"),
+        count("scan.modes", "10"),
+    )
+    resonance_window = (
+        _number(get("resonances.k_min", "0.1")),
+        _number(get("resonances.k_max", "6.0")),
+        count("resonances.modes", "3"),
+    )
+    grid_extent = _number(get("grid.extent", "3.0"))
+    grid_points = count("grid.points", "41")
+    amplitude = _number(get("incident.amplitude", "1.0"), complex)
     field_kind = get("field.kind", "incident")
     if field_kind not in ("incident", "eigenmode"):
         raise ValidationError(f"unknown field kind {field_kind!r}")
     if tuning not in ("paper", "exact"):
         raise ValidationError(f"unknown tuning variant {tuning!r}")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
     if not 1.0 < probe_in < probe_out:
         # the free-field pullback has no preimage on the blown-up ball
         raise ValidationError(f"probe annulus ({probe_in}, {probe_out}) must satisfy 1 < r_in < r_out")
@@ -167,7 +188,8 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         location = tuple(_floats(get("incident.location")))[:dimension]
         incident = IncidentSpec("point_source", amplitude, location=location)
     elif kind == "mode":
-        incident = IncidentSpec("mode", amplitude, mode=int(get("incident.mode", "0")))
+        mode = count("incident.mode", "0", specfun.ORDER_CAP)
+        incident = IncidentSpec("mode", amplitude, mode=mode)
     else:
         raise ValidationError(f"unknown incident kind {kind!r}")
     cloak = CloakConfig(dimension, k, epsilon, layers, incident)
@@ -179,7 +201,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         probe=(probe_in, probe_out),
         truncation=truncation,
         tuning=tuning,
-        threads=threads,
         blowup_mode=blowup_mode,
         scan_k=scan_k,
         resonance_window=resonance_window,
@@ -394,7 +415,7 @@ def _grid_blocks(config: RunConfig):
     ext = config.grid_extent
     n = config.grid_points
     d = config.cloak.dimension
-    if ext <= 0 or ext * math.sqrt(2.0) > GRID_RADIUS_CAP:
+    if not (0 < ext and ext * math.sqrt(2.0) <= GRID_RADIUS_CAP):
         raise ValidationError(
             f"grid corners must stay inside radius {GRID_RADIUS_CAP} "
             f"(extent <= {GRID_RADIUS_CAP / math.sqrt(2.0):.4f})"
@@ -461,8 +482,8 @@ def _block_values(values, block: np.ndarray) -> np.ndarray:
 
 
 def _run_field(config: RunConfig, out_dir: str) -> None:
-    values, n_max = _field_evaluator(config)
     blocks = _grid_blocks(config)
+    values, n_max = _field_evaluator(config)
     d = config.cloak.dimension
     header = "x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"
     path = os.path.join(out_dir, "field.csv")
@@ -528,7 +549,6 @@ def run(
     out_dir: str = ".",
     *,
     experiment: str | None = None,
-    threads: int | None = None,
     truncation: int | None = None,
     tuning: str | None = None,
 ) -> int:
@@ -540,14 +560,12 @@ def run(
                 f"subcommand {experiment!r} does not match config experiment "
                 f"{config.experiment!r}"
             )
-        if threads is not None:
-            config = _override(config, threads=threads)
         if truncation is not None:
-            config = _override(config, truncation=truncation)
+            config = replace(config, truncation=_truncation(truncation))
         if tuning is not None:
             if tuning not in ("paper", "exact"):
                 raise ValidationError(f"unknown tuning variant {tuning!r}")
-            config = _override(config, tuning=tuning)
+            config = replace(config, tuning=tuning)
     except ValidationError as exc:
         print(f"cloakwave: config error: {exc}", file=sys.stderr)
         return 2
@@ -563,12 +581,6 @@ def run(
     return 0
 
 
-def _override(config: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(config, **kw)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cloakwave",
@@ -579,10 +591,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to key = value config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted for existing scripts and configs; rows run one after another",
-        )
         p.add_argument("--truncation", type=int, default=None)
         p.add_argument("--tuning", choices=["paper", "exact"], default=None)
     args = parser.parse_args(argv)
@@ -590,7 +598,6 @@ def main(argv=None) -> int:
         args.config,
         args.out,
         experiment=args.command,
-        threads=args.threads,
         truncation=args.truncation,
         tuning=args.tuning,
     )

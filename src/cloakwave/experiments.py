@@ -2,10 +2,10 @@
 
 Each sweep maps a decreasing list of regularization parameters to one
 record of norms and fitted quantities.  Rows are independent and computed
-one after another in the given epsilon order.  The sweeps' `threads`
-argument is accepted for compatibility with existing callers and configs
-and has no effect: a row costs milliseconds and runs Python that holds the
-interpreter lock, so a pool of threads never paid for itself.
+one after another in the given epsilon order: a row costs milliseconds of
+Python that holds the interpreter lock, so a pool of workers would not pay
+for itself.  The convergence sweep's probe annulus may reach into the
+cloak shell (1 < r < 2); that is the shell's visibility measurement.
 """
 
 from __future__ import annotations
@@ -174,7 +174,6 @@ def convergence_sweep(
     *,
     probe: tuple[float, float] = DEFAULT_PROBE,
     truncation: int | None = None,
-    threads: int = 1,
     allow_resonant: bool = False,
 ) -> SweepResult:
     """Visibility and interior-limit deviation across a regularization sweep.
@@ -235,32 +234,6 @@ def convergence_sweep(
     return SweepResult(records, fit, flag)
 
 
-def shell_probe_visibility(
-    config: CloakConfig,
-    r_in: float,
-    r_out: float,
-    truncation: int | None = None,
-) -> float:
-    """L2 visibility over an annulus inside the cloak shell (1 < r < 2).
-
-    Lower precision than the exterior probe: the physical-domain series is
-    composed with the inverse map and compared against the pullback of the
-    free field through the limit map.
-    """
-    if not 1.0 < r_in < r_out < 2.0:
-        raise ValidationError("shell probe must lie strictly inside (1, 2)")
-    d, k = config.dimension, config.k
-    spec = config.incident
-    n_max = truncation if truncation is not None else auto_truncation(spec, k, d)
-    b = incident_coefficients(spec, k, n_max, d)
-    vm = virtual_medium(config)
-    series = solve_series(
-        vm, k, b, domain="physical", epsilon=config.epsilon,
-        axis=None if spec.axis is None else tuple(spec.axis),
-    )
-    return norm_annulus(series, "diff_vs_reference", r_in, r_out, reference=(b, k))[0]
-
-
 def instability_sweep(
     d: int,
     k: float,
@@ -269,7 +242,6 @@ def instability_sweep(
     variant: str = "exact",
     control_sigma: float | None = None,
     probe: tuple[float, float] = DEFAULT_PROBE,
-    threads: int = 1,
 ) -> InstabilityResult:
     """Detuned-density sweep showing order-one visibility at vanishing eps.
 
@@ -367,7 +339,6 @@ def blowup_sweep(
     mode: int = 0,
     amplitude: float = 1.0,
     probe: tuple[float, float] = DEFAULT_PROBE,
-    threads: int = 1,
 ) -> tuple[SweepRecord, ...]:
     """Interior energy blow-up under a resonant eigenfunction source.
 

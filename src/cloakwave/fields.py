@@ -129,13 +129,12 @@ def incident_coefficients(
             b[:] = amp * (1j**ns)
     elif spec.kind == "point_source":
         r0 = float(np.linalg.norm(spec.location))
+        reg, sing = specfun.chain(d, n_max, k * r0)
+        h = reg[:, 0] + 1j * sing[:, 0]
         if d == 3:
-            out = specfun.sph_chain(n_max, k * r0)
-            h = out[0] + 1j * out[1]
             b[:] = amp * (1j * k / (4.0 * math.pi)) * (2 * ns + 1) * h
         else:
-            j, y = specfun.cyl_chain(n_max, k * r0)
-            b[:] = amp * (0.25j) * (j + 1j * y)
+            b[:] = amp * (0.25j) * h
     else:
         if spec.mode > n_max:
             raise TruncationError(
@@ -148,7 +147,7 @@ def incident_coefficients(
 
 def _check_incident_tail(b: np.ndarray, d: int, k: float, r_eval: float) -> None:
     n_max = len(b) - 1
-    reg = specfun.regular_chain(d, n_max, k * r_eval)
+    reg = specfun.chain(d, n_max, k * r_eval, singular=False)[0][:, 0]
     mags = np.abs(b * reg)
     top = float(np.max(mags))
     if top > 0 and mags[-1] > TAIL_TOL * top:
@@ -615,14 +614,14 @@ def interior_limit(
         if d == 3:
             # Neumann condition at the unit sphere fixes the homogeneous part
             _, pd = part.eval(1.0)
-            reg = specfun.sph_bessel("j", 0, kap)
+            reg = specfun.bessel(3, "regular", 0, kap)
             coef = -pd / (kap * reg.derivative)
             return InteriorLimit(d, "neumann", complex(coef), kap, part)
         raise UnsupportedConfigurationError(
             "active 2d interior limits are non-local; not implemented"
         )
     if d == 3 and 0 in resonant_modes:
-        reg = specfun.sph_bessel("j", 0, kap)
+        reg = specfun.bessel(3, "regular", 0, kap)
         return InteriorLimit(
             d, "monopole_resonant", complex(u_at_origin) / reg.value, kap
         )

@@ -51,14 +51,14 @@ class Layer:
     sigma: complex
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValidationError(f"layer radius must be positive, got {self.radius}")
-        if self.a <= 0:
-            raise ValidationError(f"layer stiffness must be positive, got {self.a}")
+        if not 0 < self.radius < math.inf:
+            raise ValidationError(f"layer radius must be positive and finite, got {self.radius}")
+        if not 0 < self.a < math.inf:
+            raise ValidationError(f"layer stiffness must be positive and finite, got {self.a}")
         s = complex(self.sigma)
-        if s.real <= 0 or s.imag < 0:
+        if not (0 < s.real < math.inf and 0 <= s.imag < math.inf):
             raise ValidationError(
-                f"layer density must have Re > 0 and Im >= 0, got {s}"
+                f"layer density must be finite with Re > 0 and Im >= 0, got {s}"
             )
 
 
@@ -111,7 +111,7 @@ class CloakConfig:
     def __post_init__(self) -> None:
         if self.dimension not in (2, 3):
             raise ValidationError(f"dimension must be 2 or 3, got {self.dimension}")
-        if self.k <= 0 or self.k > FREQUENCY_CAP:
+        if not 0 < self.k <= FREQUENCY_CAP:
             raise ValidationError(f"k must lie in (0, {FREQUENCY_CAP}], got {self.k}")
         if not 0.0 < self.epsilon <= 1.0:
             raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
@@ -153,18 +153,6 @@ def blown_up_medium(config: CloakConfig) -> LayeredMedium:
 
 # ---------------------------------------------------------------------------
 # radial basis helpers
-
-
-def _regular(d: int, n: int, z: complex) -> specfun.BesselEval:
-    return specfun.sph_bessel("j", n, z) if d == 3 else specfun.cyl_bessel("J", n, z)
-
-
-def _singular(d: int, n: int, z: complex) -> specfun.BesselEval:
-    return specfun.sph_bessel("y", n, z) if d == 3 else specfun.cyl_bessel("Y", n, z)
-
-
-def _outgoing(d: int, n: int, z: complex) -> specfun.BesselEval:
-    return specfun.sph_bessel("h1", n, z) if d == 3 else specfun.cyl_bessel("H1", n, z)
 
 
 def angular_eigenvalue(d: int, n: int) -> float:
@@ -384,9 +372,9 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
     if isinstance(k_eps, tuple):
         return _alpha0_mp(d, k, eps, k_eps)
     ke = k * eps
-    reg_e = _regular(d, 0, ke)
-    out_e = _outgoing(d, 0, ke)
-    reg_i = _regular(d, 0, k_eps)
+    reg_e = specfun.bessel(d, "regular", 0, ke)
+    out_e = specfun.bessel(d, "outgoing", 0, ke)
+    reg_i = specfun.bessel(d, "regular", 0, k_eps)
     flux = 1.0 / eps if d == 3 else 1.0
     num = ke * reg_e.derivative * reg_i.value - flux * k_eps * reg_e.value * reg_i.derivative
     den = ke * out_e.derivative * reg_i.value - flux * k_eps * out_e.value * reg_i.derivative
@@ -461,7 +449,7 @@ def _condition(d: int, n: int, kappa, value, derivative, a: float):
 
 def resonance_condition(d: int, n: int, kappa: float, a: float = 1.0) -> tuple[float, float]:
     """(raw, normalized) modal resonance condition at interior argument kappa (see _condition)."""
-    ev = _regular(d, n, kappa)
+    ev = specfun.bessel(d, "regular", n, kappa)
     raw, normed = _condition(d, n, kappa, ev.value, ev.derivative, a)
     return float(raw), float(normed)
 
@@ -594,7 +582,7 @@ def _im_denominator(
 ) -> float:
     """Im of alpha0's denominator at interior argument t; sing_e is Y_0 or y_0 at k eps."""
     ke = k * eps
-    reg_i = _regular(d, 0, t)
+    reg_i = specfun.bessel(d, "regular", 0, t)
     flux = 1.0 / eps if d == 3 else 1.0
     val = (
         ke * sing_e.derivative * reg_i.value
@@ -604,7 +592,7 @@ def _im_denominator(
 
 
 def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
-    reg = _regular(d, 0, t)
+    reg = specfun.bessel(d, "regular", 0, t)
     if d == 3:
         rhs = -eps - k * eps * eps * math.tan(k * eps)
         return (reg.derivative / reg.value).real - rhs
@@ -660,7 +648,8 @@ def tune_sigma(
     kap = spec.kappa_star
     half_width = 0.4
     if variant == "exact":
-        sing_e = _singular(d, 0, k * eps)   # exterior factor, fixed over the search
+        # the exterior factor, fixed over the search
+        sing_e = specfun.bessel(d, "singular", 0, k * eps)
         fun = lambda t: _im_denominator(d, k, eps, sing_e, t)
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
@@ -751,8 +740,8 @@ def interior_source_mode_solve(
         part = ParticularTerm.for_source(d, n, kap, kap_src, amp / lay.a)
         pv, pd = part.eval(1.0)
     kap_ext = medium.exterior_wavenumber(k)
-    reg_i = _regular(d, n, kap)
-    out_e = _outgoing(d, n, kap_ext)
+    reg_i = specfun.bessel(d, "regular", n, kap)
+    out_e = specfun.bessel(d, "outgoing", n, kap_ext)
     m = np.array(
         [
             [reg_i.value, -out_e.value],

@@ -7,6 +7,15 @@ Neumann-type expansions over the same J chain, which avoids the cancellation
 that kills the classical power series past |z| ~ 10, and higher orders of
 the singular family follow by upward recurrence (stable: Y is dominant).
 
+The public surface: chain (all orders at a scalar z or over an array of
+z), its array kernel array_chain, chain_derivative, regular_array (values
+and derivatives, z = 0 included), bessel (one order of the regular,
+singular or outgoing family with its derivative, for closed forms and
+root-finder targets) and find_root.  The derivative rule f'_n = f_(n-1) -
+(n + s)/z f_n is written twice: for all orders in chain_derivative, and
+for one order in scalar arithmetic in bessel, where a numpy call would
+cost several times the scalar chain itself.
+
 Validated envelope: order <= 200, |z| <= 1e4.  Complex arguments are meant
 for mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
 normalization sum, so keep Im z below ~10.  Values that underflow double
@@ -21,7 +30,7 @@ length: field points in blocks (FieldSeries.eval_many), the nodes of one
 quadrature refinement level (FieldSeries.radial_many, regular_array) and
 resonance scan grids.  The scalar chains stay the kernel of scalar-argument
 calls: the all-orders transfer solve (one partial chain per interface
-side), root-finder targets, closed forms and FieldSeries.eval; for one
+side), bessel, incident coefficients and FieldSeries.eval; for one
 argument an array pass costs 7-35x more.  Over orders 0..200,
 1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
 of the local size |f_n| + |f_(n+1)|, and raise the same errors where
@@ -154,27 +163,9 @@ def _upward(y0: complex, y1: complex, nmax: int, z: complex, half: float,
     return y
 
 
-def cyl_chain(nmax: int, z: complex, partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Cylindrical J_n(z) and Y_n(z) for all orders 0..nmax at once.
-
-    Parameters
-    ----------
-    nmax : highest order required (<= ORDER_CAP).
-    z : complex argument, z != 0, |z| <= ARG_CAP.
-    partial : end the Y chain at its last representable order instead of
-        raising BesselOverflowError (see _upward).
-
-    Returns
-    -------
-    (J, Y) : complex arrays of length nmax + 1 (Y shorter if partial).
-    """
-    z = _check_order_arg(nmax, z, singular=True)
-    full = _cyl_j_chain_full(nmax, z)
-    y0, y1 = _cyl_y01(z, full)
-    return full[: nmax + 1].copy(), _upward(y0, y1, nmax, z, 0.0, "Y", partial)
-
-
 def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
+    """j_0..j_nmax: j_0 = sin z / z, and the Miller chain normalized against
+    whichever of j_0, j_1 is larger."""
     sin_z = cmath.sin(z)
     cos_z = cmath.cos(z)
     j0 = sin_z / z
@@ -197,19 +188,29 @@ def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
     return j
 
 
-def sph_chain(nmax: int, z: complex, partial: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Spherical j_n(z) and y_n(z) for all orders 0..nmax at once.
+def _scalar_chain(
+    d: int, nmax: int, z: complex, singular: bool, partial: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The scalar kernel of chain: 1-D (regular, singular) orders 0..nmax at one z.
 
-    j_0 and y_0 are the closed forms sin z / z and -cos z / z; the regular
-    chain is normalized against whichever of j_0, j_1 is larger.  partial
-    as in cyl_chain.
+    The singular chain needs z != 0 and |z| <= ARG_CAP; partial ends it at
+    its last representable order instead of raising BesselOverflowError
+    (see _upward), so it may be shorter than the regular one.  y_0 is the
+    closed form -cos z / z.
     """
-    z = _check_order_arg(nmax, z, singular=True)
-    j = _sph_j_only(nmax, z)
-    sin_z = cmath.sin(z)
-    cos_z = cmath.cos(z)
-    y0, y1 = -cos_z / z, -cos_z / (z * z) - sin_z / z
-    return j, _upward(y0, y1, nmax, z, 0.5, "y", partial)
+    z = _check_order_arg(nmax, z, singular=True) if singular else complex(z)
+    if d == 3:
+        j = _sph_j_only(nmax, z)
+        if not singular:
+            return j, None
+        sin_z, cos_z = cmath.sin(z), cmath.cos(z)
+        y0, y1 = -cos_z / z, -cos_z / (z * z) - sin_z / z
+        return j, _upward(y0, y1, nmax, z, 0.5, "y", partial)
+    full = _cyl_j_chain_full(nmax, z)
+    if not singular:
+        return full[: nmax + 1], None
+    y0, y1 = _cyl_y01(z, full)
+    return full[: nmax + 1].copy(), _upward(y0, y1, nmax, z, 0.0, "Y", partial)
 
 
 def array_chain(
@@ -305,13 +306,6 @@ def array_chain(
     return raw[: nmax + 1], sing
 
 
-def regular_chain(d: int, nmax: int, z: complex) -> np.ndarray:
-    """Regular family J_n (d = 2) or j_n (d = 3), orders 0..nmax, at one argument."""
-    if d == 3:
-        return _sph_j_only(nmax, complex(z))
-    return _cyl_j_chain_full(nmax, complex(z))[: nmax + 1]
-
-
 def chain(
     d: int, nmax: int, z, singular: bool = True, partial: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -326,10 +320,8 @@ def chain(
     """
     if np.ndim(z) > 0:
         return array_chain(d, nmax, z, singular)
-    if not singular:
-        return regular_chain(d, nmax, z)[:, None], None
-    reg, sing = (sph_chain if d == 3 else cyl_chain)(nmax, complex(z), partial)
-    return reg[:, None], sing[:, None]
+    reg, sing = _scalar_chain(d, nmax, z, singular, partial)
+    return reg[:, None], None if sing is None else sing[:, None]
 
 
 def chain_derivative(f: np.ndarray, z, shift: float) -> np.ndarray:
@@ -376,66 +368,40 @@ def _regular_at_zero(n: int, spherical: bool) -> BesselEval:
     return BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
 
 
-def cyl_bessel(kind: str, n: int, z: complex) -> BesselEval:
-    """Cylindrical Bessel function of integer order with derivative.
+def bessel(d: int, kind: str, n: int, z: complex) -> BesselEval:
+    """One order of the regular, singular or outgoing family, with derivative.
 
     Parameters
     ----------
-    kind : "J", "Y" or "H1" (Hankel function of the first kind).
-    n : integer order, 0 <= n <= 200.
-    z : complex argument, |z| <= 1e4; z != 0 for kinds "Y" and "H1".
+    d : 2 for J_n, Y_n, H_n^(1) or 3 for j_n, y_n, h_n^(1).
+    kind : "regular", "singular" or "outgoing".
+    n : integer order, 0 <= n <= ORDER_CAP.
+    z : complex argument, |z| <= ARG_CAP; z != 0 unless kind is "regular".
 
     Returns
     -------
-    BesselEval with H1 = J + iY exactly.
+    BesselEval from the scalar chain of orders 0..n + 1 (see chain); the
+    outgoing value and derivative are J + iY of the components, so the
+    identity holds bitwise for complex arguments too.
     """
-    if kind not in ("J", "Y", "H1"):
-        raise BesselDomainError(f"unknown cylindrical kind {kind!r}")
-    z = _check_order_arg(n, z, singular=kind != "J", cap=ORDER_CAP)
+    if kind not in ("regular", "singular", "outgoing"):
+        raise BesselDomainError(f"unknown Bessel kind {kind!r}")
+    z = _check_order_arg(n, z, singular=kind != "regular", cap=ORDER_CAP)
     if z == 0:
-        return _regular_at_zero(n, spherical=False)
-    if kind == "J":
-        j = _cyl_j_chain_full(n + 1, z)
-        val = j[n]
-        der = -j[1] if n == 0 else j[n - 1] - (n / z) * j[n]
-        return BesselEval(complex(val), complex(der))
-    j, y = cyl_chain(n + 1, z)
-    if kind == "Y":
-        val, der = y[n], (-y[1] if n == 0 else y[n - 1] - (n / z) * y[n])
-        return BesselEval(complex(val), complex(der))
-    # assemble H1 = J + iY from the component evaluations so the identity
-    # holds bitwise for complex arguments too
-    jval = j[n]
-    jder = -j[1] if n == 0 else j[n - 1] - (n / z) * j[n]
-    yval = y[n]
-    yder = -y[1] if n == 0 else y[n - 1] - (n / z) * y[n]
-    return BesselEval(complex(jval + 1j * yval), complex(jder + 1j * yder))
+        return _regular_at_zero(n, spherical=d == 3)
+    reg, sing = _scalar_chain(d, n + 1, z, singular=kind != "regular")
+    # chain_derivative's rule for one order, in scalar arithmetic: its numpy
+    # form costs several times the chain itself at low order, and root-finder
+    # targets make thousands of these calls
+    ratio = (n + 1.0 if d == 3 else n) / z
 
+    def one(f: np.ndarray) -> tuple[complex, complex]:
+        return f[n], -f[1] if n == 0 else f[n - 1] - ratio * f[n]
 
-def sph_bessel(kind: str, n: int, z: complex) -> BesselEval:
-    """Spherical Bessel function of integer order with derivative.
-
-    kind is "j", "y" or "h1"; other arguments as in cyl_bessel.  j_0 is
-    computed as sin z / z and matches it to full precision by construction.
-    """
-    if kind not in ("j", "y", "h1"):
-        raise BesselDomainError(f"unknown spherical kind {kind!r}")
-    z = _check_order_arg(n, z, singular=kind != "j", cap=ORDER_CAP)
-    if z == 0:
-        return _regular_at_zero(n, spherical=True)
-    if kind == "j":
-        fam = _sph_j_only(n + 1, z)
-    elif kind == "y":
-        _, fam = sph_chain(n + 1, z)
-    else:
-        j, y = sph_chain(n + 1, z)
-        jval = j[n]
-        jder = -j[1] if n == 0 else j[n - 1] - ((n + 1.0) / z) * j[n]
-        yval = y[n]
-        yder = -y[1] if n == 0 else y[n - 1] - ((n + 1.0) / z) * y[n]
-        return BesselEval(complex(jval + 1j * yval), complex(jder + 1j * yder))
-    val = fam[n]
-    der = -fam[1] if n == 0 else fam[n - 1] - ((n + 1.0) / z) * fam[n]
+    if kind == "outgoing":
+        (jv, jd), (yv, yd) = one(reg), one(sing)
+        return BesselEval(complex(jv + 1j * yv), complex(jd + 1j * yd))
+    val, der = one(sing if kind == "singular" else reg)
     return BesselEval(complex(val), complex(der))
 
 

@@ -41,7 +41,7 @@ from cloakwave.mie import (
     solve_modes,
     virtual_medium,
 )
-from cloakwave.specfun import cyl_bessel, sph_bessel
+from cloakwave.specfun import bessel
 from cloakwave.transform import BlowupMap, pde_residual
 
 from oracles import collocation_monopole_limit, fd_interior_source_solve, mode_solve_dense
@@ -245,7 +245,7 @@ def _resonant_leading_constants(cfg: CloakConfig, b: np.ndarray) -> dict[int, fl
     """
     k, lay = cfg.k, cfg.interior[0]
     kap = k * math.sqrt(lay.sigma / lay.a)
-    j = [sph_bessel("j", n, kap) for n in range(3)]
+    j = [bessel(3, "regular", n, kap) for n in range(3)]
     jv = [f.value.real for f in j]
     c0 = 0.5 * k * k * abs(b[0]) * math.sqrt(mode_weight(3, 0) / 2.0)
     c1 = (
@@ -391,12 +391,12 @@ def test_criterion_7_special_function_suite():
     worst_w = 0.0
     for x in (0.1, 1.0, 10.0, 100.0):
         for n in (0, 1, 5, 17, 50):
-            j = cyl_bessel("J", n, x)
-            y = cyl_bessel("Y", n, x)
+            j = bessel(2, "regular", n, x)
+            y = bessel(2, "singular", n, x)
             target = 2.0 / (math.pi * x)
             worst_w = max(worst_w, abs(j.value * y.derivative - j.derivative * y.value - target) / target)
-            js = sph_bessel("j", n, x)
-            ys = sph_bessel("y", n, x)
+            js = bessel(3, "regular", n, x)
+            ys = bessel(3, "singular", n, x)
             worst_w = max(
                 worst_w,
                 abs(js.value * ys.derivative - js.derivative * ys.value - 1.0 / x**2) * x**2,
@@ -405,11 +405,11 @@ def test_criterion_7_special_function_suite():
     # recurrence consistency
     worst_r = 0.0
     for z in (0.7, 6.3, 42.0):
-        for kind in ("J", "Y", "H1"):
+        for kind in ("regular", "singular", "outgoing"):
             for n in range(1, 31):
-                lo = cyl_bessel(kind, n - 1, z).value
-                mid = cyl_bessel(kind, n, z).value
-                hi = cyl_bessel(kind, n + 1, z).value
+                lo = bessel(2, kind, n - 1, z).value
+                mid = bessel(2, kind, n, z).value
+                hi = bessel(2, kind, n + 1, z).value
                 scale = max(abs(lo + hi), abs(2 * n / z * mid), 1e-300)
                 worst_r = max(worst_r, abs(lo + hi - 2 * n / z * mid) / scale)
     checks.append(("recurrence", worst_r, 1e-10))
@@ -419,13 +419,13 @@ def test_criterion_7_special_function_suite():
         z = float(z)
         worst_c = max(
             worst_c,
-            abs(sph_bessel("j", 0, z).value - math.sin(z) / z) / max(abs(math.sin(z) / z), 1e-3),
-            abs(sph_bessel("y", 0, z).value + math.cos(z) / z) / max(abs(math.cos(z) / z), 1e-3),
-            abs(sph_bessel("h1", 0, z).value - np.exp(1j * z) / (1j * z)) / abs(np.exp(1j * z) / z),
+            abs(bessel(3, "regular", 0, z).value - math.sin(z) / z) / max(abs(math.sin(z) / z), 1e-3),
+            abs(bessel(3, "singular", 0, z).value + math.cos(z) / z) / max(abs(math.cos(z) / z), 1e-3),
+            abs(bessel(3, "outgoing", 0, z).value - np.exp(1j * z) / (1j * z)) / abs(np.exp(1j * z) / z),
         )
     checks.append(("closed forms", worst_c, 1e-13))
     # small-argument Hankel derivative limit
-    h = cyl_bessel("H1", 0, 1e-8)
+    h = bessel(2, "outgoing", 0, 1e-8)
     dev = abs(1e-8 * h.derivative - 2j / math.pi)
     checks.append(("hankel small-z limit", dev, 1e-6))
     ok = all(val <= tol for _, val, tol in checks)

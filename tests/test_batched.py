@@ -51,7 +51,7 @@ from cloakwave.quadrature import integrate
 
 
 def _scalar_chain(d, nmax, z):
-    return (specfun.sph_chain if d == 3 else specfun.cyl_chain)(nmax, z)
+    return tuple(f[:, 0] for f in specfun.chain(d, nmax, z))
 
 
 def _outcome(fn):
@@ -90,9 +90,7 @@ def _check_chain(d, nmax, z):
             _assert_chain_close(g[:, 0], w, z)
     elif want_err is BesselOverflowError:
         # the regular family alone stays representable (Miller rescales)
-        one = specfun.sph_bessel if d == 3 else specfun.cyl_bessel
-        kind = "j" if d == 3 else "J"
-        want = np.array([one(kind, n, z).value for n in range(nmax + 1)])
+        want = np.array([specfun.bessel(d, "regular", n, z).value for n in range(nmax + 1)])
         got = specfun.array_chain(d, nmax, [z], singular=False)[0][:, 0]
         _assert_chain_close(got, want, z)
 
@@ -240,9 +238,7 @@ def test_eval_many_rejects_like_eval(d):
 
 def _one(d):
     """Scalar evaluator and its (regular, singular, outgoing) kinds."""
-    if d == 3:
-        return specfun.sph_bessel, ("j", "y", "h1")
-    return specfun.cyl_bessel, ("J", "Y", "H1")
+    return functools.partial(specfun.bessel, d), ("regular", "singular", "outgoing")
 
 
 def _particular_scalar(p: ParticularTerm, r: float):

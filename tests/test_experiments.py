@@ -204,28 +204,27 @@ def test_fit_rate_validation():
 def test_determinism_across_threads():
     cfg = _cfg(3)
     eps = (1e-1, 3e-2, 1e-2)
-    a = ex.convergence_sweep(cfg, eps, threads=1)
-    b = ex.convergence_sweep(cfg, eps, threads=3)
-    c = ex.convergence_sweep(cfg, eps, threads=1)
+    a = ex.convergence_sweep(cfg, eps)
+    b = ex.convergence_sweep(cfg, eps)
+    c = ex.convergence_sweep(cfg, eps)
     for r1, r2, r3 in zip(a.records, b.records, c.records):
         assert r1 == r2 == r3
     assert a.fit == b.fit == c.fit
-    # extended-precision tuning shares a process-global context; rows must
-    # still be schedule-independent
-    i1 = ex.instability_sweep(2, 1.0, (1e-2, 1e-3, 1e-4), threads=3)
-    i2 = ex.instability_sweep(2, 1.0, (1e-2, 1e-3, 1e-4), threads=1)
+    # extended-precision tuning shares a process-global context; a repeat
+    # run must still reproduce every row
+    i1 = ex.instability_sweep(2, 1.0, (1e-2, 1e-3, 1e-4))
+    i2 = ex.instability_sweep(2, 1.0, (1e-2, 1e-3, 1e-4))
     assert i1.records == i2.records
     assert i1.products_eq == i2.products_eq
 
 
 def test_shell_probe_variant():
     cfg = _cfg(3)
-    from dataclasses import replace
-
-    v = ex.shell_probe_visibility(replace(cfg, epsilon=1e-2), 1.2, 1.8)
+    eps = (1e-1, 3e-2, 1e-2)
+    v = ex.convergence_sweep(cfg, eps, probe=(1.2, 1.8)).records[-1].visibility_l2
     assert 0.0 < v < 1.0
     with pytest.raises(ValidationError):
-        ex.shell_probe_visibility(cfg, 0.8, 1.5)
+        ex.convergence_sweep(cfg, eps, probe=(0.8, 1.5))
 
 
 def test_convergence_singular_row_is_flagged(monkeypatch):
@@ -306,7 +305,7 @@ def test_shell_probe_matches_pointwise_sampling():
         3, 1.0, 1e-2, (Layer(1.0, 1.0, 1.0),),
         incident=IncidentSpec("plane_wave", direction=(0, 0, 1.0)),
     )
-    v = ex.shell_probe_visibility(cfg, 1.2, 1.8)
+    v = ex.convergence_sweep(cfg, (1e-1, 3e-2, 1e-2), probe=(1.2, 1.8)).records[-1].visibility_l2
     spec = cfg.incident
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 3), 3)
     ser = solve_series(

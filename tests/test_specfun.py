@@ -15,7 +15,7 @@ from cloakwave.errors import (
     BracketError,
     ConvergenceError,
 )
-from cloakwave.specfun import cyl_bessel, find_root, sph_bessel
+from cloakwave.specfun import bessel, find_root
 
 from oracles import bisect, first_j1_zero, first_tan_fixed_point, j1_series
 
@@ -31,36 +31,36 @@ def test_oracle_roots_match_frozen_values():
 
 
 def test_j0_stationary_at_first_j1_zero():
-    ev = cyl_bessel("J", 0, J1_FIRST_ZERO)
+    ev = bessel(2, "regular", 0, J1_FIRST_ZERO)
     assert abs(ev.derivative) < 1e-12
 
 
 def test_hankel0_small_argument_limit():
-    ev = cyl_bessel("H1", 0, 1e-8)
+    ev = bessel(2, "outgoing", 0, 1e-8)
     assert abs(1e-8 * ev.derivative - 2j / math.pi) < 1e-6
 
 
 def test_cylindrical_wronskian_at_example_point():
     x = 1.7
-    j = cyl_bessel("J", 0, x)
-    y = cyl_bessel("Y", 0, x)
+    j = bessel(2, "regular", 0, x)
+    y = bessel(2, "singular", 0, x)
     w = j.value * y.derivative - j.derivative * y.value
     assert abs(w - 2.0 / (math.pi * x)) < 1e-12
 
 
 def test_spherical_j0_at_pi():
-    assert abs(sph_bessel("j", 0, math.pi).value) < 1e-14
+    assert abs(bessel(3, "regular", 0, math.pi).value) < 1e-14
 
 
 def test_spherical_j0_stationary_point():
-    ev = sph_bessel("j", 0, TAN_FIXED_POINT)
+    ev = bessel(3, "regular", 0, TAN_FIXED_POINT)
     assert abs(ev.derivative) < 1e-10
 
 
 def test_spherical_wronskian_at_example_point():
     x = 2.3
-    j = sph_bessel("j", 0, x)
-    y = sph_bessel("y", 0, x)
+    j = bessel(3, "regular", 0, x)
+    y = bessel(3, "singular", 0, x)
     w = j.value * y.derivative - j.derivative * y.value
     assert abs(w - 1.0 / (x * x)) < 1e-12
 
@@ -68,24 +68,24 @@ def test_spherical_wronskian_at_example_point():
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 27, 50])
 def test_wronskians_across_orders(x, n):
-    j = cyl_bessel("J", n, x)
-    y = cyl_bessel("Y", n, x)
+    j = bessel(2, "regular", n, x)
+    y = bessel(2, "singular", n, x)
     w = j.value * y.derivative - j.derivative * y.value
     target = 2.0 / (math.pi * x)
     assert abs(w - target) <= 1e-11 * abs(target)
-    js = sph_bessel("j", n, x)
-    ys = sph_bessel("y", n, x)
+    js = bessel(3, "regular", n, x)
+    ys = bessel(3, "singular", n, x)
     ws = js.value * ys.derivative - js.derivative * ys.value
     assert abs(ws - 1.0 / (x * x)) <= 1e-11 / (x * x)
 
 
 @pytest.mark.parametrize("z", [0.7, 4.2, 11.0, 60.0, 900.0, 2.0 + 1.5j])
-@pytest.mark.parametrize("kind", ["J", "Y", "H1"])
+@pytest.mark.parametrize("kind", ["regular", "singular", "outgoing"], ids=["J", "Y", "H1"])
 def test_cylindrical_recurrence(z, kind):
     for n in range(1, 31):
-        lo = cyl_bessel(kind, n - 1, z).value
-        mid = cyl_bessel(kind, n, z).value
-        hi = cyl_bessel(kind, n + 1, z).value
+        lo = bessel(2, kind, n - 1, z).value
+        mid = bessel(2, kind, n, z).value
+        hi = bessel(2, kind, n + 1, z).value
         lhs = lo + hi
         rhs = (2.0 * n / z) * mid
         scale = max(abs(lhs), abs(rhs))
@@ -97,9 +97,9 @@ def test_cylindrical_recurrence(z, kind):
 @pytest.mark.parametrize("z", np.linspace(0.1, 20.0, 17))
 def test_spherical_closed_forms(z):
     z = float(z)
-    j0 = sph_bessel("j", 0, z).value
-    y0 = sph_bessel("y", 0, z).value
-    h0 = sph_bessel("h1", 0, z).value
+    j0 = bessel(3, "regular", 0, z).value
+    y0 = bessel(3, "singular", 0, z).value
+    h0 = bessel(3, "outgoing", 0, z).value
     assert abs(j0 - math.sin(z) / z) <= 1e-13 * max(abs(j0), 1e-3)
     assert abs(y0 - (-math.cos(z) / z)) <= 1e-13 * max(abs(y0), 1e-3)
     ref = cmath.exp(1j * z) / (1j * z)
@@ -111,13 +111,13 @@ def test_small_argument_y0_leading_log():
     # ~4% at t = 1e-6 (the Euler-Mascheroni constant the leading-order form
     # drops); the 2% level is reached around t ~ 1e-13
     t = 1e-6
-    y0 = cyl_bessel("Y", 0, t).value.real
+    y0 = bessel(2, "singular", 0, t).value.real
     leading = (2.0 / math.pi) * math.log(t / 2.0)
     gamma = specfun.EULER_GAMMA
     assert abs(y0 / leading - 1.0) < gamma / abs(math.log(t / 2.0)) + 1e-6
     assert abs(y0 / leading - 1.0) < 0.05
     t = 1e-13
-    y0 = cyl_bessel("Y", 0, t).value.real
+    y0 = bessel(2, "singular", 0, t).value.real
     leading = (2.0 / math.pi) * math.log(t / 2.0)
     assert abs(y0 / leading - 1.0) < 0.02
 
@@ -125,9 +125,9 @@ def test_small_argument_y0_leading_log():
 def test_h1_is_j_plus_iy_exactly():
     for n in (0, 3, 17):
         for z in (0.3, 7.7, 45.0, 1.2 + 0.8j):
-            j = cyl_bessel("J", n, z)
-            y = cyl_bessel("Y", n, z)
-            h = cyl_bessel("H1", n, z)
+            j = bessel(2, "regular", n, z)
+            y = bessel(2, "singular", n, z)
+            h = bessel(2, "outgoing", n, z)
             assert h.value == j.value + 1j * y.value
             assert h.derivative == j.derivative + 1j * y.derivative
 
@@ -137,8 +137,8 @@ def test_h1_is_j_plus_iy_exactly():
     [(0, 0.05), (1, 2.7), (4, 9.9), (9, 13.0), (3, 77.0), (0, 3.0 + 1.0j), (6, 8.0 + 2.0j)],
 )
 def test_cross_check_against_scipy(n, z):
-    j = cyl_bessel("J", n, z)
-    y = cyl_bessel("Y", n, z)
+    j = bessel(2, "regular", n, z)
+    y = bessel(2, "singular", n, z)
     assert abs(j.value - ss.jv(n, z)) <= 1e-11 * max(1.0, abs(ss.jv(n, z)))
     assert abs(y.value - ss.yv(n, z)) <= 1e-11 * max(1.0, abs(ss.yv(n, z)))
     assert abs(j.derivative - ss.jvp(n, z)) <= 1e-11 * max(1.0, abs(ss.jvp(n, z)))
@@ -146,8 +146,8 @@ def test_cross_check_against_scipy(n, z):
         return
     sj = ss.spherical_jn(n, z)
     sy = ss.spherical_yn(n, z)
-    assert abs(sph_bessel("j", n, z).value - sj) <= 1e-12 * max(1.0, abs(sj))
-    assert abs(sph_bessel("y", n, z).value - sy) <= 1e-12 * max(1.0, abs(sy))
+    assert abs(bessel(3, "regular", n, z).value - sj) <= 1e-12 * max(1.0, abs(sj))
+    assert abs(bessel(3, "singular", n, z).value - sy) <= 1e-12 * max(1.0, abs(sy))
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,8 +156,8 @@ def test_cross_check_against_scipy(n, z):
     x=st.floats(min_value=0.05, max_value=300.0),
 )
 def test_wronskian_property(n, x):
-    j = cyl_bessel("J", n, x)
-    y = cyl_bessel("Y", n, x)
+    j = bessel(2, "regular", n, x)
+    y = bessel(2, "singular", n, x)
     w = j.value * y.derivative - j.derivative * y.value
     target = 2.0 / (math.pi * x)
     assert abs(w - target) <= 1e-10 * abs(target)
@@ -166,36 +166,80 @@ def test_wronskian_property(n, x):
 @settings(max_examples=60, deadline=None)
 @given(x=st.floats(min_value=1e-6, max_value=1000.0))
 def test_spherical_j0_matches_sinc(x):
-    val = sph_bessel("j", 0, x).value
+    val = bessel(3, "regular", 0, x).value
     ref = math.sin(x) / x
     assert abs(val - ref) <= 1e-14 * max(abs(ref), 1e-12)
 
 
+@st.composite
+def _envelope_arguments(draw):
+    # 1e-3 <= |z| <= 1e3 and 0 <= Im z <= 10, the validated envelope
+    mag = 10.0 ** draw(st.floats(-3.0, 3.0))
+    im = min(mag, 10.0) * draw(st.floats(0.0, 1.0))
+    re_ = math.sqrt(max(mag * mag - im * im, 0.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    return complex(re_, im)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from(["regular", "singular", "outgoing"]),
+    st.integers(0, specfun.ORDER_CAP),
+    _envelope_arguments(),
+)
+def test_bessel_matches_chain_row(d, kind, n, z):
+    shift = 1.0 if d == 3 else 0.0
+    fams = [specfun.chain(d, n + 1, z, singular=False)[0][:, 0]]
+    if kind != "regular":
+        try:
+            fams.append(specfun.chain(d, n + 1, z)[1][:, 0])
+        except BesselOverflowError:
+            with pytest.raises(BesselOverflowError):
+                bessel(d, kind, n, z)
+            return
+    # each family's row n as chain and chain_derivative give it, and the
+    # size of the terms of the derivative rule
+    vals = [f[n] for f in fams]
+    ders = [specfun.chain_derivative(f, z, shift)[n] for f in fams]
+    sizes = [abs(f[1]) if n == 0 else abs(f[n - 1]) + abs((n + shift) / z * f[n]) for f in fams]
+    ev = bessel(d, kind, n, z)
+    if kind == "outgoing":
+        assert ev.value == vals[0] + 1j * vals[1]
+        r, s = bessel(d, "regular", n, z), bessel(d, "singular", n, z)
+        assert ev.value == r.value + 1j * s.value
+        assert ev.derivative == r.derivative + 1j * s.derivative
+        want, size = ders[0] + 1j * ders[1], sizes[0] + sizes[1]
+    else:
+        assert ev.value == vals[-1]
+        want, size = ders[-1], sizes[-1]
+    assert abs(ev.derivative - want) <= 1e-13 * size
+
+
 def test_regular_kinds_at_zero():
-    assert cyl_bessel("J", 0, 0.0).value == 1.0
-    assert cyl_bessel("J", 1, 0.0).derivative == 0.5
-    assert sph_bessel("j", 0, 0.0).value == 1.0
-    assert sph_bessel("j", 1, 0.0).derivative == pytest.approx(1.0 / 3.0)
+    assert bessel(2, "regular", 0, 0.0).value == 1.0
+    assert bessel(2, "regular", 1, 0.0).derivative == 0.5
+    assert bessel(3, "regular", 0, 0.0).value == 1.0
+    assert bessel(3, "regular", 1, 0.0).derivative == pytest.approx(1.0 / 3.0)
 
 
 def test_domain_errors():
     with pytest.raises(BesselDomainError):
-        cyl_bessel("Y", 0, 0.0)
+        bessel(2, "singular", 0, 0.0)
     with pytest.raises(BesselDomainError):
-        sph_bessel("h1", 0, 0.0)
+        bessel(3, "outgoing", 0, 0.0)
     with pytest.raises(BesselDomainError):
-        cyl_bessel("J", 201, 1.0)
+        bessel(2, "regular", 201, 1.0)
     with pytest.raises(BesselDomainError):
-        cyl_bessel("J", 0, 2.0e4)
+        bessel(2, "regular", 0, 2.0e4)
     with pytest.raises(BesselDomainError):
-        cyl_bessel("K", 0, 1.0)
+        bessel(2, "K", 0, 1.0)
 
 
 def test_overflow_error_on_singular_recurrence():
     with pytest.raises(BesselOverflowError):
-        cyl_bessel("Y", 180, 0.05)
+        bessel(2, "singular", 180, 0.05)
     with pytest.raises(BesselOverflowError):
-        sph_bessel("y", 180, 0.05)
+        bessel(3, "singular", 180, 0.05)
 
 
 # -- root finder -------------------------------------------------------------
