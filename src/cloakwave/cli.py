@@ -45,8 +45,11 @@ CSV_HEADER = (
 EXPERIMENTS = ("sweep", "instability", "blowup", "resonances", "scan-k", "field", "modes")
 
 GRID_POINT_CAP = 1_000_000
+SCAN_POINT_CAP = 1_000_000
 GRID_RADIUS_CAP = 5.0
 FIELD_BLOCK = 256          # points per field-dump evaluation block
+# field.csv rows by dimension: "%.17g" writes a float or nan as _fmt does
+FIELD_ROW = {d: ",".join(["%.17g"] * (d + 3)) + "\n" for d in (2, 3)}
 
 
 def golden_tolerance() -> float:
@@ -158,7 +161,7 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     scan_k = (
         _number(get("scan.k_min", "0.01")),
         _number(get("scan.k_max", "1.0")),
-        count("scan.points", "100"),
+        count("scan.points", "100", SCAN_POINT_CAP),
         count("scan.modes", "10"),
     )
     resonance_window = (
@@ -225,12 +228,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return "" if x is None else f"{float(x):.17g}"
 
 
 def records_csv(records) -> str:
@@ -486,6 +484,7 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
     values, n_max = _field_evaluator(config)
     d = config.cloak.dimension
     header = "x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"
+    row = FIELD_ROW[d]
     path = os.path.join(out_dir, "field.csv")
     # written under a temporary name, so field.csv only ever holds a whole dump
     with open(path + ".part", "w", encoding="utf-8", newline="\n") as fh:
@@ -493,8 +492,7 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
         for block in blocks:
             vals = _block_values(values, block)
             fh.write("".join(
-                ",".join(_fmt(c) for c in p)
-                + f",{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))}\n"
+                row % (*p, u.real, u.imag, abs(u))
                 for p, u in zip(block.tolist(), vals.tolist())
             ))
     os.replace(path + ".part", path)

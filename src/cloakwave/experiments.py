@@ -379,12 +379,12 @@ def nonresonance_scan(
     A positive minimum certifies non-resonance on the grid; an empty grid
     returns the +inf sentinel.
     """
-    ks = [float(k) for k in k_grid]
-    if not ks:
+    ks = np.asarray(k_grid, dtype=float)
+    if not ks.size:
         return math.inf
-    if any(k <= 0 for k in ks):
+    if np.any(ks <= 0):
         raise ValidationError("k grid must be positive")
-    kappa = np.array(ks) * math.sqrt(sigma / a)
+    kappa = ks * math.sqrt(sigma / a)
     return min(
         float(np.min(np.abs(resonance_scan(d, modes, kappa[s : s + SCAN_BLOCK], a)[1])))
         for s in range(0, kappa.size, SCAN_BLOCK)

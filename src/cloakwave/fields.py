@@ -335,8 +335,9 @@ class FieldSeries:
             for n in range(1, self.truncation):
                 ang[n + 1] = ((2 * n + 1) * c * ang[n] - n * ang[n - 1]) / (n + 1)
             return ang
+        c2 = 2.0 * c
         for n in range(1, self.truncation):
-            ang[n + 1] = 2.0 * c * ang[n] - ang[n - 1]
+            ang[n + 1] = c2 * ang[n] - ang[n - 1]
         ang[1:] *= 2.0
         return ang
 

@@ -35,6 +35,12 @@ argument an array pass costs 7-35x more.  Over orders 0..200,
 1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
 of the local size |f_n| + |f_(n+1)|, and raise the same errors where
 either overflows.
+
+An array_chain step writes into preallocated buffers, never a product over
+an operand (a *= b can round a complex product differently from a * b).
+The rescale and overflow tests read the arrays only when a bound on the
+largest modulus, B_(m-1) = (2(m + h)/min|z|) B_m + B_(m+1) plus rounding,
+could pass the limit, so they decide exactly as a test at every step would.
 """
 
 from __future__ import annotations
@@ -234,6 +240,7 @@ def array_chain(
         _check_order_arg(nmax, w, singular=True)
     spherical = d == 3
     half = 0.5 if spherical else 0.0
+    mag_min = float(mag.min())
     start = (nmax + 1.9 * mag + 36).astype(int)
     start += start % 2
     seeds: dict[int, list[int]] = {}
@@ -241,13 +248,15 @@ def array_chain(
         seeds.setdefault(m, []).append(i)
     top = max(nmax, 1)
     raw = np.zeros((top + 1, z.size), dtype=complex)
-    prev, cur = np.zeros_like(z), np.zeros_like(z)
+    prev, cur, nxt, coef = (np.zeros_like(z) for _ in range(4))
     # even-order part of the normalization sum and the Neumann sums of Y_0
     # and Y_0' = -Y_1 (see _cyl_y01)
     even, s0, s1 = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
+    b_prev = b_cur = 0.0   # the bounds B of the last two orders (module docstring)
     for m in range(int(start.max()), -1, -1):
         if m in seeds:
             cur[seeds[m]] = 1.0e-280
+            b_cur = max(b_cur, 1.0e-280)
         if m <= top:
             raw[m] = cur
         if not spherical and m:
@@ -261,12 +270,18 @@ def array_chain(
                 s0 += sgn / k * cur
         if m == 0:
             break
-        prev, cur = cur, (2.0 * (m + half) / z) * cur - prev
-        if np.abs(cur.view(float)).max() > _RESCALE_LIMIT:
-            big = (np.abs(cur.real) > _RESCALE_LIMIT) | (np.abs(cur.imag) > _RESCALE_LIMIT)
-            for arr in (prev, cur, even, s0, s1):
-                arr[big] *= 1.0e-250
-            raw[:, big] *= 1.0e-250
+        np.multiply(np.divide(2.0 * (m + half), z, out=coef), cur, out=nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+        b_prev, b_cur = b_cur, (2.0 * (m + half) / mag_min * b_cur + b_prev) * (1.0 + 1e-9)
+        if not b_cur <= _RESCALE_LIMIT:
+            if np.abs(cur.view(float)).max() > _RESCALE_LIMIT:
+                big = (np.abs(cur.real) > _RESCALE_LIMIT) | (np.abs(cur.imag) > _RESCALE_LIMIT)
+                for arr in (prev, cur, even, s0, s1):
+                    arr[big] *= 1.0e-250
+                raw[:, big] *= 1.0e-250
+            # 1.5 > sqrt(2): a bound on the modulus from the largest component
+            b_prev, b_cur = (1.5 * float(np.abs(f.view(float)).max()) for f in (prev, cur))
     if spherical:
         sin_z, cos_z = np.sin(z), np.cos(z)
         j0, j1 = sin_z / z, sin_z / (z * z) - cos_z / z
@@ -276,8 +291,8 @@ def array_chain(
         raw[1] = np.where(up > 0, j1, raw[1])
         with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, int(up.max())):
-                nxt = ((2.0 * n + 1.0) / z) * raw[n] - raw[n - 1]
-                raw[n + 1] = np.where(up > n, nxt, raw[n + 1])
+                np.multiply(np.divide(2.0 * n + 1.0, z, out=coef), raw[n], out=nxt)
+                np.copyto(raw[n + 1], np.subtract(nxt, raw[n - 1], out=nxt), where=up > n)
         y = [-cos_z / z, -cos_z / (z * z) - sin_z / z]
     else:
         norm = raw[0] + 2.0 * even
@@ -293,16 +308,22 @@ def array_chain(
         return raw[: nmax + 1], None
     sing = np.empty((nmax + 1, z.size), dtype=complex)
     sing[:2] = y[: nmax + 1]
+    b_prev = b_cur = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, nmax):
-            sing[n + 1] = (2.0 * (n + half) / z) * sing[n] - sing[n - 1]
-    over = ~(np.abs(sing.view(float)) <= _OVERFLOW_LIMIT)
-    if over.any():
-        n, col = np.unravel_index(np.argmax(over), over.shape)
-        raise BesselOverflowError(
-            f"{'y' if spherical else 'Y'}_{n}({z[col // 2]}) exceeds representable "
-            "magnitude in upward recurrence"
-        )
+        for n in range(nmax + 1):
+            if n > 1:
+                c = 2.0 * (n - 1 + half)
+                np.multiply(np.divide(c, z, out=coef), sing[n - 1], out=sing[n])
+                sing[n] -= sing[n - 2]
+                b_prev, b_cur = b_cur, (c / mag_min * b_cur + b_prev) * (1.0 + 1e-9)
+            if n < 2 or not b_cur <= _OVERFLOW_LIMIT:
+                ok = np.abs(sing[n].view(float)) <= _OVERFLOW_LIMIT
+                if not ok.all():
+                    raise BesselOverflowError(
+                        f"{'y' if spherical else 'Y'}_{n}({z[np.argmin(ok) // 2]}) exceeds "
+                        "representable magnitude in upward recurrence"
+                    )
+                b_cur = 1.5 * float(np.abs(sing[n].view(float)).max())
     return raw[: nmax + 1], sing
 
 

@@ -133,6 +133,69 @@ def test_array_chain_block_equals_single_arguments():
                     assert a is b is None or np.array_equal(a[:, 0], b[:, i])
 
 
+@st.composite
+def _mixed_block(draw):
+    # Miller-rescaling (|z| <= 1e-2), large (|z| >= 100) and lossy (Im z up
+    # to 10) arguments in one block, in any order
+    zs = []
+    for kind in draw(st.lists(st.sampled_from(["miller", "large", "lossy"]), min_size=2, max_size=6)):
+        if kind == "lossy":
+            zs.append(complex(draw(st.floats(-30.0, 30.0)), draw(st.floats(0.1, 10.0))))
+            continue
+        mag = 10.0 ** draw(st.floats(-3.0, -2.0) if kind == "miller" else st.floats(2.0, 3.0))
+        phase = draw(st.floats(0.0, math.pi))
+        zs.append(complex(mag * math.cos(phase), min(mag * math.sin(phase), 10.0)))
+    return np.array(zs)
+
+
+def _overflow_order(message):
+    return int(re.search(r"^[yY]_(\d+)\(", message).group(1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, specfun.ORDER_CAP), st.booleans(), _mixed_block())
+def test_mixed_block_columns_equal_solo_bitwise(d, nmax, singular, zs):
+    solo, errors = [], []
+    for i, z in enumerate(zs):
+        try:
+            solo.append(specfun.array_chain(d, nmax, [z], singular))
+        except BesselOverflowError as exc:
+            errors.append((_overflow_order(str(exc)), i, str(exc)))
+    if errors:
+        # the block raises at the lowest overflowing order, first argument first
+        with pytest.raises(BesselOverflowError) as info:
+            specfun.array_chain(d, nmax, zs, singular)
+        assert str(info.value) == min(errors)[2]
+        return
+    block = specfun.array_chain(d, nmax, zs, singular)
+    for i, alone in enumerate(solo):
+        for a, b in zip(alone, block):
+            assert a is b is None or a[:, 0].tobytes() == b[:, i].tobytes()
+
+
+@pytest.mark.parametrize("d, name", [(2, "Y_61((0.001+0j))"), (3, "y_60((0.001+0j))")])
+def test_array_chain_overflow_message_names_order_and_argument(d, name):
+    with pytest.raises(BesselOverflowError) as info:
+        specfun.array_chain(d, specfun.ORDER_CAP, [1.0, 1e-3, 5.0])
+    assert str(info.value) == f"{name} exceeds representable magnitude in upward recurrence"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_array_chain_allocates_little_beyond_its_outputs(d):
+    # no full-size temporaries: 256 field-dump-sized arguments (|z| <= 42)
+    import tracemalloc
+
+    z = 10.0 * np.linspace(0.1, 4.2, 256) * np.exp(0.01j)
+    specfun.array_chain(d, 87, z)
+    tracemalloc.start()
+    try:
+        reg, sing = specfun.array_chain(d, 87, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (reg.nbytes + sing.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # eval_many against eval
 

@@ -132,6 +132,7 @@ _BASES = {
         ("resonances", "resonances.modes", "-1", []),
         ("blowup", "blowup.mode", "-1", []),
         ("modes", "incident.mode", "201", []),
+        ("scan-k", "scan.points", "1000001", []),
     ],
 )
 def test_malformed_values_exit_2_up_front(tmp_path, capsys, experiment, key, value, flags):
@@ -146,6 +147,11 @@ def test_malformed_values_exit_2_up_front(tmp_path, capsys, experiment, key, val
     assert cli.main([experiment, "--config", cfg, "--out", str(out)] + flags) == 2
     assert not out.exists() or not os.listdir(out)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_scan_points_cap_is_inclusive():
+    cfg = build_run_config(parse_config_text(_BASES["scan-k"].replace("= 10", "= 1000000")))
+    assert cfg.scan_k[2] == cli.SCAN_POINT_CAP == 1_000_000
 
 
 def test_subcommand_config_mismatch(tmp_path):
@@ -546,3 +552,49 @@ def test_sweep_probe_reaching_into_the_shell(tmp_path):
     bad = _write_cfg(tmp_path, SWEEP_CFG + "probe.r_in = 0.5\n", name="bad.cfg")
     assert cli.main(["sweep", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
     assert not os.path.exists(tmp_path / "bad" / "results.csv")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_row_template_writes_cells_as_fmt(d):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -3.0, 0.1]
+    want = ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308", "-3", "0.10000000000000001"]
+    assert [cli._fmt(v) for v in values] == want
+    width = d + 3
+    # every value in every column, and rows mixing them
+    for v in values:
+        assert cli.FIELD_ROW[d] % ((v,) * width) == ",".join([cli._fmt(v)] * width) + "\n"
+    for s in range(len(values)):
+        row = [values[(s + i) % len(values)] for i in range(width)]
+        assert cli.FIELD_ROW[d] % tuple(row) == ",".join(cli._fmt(v) for v in row) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_dump_bytes_equal_fmt_of_eval_many(tmp_path, d):
+    # the whole dump, byte for byte, against a CSV built here from eval_many
+    # values and _fmt cell by cell (first coordinate fastest; 3d: plane y = 0)
+    text = f"""
+experiment = field
+dimension = {d}
+k = 3.0
+epsilon = 0.02
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+incident.kind = plane_wave
+incident.direction = {"0.6, 0.8" if d == 2 else "0, 0.6, 0.8"}
+grid.extent = 3.0
+grid.points = 15
+"""
+    cfg = _write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert cli.main(["field", "--config", cfg, "--out", out]) == 0
+    axis = np.linspace(-3.0, 3.0, 15)
+    x1, x2 = np.tile(axis, 15), np.repeat(axis, 15)
+    pts = np.column_stack((x1, x2) if d == 2 else (x1, np.zeros_like(x1), x2))
+    series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
+    vals = series.eval_many(pts)
+    lines = ["x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"]
+    for p, u in zip(pts.tolist(), vals.tolist()):
+        lines.append(",".join(cli._fmt(c) for c in [*p, u.real, u.imag, abs(u)]))
+    with open(os.path.join(out, "field.csv"), "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()

@@ -172,6 +172,31 @@ def test_nonresonance_scan_memory_bounded_in_grid_size():
     assert peak < 6e6
 
 
+def test_nonresonance_scan_grid_takes_no_per_point_objects():
+    # the grid is read as one float array: 200,000 points cost about a kappa
+    # array (8 B each) more than 20,000 do, not a list of Python floats
+    def peak(n):
+        grid = np.linspace(0.5, 12.0, n)
+        tracemalloc.start()
+        ex.nonresonance_scan(3, 1.0, 1.5, grid, 1)
+        used = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return used
+
+    peak(20_000)
+    assert peak(200_000) - peak(20_000) < 16 * 180_000
+
+
+def test_nonresonance_scan_grid_forms_and_positivity():
+    grid = np.linspace(0.2, 3.0, 37)
+    want = ex.nonresonance_scan(2, 1.0, 1.5, grid, 4)
+    assert ex.nonresonance_scan(2, 1.0, 1.5, grid.tolist(), 4) == want
+    assert ex.nonresonance_scan(2, 1.0, 1.5, tuple(grid), 4) == want
+    for bad in ([0.5, 0.0, 1.0], np.array([1.0, -2.0]), [-0.0]):
+        with pytest.raises(ValidationError, match="positive"):
+            ex.nonresonance_scan(2, 1.0, 1.5, bad, 4)
+
+
 def test_fit_rate_exact_line():
     recs = [(e, 2.0 * e) for e in (0.5, 0.1, 1e-2, 1e-3, 1e-4)]
     fit = ex.fit_rate(recs, "log_eps")
