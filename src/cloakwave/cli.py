@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,12 +50,6 @@ GRID_RADIUS_CAP = 5.0
 FIELD_BLOCK = 256          # points per field-dump evaluation block
 # field.csv rows by dimension: "%.17g" writes a float or nan as _fmt does
 FIELD_ROW = {d: ",".join(["%.17g"] * (d + 3)) + "\n" for d in (2, 3)}
-
-
-def golden_tolerance() -> float:
-    """Relative tolerance for golden-file comparison (env-overridable)."""
-    raw = os.environ.get("CLOAKWAVE_SEED_TOL", "")
-    return float(raw) if raw else 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +112,6 @@ def _complexes(raw: str) -> list[complex]:
     return [_number(tok, complex) for tok in raw.replace(",", " ").split()]
 
 
-def _count(key: str, value: int, cap: float = math.inf) -> int:
-    """value if it lies in [0, cap], else ValidationError naming key."""
-    if not 0 <= value <= cap:
-        raise ValidationError(f"{key} = {value} outside [0, {cap}]")
-    return value
-
-
-def _truncation(value: int) -> int | None:
-    """A validated truncation; 0 selects the automatic one (None)."""
-    return _count("truncation", value, specfun.ORDER_CAP) or None
-
-
 def build_run_config(kv: dict[str, str]) -> RunConfig:
     """Validate a raw key/value mapping into a RunConfig."""
     def get(key: str, default: str | None = None) -> str:
@@ -144,7 +126,11 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         raise ValidationError(f"unknown experiment {experiment!r}")
 
     def count(key: str, default: str, cap: float = math.inf) -> int:
-        return _count(key, _number(get(key, default), int), cap)
+        """The integer at key if it lies in [0, cap], else ValidationError naming key."""
+        value = _number(get(key, default), int)
+        if not 0 <= value <= cap:
+            raise ValidationError(f"{key} = {value} outside [0, {cap}]")
+        return value
 
     dimension = _number(get("dimension"), int)
     k = _number(get("k"))
@@ -155,19 +141,19 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     eps_list = tuple(_floats(get("eps_list", "1e-1, 3e-2, 1e-2, 3e-3, 1e-3")))
     probe_in = _number(get("probe.r_in", "2.0"))
     probe_out = _number(get("probe.r_out", "4.0"))
-    truncation = _truncation(_number(get("truncation", "0"), int))
+    truncation = count("truncation", "0", specfun.ORDER_CAP) or None   # 0: automatic
     tuning = get("tuning", "exact")
-    blowup_mode = count("blowup.mode", "0")
+    blowup_mode = count("blowup.mode", "0", specfun.ORDER_CAP)
     scan_k = (
         _number(get("scan.k_min", "0.01")),
         _number(get("scan.k_max", "1.0")),
         count("scan.points", "100", SCAN_POINT_CAP),
-        count("scan.modes", "10"),
+        count("scan.modes", "10", specfun.ORDER_CAP),
     )
     resonance_window = (
         _number(get("resonances.k_min", "0.1")),
         _number(get("resonances.k_max", "6.0")),
-        count("resonances.modes", "3"),
+        count("resonances.modes", "3", specfun.ORDER_CAP),
     )
     grid_extent = _number(get("grid.extent", "3.0"))
     grid_points = count("grid.points", "41")
@@ -542,14 +528,7 @@ _RUNNERS = {
 }
 
 
-def run(
-    config_path: str,
-    out_dir: str = ".",
-    *,
-    experiment: str | None = None,
-    truncation: int | None = None,
-    tuning: str | None = None,
-) -> int:
+def run(config_path: str, out_dir: str = ".", *, experiment: str | None = None) -> int:
     """Load a config, run its experiment, write results; returns exit status."""
     try:
         config = load_config(config_path)
@@ -558,12 +537,6 @@ def run(
                 f"subcommand {experiment!r} does not match config experiment "
                 f"{config.experiment!r}"
             )
-        if truncation is not None:
-            config = replace(config, truncation=_truncation(truncation))
-        if tuning is not None:
-            if tuning not in ("paper", "exact"):
-                raise ValidationError(f"unknown tuning variant {tuning!r}")
-            config = replace(config, tuning=tuning)
     except ValidationError as exc:
         print(f"cloakwave: config error: {exc}", file=sys.stderr)
         return 2
@@ -589,16 +562,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to key = value config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--truncation", type=int, default=None)
-        p.add_argument("--tuning", choices=["paper", "exact"], default=None)
     args = parser.parse_args(argv)
-    return run(
-        args.config,
-        args.out,
-        experiment=args.command,
-        truncation=args.truncation,
-        tuning=args.tuning,
-    )
+    return run(args.config, args.out, experiment=args.command)
 
 
 if __name__ == "__main__":

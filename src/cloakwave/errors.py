@@ -44,10 +44,6 @@ class QuadratureError(ConvergenceError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-class StepSizeError(CloakwaveError):
-    """Finite-difference step fails the quadratic Richardson check."""
-
-
 class InterfaceEvaluationError(CloakwaveError):
     """Field evaluation requested exactly on a material interface."""
 

@@ -29,12 +29,12 @@ from .fields import (
     incident_coefficients,
     interior_deviation,
     interior_limit,
-    mode_weight,
     norm_annulus,
     outgoing_mode_norm,
     solve_series,
 )
 from .mie import (
+    EPSILON_FLOOR,
     CloakConfig,
     Layer,
     ModeSolution,
@@ -53,7 +53,8 @@ from .mie import (
 
 DEFAULT_PROBE = (2.0, 4.0)
 # grid points per resonance_scan call in nonresonance_scan: its arrays take
-# about 730 bytes per point at 10 modes, and scan.points is not capped
+# about 730 bytes per point at 10 modes, against 8 bytes per point of the
+# grid itself (scan.points is capped at 1,000,000)
 SCAN_BLOCK = 4096
 RESONANCE_PROXIMITY = 1e-8
 
@@ -98,27 +99,18 @@ class InstabilityResult:
     products_eq: tuple[float, ...]
 
 
-def fit_rate(records, model: str) -> RateFit:
+def fit_rate(pairs, model: str) -> RateFit:
     """Fit log(visibility) against the log of the model variable.
 
-    records is a list of SweepRecord or of (epsilon, visibility) pairs;
-    the model variable is epsilon ("log_eps") or 1/|ln eps|
-    ("log_inv_ln_eps").  The residual is the maximum absolute deviation in
-    log-log coordinates.
+    pairs is a sequence of (epsilon, visibility) pairs; the model variable
+    is epsilon ("log_eps") or 1/|ln eps| ("log_inv_ln_eps").  The residual
+    is the maximum absolute deviation in log-log coordinates.
     """
     if model not in ("log_eps", "log_inv_ln_eps"):
         raise ValidationError(f"unknown rate model {model!r}")
-    pts = []
-    for rec in records:
-        if isinstance(rec, SweepRecord):
-            pts.append((rec.epsilon, rec.visibility_l2))
-        else:
-            e, v = rec
-            pts.append((float(e), float(v)))
-    if len(pts) < 3:
+    if len(pairs) < 3:
         raise ValidationError("rate fit needs at least 3 records")
-    eps = np.array([p[0] for p in pts])
-    vis = np.array([p[1] for p in pts])
+    eps, vis = np.array(pairs, dtype=float).T
     if np.any(vis <= 0):
         raise ValidationError("rate fit needs positive visibilities")
     if np.max(vis) / np.min(vis) < 10.0:
@@ -141,8 +133,8 @@ def _check_eps_list(eps_list) -> list[float]:
     eps = [float(e) for e in eps_list]
     if len(eps) < 3:
         raise ValidationError("sweep needs at least 3 epsilon values")
-    if any(not 0.0 < e <= 1.0 for e in eps):
-        raise ValidationError("epsilon values must lie in (0, 1]")
+    if any(not EPSILON_FLOOR <= e <= 1.0 for e in eps):
+        raise ValidationError(f"epsilon values must lie in [{EPSILON_FLOOR:g}, 1]")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
         raise ValidationError("epsilon list must be strictly decreasing")
     return eps
@@ -163,18 +155,12 @@ def min_resonance_margin(config: CloakConfig, modes: int) -> float:
     return float(np.min(np.abs(resonance_scan(config.dimension, modes, kappa, lay.a)[1])))
 
 
-def _free_value_at_origin(b: np.ndarray) -> complex:
-    # only the monopole regular basis is nonzero at the center
-    return complex(b[0])
-
-
 def convergence_sweep(
     config: CloakConfig,
     eps_list,
     *,
     probe: tuple[float, float] = DEFAULT_PROBE,
     truncation: int | None = None,
-    allow_resonant: bool = False,
 ) -> SweepResult:
     """Visibility and interior-limit deviation across a regularization sweep.
 
@@ -184,7 +170,9 @@ def convergence_sweep(
     shell (radius > 1), and the interior deviation is
     measured against the closed-form interior limit.  The rate fit uses
     epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less than a
-    decade is reported as degenerate instead of failing the sweep.
+    decade is reported as degenerate instead of failing the sweep.  A
+    homogeneous interior within RESONANCE_PROXIMITY of a resonance raises
+    ResonantConfigError.
     """
     eps = _check_eps_list(eps_list)
     d, k = config.dimension, config.k
@@ -193,15 +181,15 @@ def convergence_sweep(
     spec = config.incident
     if _homogeneous_interior(config) is not None:
         margin = min_resonance_margin(config, auto_truncation(spec, k, d))
-        if margin < RESONANCE_PROXIMITY and not allow_resonant:
+        if margin < RESONANCE_PROXIMITY:
             raise ResonantConfigError(
                 f"configuration is resonant (margin {margin:.3e}); use the "
-                "resonance experiments or pass allow_resonant"
+                "resonance experiments"
             )
     n_max = truncation if truncation is not None else auto_truncation(spec, k, d)
     b = incident_coefficients(spec, k, n_max, d)
-    u0 = _free_value_at_origin(b)
-    limit = interior_limit(d, config, u0) if _homogeneous_interior(config) else None
+    # the free field at the blown-up point: only the monopole regular basis is nonzero there
+    limit = interior_limit(d, config, complex(b[0])) if _homogeneous_interior(config) else None
 
     def one(e: float) -> SweepRecord:
         cfg = replace(config, epsilon=e)
@@ -227,7 +215,7 @@ def convergence_sweep(
     try:
         if len(clean) < 3:
             raise DegenerateDataError("fewer than 3 non-singular rows")
-        fit = fit_rate(clean, model)
+        fit = fit_rate([(r.epsilon, r.visibility_l2) for r in clean], model)
         flag = ""
     except (DegenerateDataError, ValidationError) as exc:
         fit, flag = None, f"degenerate_fit: {exc}"
@@ -240,7 +228,6 @@ def instability_sweep(
     eps_list,
     *,
     variant: str = "exact",
-    control_sigma: float | None = None,
     probe: tuple[float, float] = DEFAULT_PROBE,
 ) -> InstabilityResult:
     """Detuned-density sweep showing order-one visibility at vanishing eps.
@@ -249,9 +236,7 @@ def instability_sweep(
     resonance so the scattering coefficient is driven to -1; the record
     reports the tuned density (tuning-equation convention), the closed-form
     alpha0 and the scattered norm over the probe annulus, which the tuned
-    rows compare against the unit-coefficient outgoing norm.  Passing
-    control_sigma fixes the interior density instead (control arm, no
-    tuning), which must reproduce convergence_sweep exactly.
+    rows compare against the unit-coefficient outgoing norm.
     """
     eps = _check_eps_list(eps_list)
     spec0 = first_resonance(d, k, 0)
@@ -261,17 +246,10 @@ def instability_sweep(
 
     def one(e: float) -> tuple[SweepRecord, TunedSigma | None]:
         try:
-            if control_sigma is not None:
-                cfg = CloakConfig(d, k, e, (Layer(1.0, 1.0, control_sigma),))
-                tuned = None
-                alpha = None
-                sig = control_sigma
-            else:
-                tuned = tune_sigma(d, k, e, spec0, variant)
-                cfg = tuned_inclusion_config(tuned)
-                k_eps = tuned.k_eps_dd if variant == "exact" else tuned.k_eps
-                alpha = alpha0_closed_form(d, k, e, k_eps)
-                sig = tuned.sigma_paper
+            tuned = tune_sigma(d, k, e, spec0, variant)
+            cfg = tuned_inclusion_config(tuned)
+            k_eps = tuned.k_eps_dd if variant == "exact" else tuned.k_eps
+            alpha = alpha0_closed_form(d, k, e, k_eps)
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b)
             vis_l2, vis_h1 = norm_annulus(series, "scattered", probe[0], probe[1])
@@ -282,9 +260,7 @@ def instability_sweep(
             )
             return rec, None
         rec = SweepRecord(
-            e, vis_l2, vis_h1, int_l2, int_h1,
-            sigma_eps=sig, alpha0=alpha,
-            flags="control" if control_sigma is not None else "",
+            e, vis_l2, vis_h1, int_l2, int_h1, sigma_eps=tuned.sigma_paper, alpha0=alpha
         )
         return rec, tuned
 
@@ -307,19 +283,18 @@ def instability_sweep(
 def eigenmode_series(
     config: CloakConfig,
     spec: ResonanceSpec,
-    amplitude: float = 1.0,
     eigen_norm: float | None = None,
 ) -> FieldSeries:
     """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
 
-    The source is spec's L2-normalized radial eigenfunction times amplitude *
+    The source is spec's L2-normalized radial eigenfunction times
     eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
     eigen_norm as in interior_source_mode_solve.
     """
     d, eps = config.dimension, config.epsilon
     med = blown_up_medium(config)
     sol = interior_source_mode_solve(
-        med, config.k, spec, normalization=amplitude * eps ** (2 - d), eigen_norm=eigen_norm
+        med, config.k, spec, normalization=eps ** (2 - d), eigen_norm=eigen_norm
     )
     modes = tuple(
         ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
@@ -337,7 +312,6 @@ def blowup_sweep(
     eps_list,
     *,
     mode: int = 0,
-    amplitude: float = 1.0,
     probe: tuple[float, float] = DEFAULT_PROBE,
 ) -> tuple[SweepRecord, ...]:
     """Interior energy blow-up under a resonant eigenfunction source.
@@ -358,7 +332,7 @@ def blowup_sweep(
     def one(e: float) -> SweepRecord:
         try:
             series = eigenmode_series(
-                CloakConfig(d, k, e, (interior_layer,)), spec, amplitude, eigen_norm
+                CloakConfig(d, k, e, (interior_layer,)), spec, eigen_norm
             )
         except SingularSystemError as exc:
             return SweepRecord(

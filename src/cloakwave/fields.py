@@ -186,7 +186,6 @@ class FieldSeries:
     domain: str = "virtual"
     epsilon: float | None = None
     axis: tuple[float, ...] | None = None
-    valid_radius: float | None = None
 
     def __post_init__(self) -> None:
         if self.domain not in ("virtual", "physical"):
@@ -291,16 +290,10 @@ class FieldSeries:
     def _to_virtual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Virtual-domain images of the rows of x and their radii.
 
-        Rejects, with eval's errors, rows beyond valid_radius or on a branch
-        radius of the map (physical domain); _layer_of rejects layer
-        interfaces.
+        Rejects, with eval's errors, rows on a branch radius of the map
+        (physical domain); _layer_of rejects layer interfaces.
         """
         t = radii(x)
-        if self.valid_radius is not None and np.any(t >= self.valid_radius):
-            raise ValidationError(
-                f"series only converges inside radius {self.valid_radius:.3g} "
-                "(point-source expansion region)"
-            )
         xv = x
         if self.domain == "physical":
             for b in (1.0, 2.0):
@@ -369,7 +362,6 @@ def solve_series(
     domain: str = "virtual",
     epsilon: float | None = None,
     axis: tuple[float, ...] | None = None,
-    valid_radius: float | None = None,
 ) -> FieldSeries:
     """Series of every order of an incident coefficient vector (one solve_modes call).
 
@@ -387,7 +379,6 @@ def solve_series(
         domain=domain,
         epsilon=epsilon,
         axis=axis,
-        valid_radius=valid_radius,
     )
 
 
@@ -482,11 +473,11 @@ def _l2_h1_density(d: int, vals: np.ndarray, ders: np.ndarray, r: np.ndarray, fi
     return np.stack([l2, h1]) * r ** (d - 1)
 
 
-def _norm_pair(dens, cuts, rel_tol: float) -> tuple[float, float]:
+def _norm_pair(dens, cuts) -> tuple[float, float]:
     """(L2, H1) norms from a two-component density integrated between successive cuts."""
     total = np.zeros(2)
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(dens, lo, hi, rel_tol=rel_tol).real
+        total += integrate(dens, lo, hi).real
     l2, h1 = np.sqrt(np.maximum(total, 0.0))
     return float(l2), float(h1)
 
@@ -497,7 +488,6 @@ def norm_annulus(
     r_in: float,
     r_out: float,
     reference=None,
-    rel_tol: float = 1e-11,
 ) -> tuple[float, float]:
     """(L2, full H1) norms of a field over an annulus via angular Parseval.
 
@@ -516,7 +506,7 @@ def norm_annulus(
         return _l2_h1_density(series.dimension, *_mode_profiles(series, which, reference, rr), rr)
 
     cuts = _split_points(series, r_in, r_out, reference if which == "diff_vs_reference" else None)
-    return _norm_pair(dens, cuts, rel_tol)
+    return _norm_pair(dens, cuts)
 
 
 def outgoing_mode_norm(
@@ -536,7 +526,7 @@ def outgoing_mode_norm(
         hd = specfun.chain_derivative(h, z, 1.0 if d == 3 else 0.0)
         return _l2_h1_density(d, h[n : n + 1], k * hd[n : n + 1], rr, first=n)
 
-    return _norm_pair(dens, [r_in, r_out], 1e-11)
+    return _norm_pair(dens, [r_in, r_out])
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +641,7 @@ def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldS
     )
 
 
-def interior_deviation(
-    interior: FieldSeries,
-    limit: InteriorLimit | None,
-    rel_tol: float = 1e-11,
-) -> tuple[float, float]:
+def interior_deviation(interior: FieldSeries, limit: InteriorLimit | None) -> tuple[float, float]:
     """(L2, H1) norms over the unit ball of (interior field - limit)."""
 
     def dens(rr: np.ndarray) -> np.ndarray:
@@ -667,4 +653,4 @@ def interior_deviation(
         return _l2_h1_density(interior.dimension, vals, ders, rr)
 
     cuts = [0.0] + [lay.radius for lay in interior.medium.layers if lay.radius < 1.0] + [1.0]
-    return _norm_pair(dens, cuts, rel_tol)
+    return _norm_pair(dens, cuts)

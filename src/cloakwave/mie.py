@@ -35,6 +35,9 @@ from .quadrature import integrate
 from .specfun import find_root
 
 FREQUENCY_CAP = 50.0
+# smallest regularization: eps^(-d) is 1e300 there in 3d, and float ** overflows
+# (OverflowError) below about 5.6e-103 (3d) and 7.5e-155 (2d)
+EPSILON_FLOOR = 1e-100
 CONDITION_CAP = 1.0e12
 
 
@@ -113,8 +116,8 @@ class CloakConfig:
             raise ValidationError(f"dimension must be 2 or 3, got {self.dimension}")
         if not 0 < self.k <= FREQUENCY_CAP:
             raise ValidationError(f"k must lie in (0, {FREQUENCY_CAP}], got {self.k}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValidationError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not EPSILON_FLOOR <= self.epsilon <= 1.0:
+            raise ValidationError(f"epsilon must lie in [{EPSILON_FLOOR:g}, 1], got {self.epsilon}")
         if not self.interior:
             raise ValidationError("interior needs at least one layer")
         if abs(self.interior[-1].radius - 1.0) > 1e-12:
@@ -264,6 +267,8 @@ def _interface_side(
     z = kappa * r
     reg, sing = specfun.chain(d, n_max + 1, z, partial=True)
     last = len(sing) - 2          # f'_n needs f_(n+1)
+    if last < 0:                  # the singular chain ends below order 1: none is solvable
+        return np.empty((0, 2, 2), dtype=complex)
     shift = 1.0 if d == 3 else 0.0
     rd = specfun.chain_derivative(reg[: last + 2, 0], z, shift)
     sd = specfun.chain_derivative(sing[:, 0], z, shift)
@@ -477,10 +482,10 @@ def _sign_changes(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
 
 
-def first_resonance(d: int, k: float, mode: int = 0, a: float = 1.0) -> ResonanceSpec:
-    """First resonant density of the given mode at frequency k."""
+def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
+    """First resonant density of the given mode at frequency k, unit stiffness."""
     grid = np.linspace(0.3, 12.0, 2400)
-    vals = resonance_scan(d, mode, grid, a)[0][mode]
+    vals = resonance_scan(d, mode, grid)[0][mode]
     hits = _sign_changes(vals)
     if not hits.size:
         raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
@@ -488,13 +493,8 @@ def first_resonance(d: int, k: float, mode: int = 0, a: float = 1.0) -> Resonanc
     if vals[i] == 0.0:
         kap = float(grid[i])
     else:
-        kap = find_root(
-            lambda x: resonance_condition(d, mode, x, a)[0],
-            (grid[i], grid[i + 1]),
-        )
-    return ResonanceSpec(
-        dimension=d, mode=mode, kappa_star=kap, sigma0=a * (kap / k) ** 2, a=a
-    )
+        kap = find_root(lambda x: resonance_condition(d, mode, x)[0], (grid[i], grid[i + 1]))
+    return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
 
 
 def detect_resonances(

@@ -15,6 +15,8 @@ from .errors import QuadratureError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 BATCH_NODES = 1024   # nodes per integrand call; bounds the integrand's arrays on deep levels
+REL_TOL = 1e-11      # relative agreement of successive refinement levels
+MAX_PANELS = 1024
 
 
 def _composite(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int):
@@ -30,32 +32,27 @@ def _composite(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels
     return np.cumsum(sums.astype(complex), axis=-1)[..., -1]
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-11,
-    max_panels: int = 1024,
-):
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     """Integrate a smooth vectorized integrand over [a, b].
 
     f maps an array of nodes to their values, or to a (components, nodes)
     array for a vector-valued integrand; the result is a complex number or
     a complex array of the components.  Each refinement level costs one
-    call of f per BATCH_NODES nodes (up to 64 panels).  Panels double
-    until successive estimates differ by less than rel_tol in relative
-    terms for every component (absolute floor 1e-300 guards zero integrals).
+    call of f per BATCH_NODES nodes (up to 64 panels).  Panels double, up
+    to MAX_PANELS, until successive estimates differ by less than REL_TOL in
+    relative terms for every component (absolute floor 1e-300 guards zero
+    integrals).
     """
     if b <= a:
         return 0.0 + 0.0j
     prev = _composite(f, a, b, 1)
     panels = 2
-    while panels <= max_panels:
+    while panels <= MAX_PANELS:
         cur = _composite(f, a, b, panels)
-        if np.all(np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300) + 1e-300):
+        if np.all(np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), 1e-300) + 1e-300):
             return cur[()]
         prev = cur
         panels *= 2
     raise QuadratureError(
-        f"quadrature on [{a}, {b}] did not converge within {max_panels} panels"
+        f"quadrature on [{a}, {b}] did not converge within {MAX_PANELS} panels"
     )

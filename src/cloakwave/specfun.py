@@ -16,13 +16,17 @@ root-finder targets) and find_root.  The derivative rule f'_n = f_(n-1) -
 for one order in scalar arithmetic in bessel, where a numpy call would
 cost several times the scalar chain itself.
 
-Validated envelope: order <= 200, |z| <= 1e4.  Complex arguments are meant
-for mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
+Validated envelope: order <= 200, |z| <= 1e4, and down to the smallest
+nonzero |z|: below SMALL_ARG = 1e-20 the regular family is its leading
+term, exact in double precision there, in both kernels (the Miller pass
+would overflow from about |z| = 1e-56 on).  The 3d regular chain is
+normalized against j_0 below |z| = 1.  Complex arguments are meant for
+mildly lossy media; accuracy degrades like exp(2 Im z) in the Miller
 normalization sum, so keep Im z below ~10.  Values that underflow double
 precision (huge order, tiny argument) are returned as exact zeros.  A
-singular order past the overflow limit raises BesselOverflowError, unless
-a scalar chain is asked for partial results: it then ends at the last
-representable order.
+singular order past the overflow limit (from order 0 on) raises
+BesselOverflowError, unless a scalar chain is asked for partial results:
+it then ends at the last representable order.
 
 array_chain runs the same chains over a 1-D array of arguments at once.
 It is the kernel of every array-argument evaluation, whatever the array's
@@ -61,6 +65,8 @@ from .errors import (
 
 ORDER_CAP = 200
 ARG_CAP = 1.0e4
+ROOT_ITER_CAP = 200        # find_root's iteration budget
+SMALL_ARG = 1.0e-20        # below it the regular family is its leading term
 EULER_GAMMA = 0.5772156649015328606
 
 _RESCALE_LIMIT = 1.0e250
@@ -133,7 +139,9 @@ def _cyl_y01(z: complex, jch: np.ndarray) -> tuple[complex, complex]:
     its termwise argument-derivative give Y_1 = -Y_0'.  Terms are bounded,
     so there is no cancellation growth at large |z|.
     """
-    lg = cmath.log(z / 2.0) + EULER_GAMMA
+    # z / 2 underflows to zero at the smallest subnormal z: split off ln 2 there
+    half_log = cmath.log(z / 2.0) if abs(z) >= SMALL_ARG else cmath.log(z) - math.log(2.0)
+    lg = half_log + EULER_GAMMA
     even = jch[2::2]
     kk = np.arange(1, len(even) + 1, dtype=float)
     sgn = np.where(kk % 2 == 1, 1.0, -1.0)
@@ -151,36 +159,55 @@ def _upward(y0: complex, y1: complex, nmax: int, z: complex, half: float,
             name: str, partial: bool) -> np.ndarray:
     """Singular family of orders 0..nmax by upward recurrence from y0, y1.
 
-    An order passing the overflow limit raises BesselOverflowError, or,
-    with partial, ends the chain: the array then holds orders 0..last,
-    the last representable order.
+    An order passing the overflow limit (y0 and y1 included) raises
+    BesselOverflowError, or, with partial, ends the chain: the array then
+    holds orders 0..last, the last representable order.
     """
     y = np.zeros(nmax + 1, dtype=complex)
-    y[: 2] = (y0, y1)[: nmax + 1]
-    for n in range(1, nmax):
-        nxt = (2.0 * (n + half) / z) * y[n] - y[n - 1]
-        if abs(nxt.real) > _OVERFLOW_LIMIT or abs(nxt.imag) > _OVERFLOW_LIMIT:
+    for n in range(nmax + 1):
+        nxt = (y0, y1)[n] if n < 2 else (2.0 * (n - 1 + half) / z) * y[n - 1] - y[n - 2]
+        # written so that a NaN (from an infinite 1/z) fails it too
+        if not (abs(nxt.real) <= _OVERFLOW_LIMIT and abs(nxt.imag) <= _OVERFLOW_LIMIT):
             if partial:
-                return y[: n + 1]
+                return y[:n]
             raise BesselOverflowError(
-                f"{name}_{n + 1}({z}) exceeds representable magnitude in upward recurrence"
+                f"{name}_{n}({z}) exceeds representable magnitude in upward recurrence"
             )
-        y[n + 1] = nxt
+        y[n] = nxt
     return y
+
+
+def _leading_regular(d: int, nmax: int, z: complex) -> np.ndarray:
+    """Regular family of orders 0..nmax at |z| < SMALL_ARG from its leading term.
+
+    J_n = (z/2)^n / n! and j_n = z^n / (2n + 1)!!, one multiplication per
+    order.  The series' next term is smaller by less than 3e-41, so these
+    are the values in double precision; the Miller pass would overflow
+    here (one step multiplies by 2m/|z|).  Orders that underflow are exact
+    zeros.
+    """
+    f = [1.0 + 0.0j]
+    h = 0.5 * z
+    for n in range(1, nmax + 1):
+        f.append(f[-1] * (z / (2 * n + 1) if d == 3 else h / n))
+    return np.array(f, dtype=complex)
 
 
 def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
     """j_0..j_nmax: j_0 = sin z / z, and the Miller chain normalized against
-    whichever of j_0, j_1 is larger."""
+    j_0 below |z| = 1, else against whichever of j_0, j_1 is larger.
+
+    j_1's closed form sin z / z^2 - cos z / z cancels at small |z| (error
+    about 1e-16 / |z|), so it is only evaluated from |z| = 1 on.
+    """
     sin_z = cmath.sin(z)
-    cos_z = cmath.cos(z)
     j0 = sin_z / z
-    j1 = sin_z / (z * z) - cos_z / z
+    j1 = sin_z / (z * z) - cmath.cos(z) / z if abs(z) >= 1.0 else None
     j = np.zeros(nmax + 1, dtype=complex)
     up = min(nmax, int(0.9 * abs(z)))
     if nmax > up:
         raw = _miller_j_chain(nmax, z, spherical=True)
-        if abs(j0) >= abs(j1):
+        if j1 is None or abs(j0) >= abs(j1):
             scale = j0 / raw[0]
         else:
             scale = j1 / raw[1]
@@ -202,17 +229,21 @@ def _scalar_chain(
     The singular chain needs z != 0 and |z| <= ARG_CAP; partial ends it at
     its last representable order instead of raising BesselOverflowError
     (see _upward), so it may be shorter than the regular one.  y_0 is the
-    closed form -cos z / z.
+    closed form -cos z / z.  Below |z| = SMALL_ARG the regular family is
+    _leading_regular's, and y_1 is y_0 / z: z^2 underflows from about
+    1e-162, and the dropped -sin z / z is below 1e-40 of it.
     """
     z = _check_order_arg(nmax, z, singular=True) if singular else complex(z)
+    tiny = abs(z) < SMALL_ARG
     if d == 3:
-        j = _sph_j_only(nmax, z)
+        j = _leading_regular(3, nmax, z) if tiny else _sph_j_only(nmax, z)
         if not singular:
             return j, None
         sin_z, cos_z = cmath.sin(z), cmath.cos(z)
-        y0, y1 = -cos_z / z, -cos_z / (z * z) - sin_z / z
+        y0 = -cos_z / z
+        y1 = y0 / z if tiny else -cos_z / (z * z) - sin_z / z
         return j, _upward(y0, y1, nmax, z, 0.5, "y", partial)
-    full = _cyl_j_chain_full(nmax, z)
+    full = _leading_regular(2, nmax + 1, z) if tiny else _cyl_j_chain_full(nmax, z)
     if not singular:
         return full[: nmax + 1], None
     y0, y1 = _cyl_y01(z, full)
@@ -232,12 +263,24 @@ def array_chain(
     of the singular family up to the same overflow limit.  Regular 3d
     values of orders up to 0.9 |z| come from upward recurrence, as in
     _sph_j_only: through the ~|z| oscillatory steps below the turning point
-    Miller's downward pass loses about 1e-13 at |z| ~ 600.
+    Miller's downward pass loses about 1e-13 at |z| ~ 600.  Arguments below
+    SMALL_ARG run the scalar kernel one at a time (leading terms), the
+    others this kernel as one block, so no column depends on the others.
     """
     z = np.asarray(z, dtype=complex).ravel()
     mag = np.abs(z)
     for w in (z[np.argmax(mag)], z[np.argmin(mag)]):
         _check_order_arg(nmax, w, singular=True)
+    tiny = mag < SMALL_ARG
+    if tiny.any():
+        out = [np.empty((nmax + 1, z.size), dtype=complex) for _ in range(1 + singular)]
+        for i in np.flatnonzero(tiny).tolist():
+            for o, col in zip(out, _scalar_chain(d, nmax, z[i], singular)):
+                o[:, i] = col
+        if not tiny.all():
+            for o, part in zip(out, array_chain(d, nmax, z[~tiny], singular)):
+                o[:, ~tiny] = part
+        return out[0], out[1] if singular else None
     spherical = d == 3
     half = 0.5 if spherical else 0.0
     mag_min = float(mag.min())
@@ -285,7 +328,8 @@ def array_chain(
     if spherical:
         sin_z, cos_z = np.sin(z), np.cos(z)
         j0, j1 = sin_z / z, sin_z / (z * z) - cos_z / z
-        raw *= np.where(np.abs(j0) >= np.abs(j1), j0 / raw[0], j1 / raw[1])
+        # against j_0 below |z| = 1, where j_1's closed form cancels (_sph_j_only)
+        raw *= np.where((mag < 1.0) | (np.abs(j0) >= np.abs(j1)), j0 / raw[0], j1 / raw[1])
         up = np.minimum(nmax, (0.9 * mag).astype(int))
         raw[0] = np.where((up > 0) | (nmax == 0), j0, raw[0])
         raw[1] = np.where(up > 0, j1, raw[1])
@@ -426,12 +470,7 @@ def bessel(d: int, kind: str, n: int, z: complex) -> BesselEval:
     return BesselEval(complex(val), complex(der))
 
 
-def find_root(
-    f: Callable[[float], float],
-    bracket: Sequence[float],
-    *,
-    max_iter: int = 200,
-) -> float:
+def find_root(f: Callable[[float], float], bracket: Sequence[float]) -> float:
     """Locate a root of a continuous scalar function inside a sign-change bracket.
 
     Secant-accelerated bisection: every step keeps a valid bracket, so
@@ -444,7 +483,7 @@ def find_root(
     Raises
     ------
     BracketError : endpoints do not straddle a sign change.
-    ConvergenceError : budget of max_iter iterations exhausted.
+    ConvergenceError : budget of ROOT_ITER_CAP iterations exhausted.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
@@ -461,7 +500,7 @@ def find_root(
         )
     scale = max(abs(flo), abs(fhi))
     x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    for _ in range(max_iter):
+    for _ in range(ROOT_ITER_CAP):
         width = hi - lo
         if width <= 1e-14 * max(1.0, abs(x)) and abs(fx) <= 1e-13 * scale:
             return x
@@ -495,5 +534,5 @@ def find_root(
             if abs(fmid) < abs(fx):
                 x, fx = mid, fmid
     raise ConvergenceError(
-        f"root finder exhausted {max_iter} iterations on [{lo}, {hi}]"
+        f"root finder exhausted {ROOT_ITER_CAP} iterations on [{lo}, {hi}]"
     )

@@ -452,8 +452,8 @@ def test_criterion_8_change_of_variables_residual():
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         pts.append(u * rng.uniform(1.15, 1.9))
-    res_h = pde_residual(ser, m, pts, 1e-3, check_step=False)
-    res_half = pde_residual(ser, m, pts, 5e-4, check_step=False)
+    res_h = pde_residual(ser, m, pts, 1e-3)
+    res_half = pde_residual(ser, m, pts, 5e-4)
     ratio = res_h / res_half
     ok = res_h <= 1e-3 and 3.0 < ratio < 5.0
     _report(

@@ -6,7 +6,6 @@ quadrature, the (L2, H1) norm pairs and resonance scans, each against the
 per-point or per-radius scalar path.
 """
 
-import dataclasses
 import functools
 import math
 import re
@@ -20,7 +19,6 @@ from cloakwave.errors import (
     BesselOverflowError,
     CloakwaveError,
     InterfaceEvaluationError,
-    ValidationError,
 )
 from cloakwave.experiments import eigenmode_series
 from cloakwave.fields import (
@@ -173,6 +171,18 @@ def test_mixed_block_columns_equal_solo_bitwise(d, nmax, singular, zs):
             assert a is b is None or a[:, 0].tobytes() == b[:, i].tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("nmax, singular", [(specfun.ORDER_CAP, False), (4, True)])
+def test_block_mixing_tiny_and_ordinary_arguments_equals_solo_bitwise(d, nmax, singular):
+    # tiny arguments take the leading terms, the others the Miller block
+    zs = np.array([2.5, 1e-30, 1e-3 + 0.5j, 3e-21j, 1e-20, 40.0, 7e-45 + 7e-45j, 0.9])
+    block = specfun.array_chain(d, nmax, zs, singular)
+    for i, z in enumerate(zs):
+        for a, b in zip(specfun.array_chain(d, nmax, [z], singular), block):
+            assert a is b is None or a[:, 0].tobytes() == b[:, i].tobytes()
+    assert np.all(np.isfinite(block[0])) and (not singular or np.all(np.isfinite(block[1])))
+
+
 @pytest.mark.parametrize("d, name", [(2, "Y_61((0.001+0j))"), (3, "y_60((0.001+0j))")])
 def test_array_chain_overflow_message_names_order_and_argument(d, name):
     with pytest.raises(BesselOverflowError) as info:
@@ -279,12 +289,10 @@ def test_eval_many_rejects_like_eval(d):
         virtual_medium(CloakConfig(d, 2.0, 0.1, (lay, Layer(1.0, 1.0, 2.0)))), 2.0,
         incident_coefficients(IncidentSpec("mode", mode=1), 2.0, 6, d),
     )
-    bounded = dataclasses.replace(phys, valid_radius=3.0)
     cases = [
         (phys, 1.0 * e, InterfaceEvaluationError),     # inner map branch
         (phys, 2.0 * e, InterfaceEvaluationError),     # outer map branch
         (virt, 0.05 * e, InterfaceEvaluationError),    # virtual layer interface
-        (bounded, 3.5 * e, ValidationError),           # beyond valid_radius
     ]
     good = _points(d, [0.3, 1.7, 2.9], seed=d)
     for ser, bad, kind in cases:

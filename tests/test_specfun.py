@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as ss
@@ -15,7 +16,7 @@ from cloakwave.errors import (
     BracketError,
     ConvergenceError,
 )
-from cloakwave.specfun import bessel, find_root
+from cloakwave.specfun import bessel, chain, find_root
 
 from oracles import bisect, first_j1_zero, first_tan_fixed_point, j1_series
 
@@ -310,3 +311,47 @@ def test_partial_chain_ends_at_last_representable_order(d):
         assert np.allclose(full, sing, rtol=1e-13, atol=0.0)
         with pytest.raises(BesselOverflowError):
             chain(d, last + 1, z)
+
+
+# -- small arguments -------------------------------------------------------------
+
+
+def _mp_regular(d, n, z):
+    if d == 2:
+        return mp.besselj(n, z)
+    return mp.sqrt(mp.pi / (2 * mp.mpf(z))) * mp.besselj(n + mp.mpf(0.5), z)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_small_argument_regular_family_matches_mpmath(d):
+    # below |z| = 1e-20 the leading term; 3d below |z| = 1 normalizes against j_0
+    orders = (0, 1, 2, 3, 7, 20, 50, 100, 200)
+    for z in np.geomspace(1e-8, 1e-300, 120):
+        scalar = chain(d, 200, z, singular=False)[0][:, 0]
+        block = specfun.array_chain(d, 200, [z, 1.5, 1j * z], singular=False)[0][:, 0]
+        for n in orders:
+            want = _mp_regular(d, n, z)
+            for got in (scalar[n], block[n]):
+                if abs(want) < 1e-300 and abs(got) < 2.3e-308:
+                    continue   # zero or subnormal where the value underflows
+                assert abs(got - complex(want)) <= 1e-13 * abs(want), (n, z)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_small_argument_singular_family(d):
+    # y_1 = y_0 / z in 3d below 1e-20 (z^2 underflows from ~1e-162); an order
+    # past the overflow limit raises or ends a partial chain
+    for z in (1e-25, 1e-100, 1e-139):
+        sing = chain(d, 1, z)[1][:, 0]
+        for n in (0, 1):
+            if d == 2:
+                want = mp.bessely(n, z)
+            else:
+                want = mp.sqrt(mp.pi / (2 * mp.mpf(z))) * mp.bessely(n + mp.mpf(0.5), z)
+            assert abs(sing[n] - complex(want)) <= 1e-13 * abs(want)
+    for z in (1e-150, 1e-200, 1e-300, 5e-324):
+        with pytest.raises(BesselOverflowError):
+            chain(d, 5, z)
+        sing = chain(d, 5, z, partial=True)[1]
+        assert len(sing) < 6 and np.all(np.isfinite(sing))
+        assert np.all(np.isfinite(chain(d, 5, z, singular=False)[0]))
