@@ -248,8 +248,7 @@ def instability_sweep(
         try:
             tuned = tune_sigma(d, k, e, spec0, variant)
             cfg = tuned_inclusion_config(tuned)
-            k_eps = tuned.k_eps_dd if variant == "exact" else tuned.k_eps
-            alpha = alpha0_closed_form(d, k, e, k_eps)
+            alpha = tuned.alpha0 if variant == "exact" else alpha0_closed_form(d, k, e, tuned.k_eps)
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b)
             vis_l2, vis_h1 = norm_annulus(series, "scattered", probe[0], probe[1])

@@ -39,6 +39,7 @@ FREQUENCY_CAP = 50.0
 # (OverflowError) below about 5.6e-103 (3d) and 7.5e-155 (2d)
 EPSILON_FLOOR = 1e-100
 CONDITION_CAP = 1.0e12
+MP_DIGITS = 60             # working precision of the tuning polish and tuned alpha0
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,8 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
     if d not in (2, 3):
         raise ValidationError(f"dimension must be 2 or 3, got {d}")
     if isinstance(k_eps, tuple):
-        return _alpha0_mp(d, k, eps, k_eps)
+        with mp.workdps(MP_DIGITS):
+            return _alpha0_mp(d, mp.mpf(k_eps[0]) + mp.mpf(k_eps[1]), _mp_exterior(d, k, eps))
     ke = k * eps
     reg_e = specfun.bessel(d, "regular", 0, ke)
     out_e = specfun.bessel(d, "outgoing", 0, ke)
@@ -395,24 +397,27 @@ def _mp_regular(d: int, z) -> tuple:
     return mp.besselj(0, z), -mp.besselj(1, z)
 
 
-def _mp_singular(d: int, z) -> tuple:
-    """Monopole singular basis and its derivative, (y_0, y_0') or (Y_0, Y_0'), in mpmath."""
+def _mp_exterior(d: int, k: float, eps: float) -> tuple:
+    """(k eps, flux factor, Y_0, Y_0'), or y_0, y_0' in 3d, at k eps in mpmath.
+
+    The exterior side of alpha0, evaluated once per tuned row for both the
+    polish and alpha0 (inside mp.workdps(MP_DIGITS)).
+    """
+    ke = mp.mpf(k) * mp.mpf(eps)
+    flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
     if d == 3:
-        return -mp.cos(z) / z, mp.sin(z) / z + mp.cos(z) / z**2
-    return mp.bessely(0, z), -mp.bessely(1, z)
+        return ke, flux, -mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2
+    return ke, flux, mp.bessely(0, ke), -mp.bessely(1, ke)
 
 
-def _alpha0_mp(d: int, k: float, eps: float, k_eps: tuple[float, float]) -> complex:
-    with mp.workdps(50):
-        t = mp.mpf(k_eps[0]) + mp.mpf(k_eps[1])
-        ke = mp.mpf(k) * mp.mpf(eps)
-        flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
-        j, jp = _mp_regular(d, ke)
-        y, yp = _mp_singular(d, ke)
-        jt, jpt = _mp_regular(d, t)
-        num = ke * jp * jt - flux * t * j * jpt
-        den = ke * (jp + 1j * yp) * jt - flux * t * (j + 1j * y) * jpt
-        return complex(-num / den)
+def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
+    """alpha0 at the mpmath interior argument t, from _mp_exterior's tuple."""
+    ke, flux, y, yp = exterior
+    j, jp = _mp_regular(d, ke)
+    jt, jpt = _mp_regular(d, t)
+    num = ke * jp * jt - flux * t * j * jpt
+    den = ke * (jp + 1j * yp) * jt - flux * t * (j + 1j * y) * jpt
+    return complex(-num / den)
 
 
 @dataclass(frozen=True)
@@ -545,7 +550,9 @@ class TunedSigma:
     k_eps is the tuned interior Bessel argument; sigma follows in the two
     conventions (the density symbol of the tuning equations reads k_eps / k,
     while the interior equation implies (k_eps / k)^2).  k_eps_lo is a
-    double-double correction used by the extended-precision alpha0 path.
+    double-double correction used by the extended-precision alpha0 path,
+    and alpha0 (exact variant only) alpha0_closed_form at (k_eps, k_eps_lo),
+    computed with the polish's exterior Bessel values.
     """
 
     dimension: int
@@ -555,6 +562,7 @@ class TunedSigma:
     k_eps: float
     k_eps_lo: float
     kappa_star: float
+    alpha0: complex | None = None
 
     @property
     def k_eps_dd(self) -> tuple[float, float]:
@@ -600,31 +608,22 @@ def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
     return (t * reg.derivative / reg.value).real - rhs
 
 
-def _refine_root_mp(d: int, k: float, eps: float, t0: float) -> tuple[float, float]:
-    """Polish the exact tuning root in extended precision.
+def _refine_root_mp(d: int, t0: float, exterior: tuple):
+    """Polish the exact tuning root t0 to the mpmath working precision.
 
-    The root is a simple zero; a few Newton steps from the double root give
-    ~40 digits, split into a double-double (hi, lo) pair.
+    Newton on g(t) = c1 R_0(t) - c2 t R_0'(t), c1 and c2 from _mp_exterior,
+    with g' from the Bessel equation: c1 J_0' + c2 t J_0 (2d) or
+    c1 j_0' + c2 (j_0' + t j_0) (3d).  The root is simple, so three steps
+    from the double root (error ~1e-14) converge quadratically to 60 digits.
     """
-    with mp.workdps(60):
-        ke = mp.mpf(k) * mp.mpf(eps)
-        flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
-        y, yp = _mp_singular(d, ke)
-        c1 = ke * yp
-        c2 = flux * y
-
-        def g(t):
-            j, jp = _mp_regular(d, t)
-            return c1 * j - c2 * t * jp
-
-        t = mp.mpf(t0)
-        h = mp.mpf(1e-18)
-        for _ in range(6):
-            dg = (g(t + h) - g(t - h)) / (2 * h)
-            t = t - g(t) / dg
-        hi = float(t)
-        lo = float(t - mp.mpf(hi))
-    return hi, lo
+    ke, flux, y, yp = exterior
+    c1, c2 = ke * yp, flux * y
+    t = mp.mpf(t0)
+    for _ in range(3):
+        j, jp = _mp_regular(d, t)
+        slope = c1 * jp + c2 * (t * j if d == 2 else jp + t * j)
+        t -= (c1 * j - c2 * t * jp) / slope
+    return t
 
 
 def tune_sigma(
@@ -659,18 +658,15 @@ def tune_sigma(
         raise BracketError(
             f"tuning bracket around kappa* = {kap:.6f} failed: {exc}"
         ) from exc
-    lo = 0.0
-    if variant == "exact":
-        root, lo = _refine_root_mp(d, k, eps, root)
-    return TunedSigma(
-        dimension=d,
-        k=k,
-        epsilon=eps,
-        variant=variant,
-        k_eps=root,
-        k_eps_lo=lo,
-        kappa_star=kap,
-    )
+    if variant == "paper":
+        return TunedSigma(d, k, eps, variant, root, 0.0, kap)
+    with mp.workdps(MP_DIGITS):
+        exterior = _mp_exterior(d, k, eps)
+        t = _refine_root_mp(d, root, exterior)
+        hi = float(t)
+        lo = float(t - hi)
+        alpha0 = _alpha0_mp(d, mp.mpf(hi) + mp.mpf(lo), exterior)
+    return TunedSigma(d, k, eps, variant, hi, lo, kap, alpha0)
 
 
 def tuned_inclusion_config(tuned: TunedSigma) -> CloakConfig:

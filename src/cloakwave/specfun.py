@@ -1,4 +1,4 @@
-"""Complex-argument Bessel kernel and a safeguarded scalar root finder.
+"""Complex-argument Bessel kernel and a bracketing scalar root finder.
 
 Cylindrical J_n, Y_n, H_n^(1) and spherical j_n, y_n, h_n^(1) for integer
 order, with derivatives taken with respect to the argument.  The regular
@@ -11,10 +11,11 @@ The public surface: chain (all orders at a scalar z or over an array of
 z), its array kernel array_chain, chain_derivative, regular_array (values
 and derivatives, z = 0 included), bessel (one order of the regular,
 singular or outgoing family with its derivative, for closed forms and
-root-finder targets) and find_root.  The derivative rule f'_n = f_(n-1) -
-(n + s)/z f_n is written twice: for all orders in chain_derivative, and
-for one order in scalar arithmetic in bessel, where a numpy call would
-cost several times the scalar chain itself.
+root-finder targets) and find_root (ITP: superlinear on smooth roots, at
+most one step beyond bisection's worst case).  The derivative rule f'_n =
+f_(n-1) - (n + s)/z f_n is written twice: for all orders in
+chain_derivative, and for one order in scalar arithmetic in bessel, where
+a numpy call would cost several times the scalar chain itself.
 
 Validated envelope: order <= 200, |z| <= 1e4, and down to the smallest
 nonzero |z|: below SMALL_ARG = 1e-20 the regular family is its leading
@@ -246,6 +247,11 @@ def _scalar_chain(
     full = _leading_regular(2, nmax + 1, z) if tiny else _cyl_j_chain_full(nmax, z)
     if not singular:
         return full[: nmax + 1], None
+    if tiny:
+        # 1/z is near the double range: Y_0' and the upward steps pass
+        # through inf and nan before _upward's overflow check ends the chain
+        with np.errstate(over="ignore", invalid="ignore"):
+            return full[: nmax + 1].copy(), _upward(*_cyl_y01(z, full), nmax, z, 0.0, "Y", partial)
     y0, y1 = _cyl_y01(z, full)
     return full[: nmax + 1].copy(), _upward(y0, y1, nmax, z, 0.0, "Y", partial)
 
@@ -473,12 +479,16 @@ def bessel(d: int, kind: str, n: int, z: complex) -> BesselEval:
 def find_root(f: Callable[[float], float], bracket: Sequence[float]) -> float:
     """Locate a root of a continuous scalar function inside a sign-change bracket.
 
-    Secant-accelerated bisection: every step keeps a valid bracket, so
-    convergence is guaranteed; secant candidates are accepted only when they
-    fall inside it.  Terminates when the bracket width is below
-    1e-14 * max(1, |x|) and |f(x)| <= 1e-13 * scale, where scale is the
-    larger endpoint magnitude of f at entry, or, failing that, once no float
-    lies strictly inside the bracket, at the endpoint with the smaller |f|.
+    ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020): each step moves the
+    regula-falsi point toward the midpoint by max(0.2 width^2 / width0,
+    tol), projects it into the ball of radius width0 2^-step - width / 2
+    about the midpoint (clamped at 0, where the step bisects), and keeps the
+    sub-bracket with the sign change.  Smooth simple roots converge
+    superlinearly, and no bracket is wider than bisection's one step
+    earlier.  tol is half the width tolerance: the finder returns x, the
+    endpoint with the smaller |f|, once the width is below
+    1e-14 * max(1, |x|) and |f(x)| <= 1e-13 * scale (the larger |f| at
+    entry), or else once no float lies strictly inside the bracket.
 
     Raises
     ------
@@ -499,20 +509,27 @@ def find_root(f: Callable[[float], float], bracket: Sequence[float]) -> float:
             f"no sign change on [{lo}, {hi}]: f(lo) = {flo:.3g}, f(hi) = {fhi:.3g}"
         )
     scale = max(abs(flo), abs(fhi))
-    x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
-    for _ in range(ROOT_ITER_CAP):
+    # the width tolerance anywhere in the bracket is at least 2 tol
+    tol = 0.5e-14 * max(1.0, min(abs(lo), abs(hi)))
+    width0 = hi - lo
+    for step in range(ROOT_ITER_CAP):
+        x, fx = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
         width = hi - lo
         if width <= 1e-14 * max(1.0, abs(x)) and abs(fx) <= 1e-13 * scale:
             return x
         if math.nextafter(lo, hi) >= hi:
             # no float left strictly inside: f rounds to its sign change here
-            return lo if abs(flo) <= abs(fhi) else hi
-        # secant through the bracket endpoints, clipped away from the edges
-        denom = fhi - flo
-        cand = lo - flo * (hi - lo) / denom if denom != 0.0 else 0.5 * (lo + hi)
-        margin = 0.01 * width
-        if not (lo + margin <= cand <= hi - margin):
-            cand = 0.5 * (lo + hi)
+            return x
+        mid = 0.5 * (lo + hi)
+        radius = max(0.0, math.ldexp(width0, -step) - 0.5 * width)
+        falsi = lo - flo * width / (fhi - flo)
+        toward = math.copysign(1.0, mid - falsi)
+        shift = max(0.2 * width * width / width0, tol)
+        cand = falsi + toward * shift if shift <= abs(mid - falsi) else mid
+        if abs(cand - mid) > radius:
+            cand = mid - toward * radius
+        if not lo < cand < hi:
+            cand = mid
         fcand = float(f(cand))
         if fcand == 0.0:
             return cand
@@ -520,19 +537,6 @@ def find_root(f: Callable[[float], float], bracket: Sequence[float]) -> float:
             lo, flo = cand, fcand
         else:
             hi, fhi = cand, fcand
-        x, fx = (cand, fcand) if abs(fcand) <= min(abs(flo), abs(fhi)) else (x, fx)
-        if hi - lo >= width * 0.75:
-            # secant stagnated; force a bisection step
-            mid = 0.5 * (lo + hi)
-            fmid = float(f(mid))
-            if fmid == 0.0:
-                return mid
-            if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
-            if abs(fmid) < abs(fx):
-                x, fx = mid, fmid
     raise ConvergenceError(
         f"root finder exhausted {ROOT_ITER_CAP} iterations on [{lo}, {hi}]"
     )

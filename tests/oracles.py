@@ -55,6 +55,27 @@ def first_tan_fixed_point() -> float:
     return bisect(lambda x: math.tan(x) - x, 4.2, 4.6)
 
 
+def resonance_kappas(d: int, n: int, lo: float, hi: float) -> list[float]:
+    """Roots in (lo, hi) of the unit-stiffness modal resonance condition, from scipy.
+
+    3d: zeros of the spherical j_n', bracketed on a fine grid and closed by
+    scipy's brentq.  2d: the monopole condition J_0' = -J_1 and, for n >= 1,
+    kappa J_n' + n J_n = kappa J_(n-1), so the zeros of J_1 and J_(n-1).
+    """
+    from scipy import optimize, special
+
+    if d == 2:
+        zeros = special.jn_zeros(1 if n == 0 else n - 1, 40)
+        return [float(z) for z in zeros if lo < z < hi]
+    f = lambda x: special.spherical_jn(n, x, derivative=True)
+    grid = np.linspace(lo, hi, 4000)
+    vals = f(grid)
+    return [
+        optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    ]
+
+
 def cheb_diff(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev differentiation matrix and nodes on [-1, 1] (descending)."""
     if n == 0:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cloakwave.errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
+from cloakwave.experiments import instability_sweep
 from cloakwave.mie import (
     CloakConfig,
     Layer,
@@ -38,6 +40,7 @@ from oracles import (
     first_tan_fixed_point,
     j1_series,
     mode_solve_dense,
+    resonance_kappas,
 )
 
 KAPPA3 = 4.493409457909064   # frozen from first_tan_fixed_point()
@@ -271,6 +274,80 @@ def test_paper_variant_misses_minus_one():
         assert abs(cf + 1.0) > 1e-3
 
 
+def _tuning_root_mp(d, k, eps, t0):
+    """Root of Im(alpha0 denominator) near t0 by mpmath's findroot at 80 digits."""
+    with mp.workdps(80):
+        ke = mp.mpf(k) * mp.mpf(eps)
+        if d == 2:
+            c1, c2 = -ke * mp.bessely(1, ke), mp.bessely(0, ke)
+            g = lambda t: c1 * mp.besselj(0, t) + c2 * t * mp.besselj(1, t)
+        else:
+            c1 = ke * (mp.sin(ke) / ke + mp.cos(ke) / ke**2)
+            c2 = -mp.cos(ke) / (ke * mp.mpf(eps))
+            g = lambda t: c1 * mp.sin(t) / t - c2 * (mp.cos(t) - mp.sin(t) / t)
+        return mp.findroot(g, mp.mpf(t0))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_tuning_polish_matches_mpmath_findroot(d):
+    spec = first_resonance(d, 1.0)
+    for k in (0.5, 1.0, 3.0):
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+            t = tune_sigma(d, k, eps, spec, "exact")
+            ref = _tuning_root_mp(d, k, eps, t.k_eps)
+            with mp.workdps(80):
+                err = abs(mp.mpf(t.k_eps) + mp.mpf(t.k_eps_lo) - ref) / ref
+            assert err <= 1e-30, (k, eps, err)
+
+
+# (d, k, eps, k_eps, k_eps_lo, alpha0) from six central-difference Newton steps
+# and a 50-digit alpha0, which the exact-derivative polish reproduces bit for
+# bit; k = 9.619302230783092 puts k eps exactly at 2.404825557695773, the
+# first zero of J_0 to double precision
+_TUNING_PINS = [
+    (2, 1.0, 0.01, 3.886554000400147, -1.2045230877876337e-16, (-1 - 7.089965480250672e-32j)),
+    (3, 1.0, 0.01, 4.495635158193795, 1.354060934384223e-16, (-1 + 4.337282859601725e-29j)),
+    (2, 0.5, 1e-06, 3.8495080472961933, 1.793564109164564e-16, (-1 - 2.2707909733756414e-30j)),
+    (3, 3.0, 0.0001, 4.493431712726908, -7.020005909106059e-17, (-1 + 5.214288855182842e-25j)),
+    (2, 1.7, 1e-09, 3.844534542078295, -4.0127555892969555e-17, (-1 - 1.4158258637998792e-30j)),
+    (3, 0.5, 1e-08, 4.493409460134545, 4.1851678153993274e-16, (-1 - 6.67518980749738e-16j)),
+    (2, 9.619302230783092, 0.25, 3.9555285946846688, 1.4429559399274234e-16,
+     (-1 + 1.8698025543394155e-32j)),
+    (3, 9.619302230783092, 0.25, 4.427768957727236, -1.4015035873281282e-16,
+     (-1 - 2.181882692757847e-32j)),
+]
+
+
+@pytest.mark.parametrize("d, k, eps, hi, lo, alpha", _TUNING_PINS)
+def test_exact_tuning_bits_pinned(d, k, eps, hi, lo, alpha):
+    t = tune_sigma(d, k, eps, first_resonance(d, k), "exact")
+    assert (t.k_eps, t.k_eps_lo) == (hi, lo)
+    assert t.alpha0 == alpha
+    assert alpha0_closed_form(d, k, eps, t.k_eps_dd) == alpha
+
+
+def test_exact_tuning_row_evaluates_exterior_once(monkeypatch):
+    # Y_0 and Y_1 at k eps once per row, shared by the polish and alpha0;
+    # a repeated row makes the same calls again, so no cache outlives one
+    calls = []
+    real = mp.bessely
+
+    def counting(n, z):
+        calls.append(n)
+        return real(n, z)
+
+    monkeypatch.setattr(mp, "bessely", counting)
+    spec = first_resonance(2, 1.0)
+    for _ in range(2):
+        calls.clear()
+        res = instability_sweep(2, 1.0, [1e-2, 1e-3, 1e-4])
+        assert [r.alpha0 for r in res.records] == [t.alpha0 for t in res.tuned]
+        assert sorted(calls) == [0, 0, 0, 1, 1, 1]   # two per row
+        calls.clear()
+        assert tune_sigma(2, 1.0, 1e-3, spec, "exact").alpha0 is not None
+        assert sorted(calls) == [0, 1]
+
+
 def test_tune_sigma_validation():
     spec = first_resonance(3, 1.0)
     with pytest.raises(ValidationError):
@@ -312,6 +389,24 @@ def test_2d_dipole_condition_reduces_to_lower_bessel():
     assert len(found) == 1
     assert abs(found[0].kappa_star - root) < 1e-9
     assert abs(root - bisect(lambda x: _j_series(0, x), 2.0, 3.0)) < 1e-10
+
+
+@pytest.mark.parametrize("d, modes, count", [(2, 6, 23), (3, 10, 29)])
+def test_catalogue_beyond_benchmark_windows_matches_scipy(d, modes, count):
+    # past the benchmark's catalogue windows (2d k <= 8, 3d modes <= 6)
+    sigma, k_lo, k_hi = 1.5, 0.5, 12.0
+    slope = math.sqrt(sigma)
+    got = detect_resonances(d, 1.0, sigma, (k_lo, k_hi), modes)
+    want = sorted(
+        (n, kap)
+        for n in range(modes + 1)
+        for kap in resonance_kappas(d, n, k_lo * slope, k_hi * slope)
+    )
+    assert len(want) == count
+    found = sorted((s.mode, s.kappa_star) for s in got)
+    assert [n for n, _ in found] == [n for n, _ in want]
+    for (_, kap), (_, ref) in zip(found, want):
+        assert abs(kap - ref) <= 1e-12 * ref
 
 
 def _j_series(n, x, nterms=80):

@@ -285,7 +285,7 @@ def test_find_root_tolerances():
 
     root = find_root(f, (1.0, 2.0))
     assert abs(root - math.pi / 2.0) < 1e-13
-    assert len(calls) < 200
+    assert len(calls) <= 16
 
 
 @settings(max_examples=40, deadline=None)
@@ -297,6 +297,72 @@ def test_find_root_property_cubic(root, scale):
     f = lambda t: scale * (t - root) ** 3 + 0.3 * (t - root)
     got = find_root(f, (root - 1.7, root + 2.1))
     assert abs(got - root) <= 1e-9 * max(1.0, abs(root))
+
+
+# (target, bracket, root): a flat high-order root, a cubic with a lopsided
+# bracket, a jump, a near-jump and a steep exponential
+_ADVERSARIAL_ROOTS = {
+    "t^15": (lambda t: t**15, (-1.0, 2.0), 0.0),
+    "t^3": (lambda t: t**3, (-1e-3, 1.0), 0.0),
+    "step": (lambda t: 1.0 if t >= 1.0 / 3.0 else -1.0, (0.0, 1.0), 1.0 / 3.0),
+    "atan": (lambda t: math.atan(1e8 * (t - 0.3)), (0.0, 1.0), 0.3),
+    "exp": (lambda t: math.exp(40.0 * t) - 1.0, (-1.0, 1.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL_ROOTS))
+def test_find_root_adversarial_budget(name):
+    f, bracket, want = _ADVERSARIAL_ROOTS[name]
+    calls = []
+
+    def target(t):
+        calls.append(t)
+        return f(t)
+
+    got = find_root(target, bracket)
+    assert len(calls) <= 60
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def _mean_evaluations(monkeypatch, run) -> float:
+    """Mean target evaluations per find_root call that mie makes during run()."""
+    from cloakwave import mie
+
+    counts = []
+
+    def counting(f, bracket):
+        counts.append(0)
+
+        def target(t):
+            counts[-1] += 1
+            return f(t)
+
+        return find_root(target, bracket)
+
+    monkeypatch.setattr(mie, "find_root", counting)
+    run()
+    return sum(counts) / len(counts)
+
+
+@pytest.mark.parametrize("d, k_max", [(2, 8.0), (3, 12.0)])
+def test_find_root_catalogue_window_budget(monkeypatch, d, k_max):
+    from cloakwave.mie import detect_resonances
+
+    mean = _mean_evaluations(monkeypatch, lambda: detect_resonances(d, 1.0, 1.5, (0.5, k_max), 6))
+    assert mean <= 14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_find_root_exact_tuning_budget(monkeypatch, d):
+    # the roots of one instability sweep: kappa*, then eps = 1e-2 ... 1e-5
+    from cloakwave.mie import first_resonance, tune_sigma
+
+    def run():
+        spec = first_resonance(d, 1.0)
+        for i in range(7):
+            tune_sigma(d, 1.0, 10.0 ** (-2.0 - 0.5 * i), spec)
+
+    assert _mean_evaluations(monkeypatch, run) <= 14
 
 
 @pytest.mark.parametrize("d", [2, 3])
