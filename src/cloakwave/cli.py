@@ -31,6 +31,7 @@ from .experiments import (
 from .fields import (
     IncidentSpec,
     auto_truncation,
+    eigenfunction_normalization,
     incident_coefficients,
     solve_series,
 )
@@ -424,7 +425,8 @@ def _field_evaluator(config: RunConfig):
     corner = config.grid_extent * math.sqrt(2.0)
     if config.field_kind == "eigenmode":
         spec = first_resonance(d, k, config.blowup_mode)
-        series = eigenmode_series(CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),)), spec)
+        cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
+        series = eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
         m = BlowupMap(eps, d)
 
         def values(pts: np.ndarray) -> np.ndarray:

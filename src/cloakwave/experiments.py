@@ -26,25 +26,27 @@ from .fields import (
     IncidentSpec,
     auto_truncation,
     blown_up_interior_series,
+    eigenfunction_normalization,
+    free_series,
     incident_coefficients,
     interior_deviation,
     interior_limit,
+    mode_series,
     norm_annulus,
     outgoing_mode_norm,
     solve_series,
 )
 from .mie import (
     EPSILON_FLOOR,
+    TUNING_FLOOR_3D,
     CloakConfig,
     Layer,
-    ModeSolution,
     ResonanceSpec,
     TunedSigma,
     alpha0_closed_form,
     first_resonance,
     interior_source_mode_solve,
     blown_up_medium,
-    eigenfunction_normalization,
     resonance_scan,
     tune_sigma,
     tuned_inclusion_config,
@@ -188,6 +190,9 @@ def convergence_sweep(
             )
     n_max = truncation if truncation is not None else auto_truncation(spec, k, d)
     b = incident_coefficients(spec, k, n_max, d)
+    axis = None if spec.axis is None else tuple(spec.axis)
+    # the free field pulled back through the limit map
+    pullback = replace(free_series(d, k, b, axis), domain="physical", epsilon=0.0)
     # the free field at the blown-up point: only the monopole regular basis is nonzero there
     limit = interior_limit(d, config, complex(b[0])) if _homogeneous_interior(config) else None
 
@@ -195,13 +200,11 @@ def convergence_sweep(
         cfg = replace(config, epsilon=e)
         try:
             vm = virtual_medium(cfg)
-            series = solve_series(vm, k, b, axis=None if spec.axis is None else tuple(spec.axis))
+            series = solve_series(vm, k, b, axis=axis)
             # the cloaked field: the same series outside radius 2, composed
             # with the inverse map on a probe reaching into the shell
             cloaked = replace(series, domain="physical", epsilon=e)
-            vis_l2, vis_h1 = norm_annulus(
-                cloaked, "diff_vs_reference", probe[0], probe[1], reference=(b, k)
-            )
+            vis_l2, vis_h1 = norm_annulus(cloaked, probe[0], probe[1], reference=pullback)
             int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), limit)
         except SingularSystemError as exc:
             return SweepRecord(
@@ -236,9 +239,13 @@ def instability_sweep(
     resonance so the scattering coefficient is driven to -1; the record
     reports the tuned density (tuning-equation convention), the closed-form
     alpha0 and the scattered norm over the probe annulus, which the tuned
-    rows compare against the unit-coefficient outgoing norm.
+    rows compare against the unit-coefficient outgoing norm.  A 3d sweep
+    below TUNING_FLOOR_3D is rejected: the double-precision solve no longer
+    reaches alpha0 = -1 there.
     """
     eps = _check_eps_list(eps_list)
+    if d == 3 and eps[-1] < TUNING_FLOOR_3D:
+        raise ValidationError(f"3d instability needs every epsilon >= {TUNING_FLOOR_3D:g}")
     spec0 = first_resonance(d, k, 0)
     ref_norm = outgoing_mode_norm(d, k, 0, probe[0], probe[1])[0]
     mode_inc = IncidentSpec("mode", mode=0)
@@ -251,7 +258,7 @@ def instability_sweep(
             alpha = tuned.alpha0 if variant == "exact" else alpha0_closed_form(d, k, e, tuned.k_eps)
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b)
-            vis_l2, vis_h1 = norm_annulus(series, "scattered", probe[0], probe[1])
+            vis_l2, vis_h1 = norm_annulus(series.scattered(), probe[0], probe[1])
             int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), None)
         except SingularSystemError as exc:
             rec = SweepRecord(
@@ -279,30 +286,19 @@ def instability_sweep(
     )
 
 
-def eigenmode_series(
-    config: CloakConfig,
-    spec: ResonanceSpec,
-    eigen_norm: float | None = None,
-) -> FieldSeries:
+def eigenmode_series(config: CloakConfig, spec: ResonanceSpec, eigen_norm: float) -> FieldSeries:
     """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
 
     The source is spec's L2-normalized radial eigenfunction times
     eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
-    eigen_norm as in interior_source_mode_solve.
+    eigen_norm is eigenfunction_normalization(spec), as in interior_source_mode_solve.
     """
     d, eps = config.dimension, config.epsilon
     med = blown_up_medium(config)
     sol = interior_source_mode_solve(
         med, config.k, spec, normalization=eps ** (2 - d), eigen_norm=eigen_norm
     )
-    modes = tuple(
-        ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
-                     layer_coeffs=((0.0 + 0.0j, 0.0 + 0.0j),))
-        for n in range(spec.mode)
-    ) + (sol,)
-    return FieldSeries(
-        dimension=d, k=config.k, truncation=spec.mode, modes=modes, medium=med
-    )
+    return mode_series(med, config.k, sol)
 
 
 def blowup_sweep(

@@ -5,13 +5,16 @@ modes never couple, so every norm reduces to per-mode radial quadrature
 through angular orthogonality (Parseval), and point evaluation to a sum of
 radial profiles times Legendre polynomials (3d) or cosines (2d).  Physical
 domain fields are the virtual series composed with the inverse blow-up
-map, and agree with it identically outside radius 2.
+map, and agree with it identically outside radius 2.  Every L2/H1 norm is
+norm_annulus of a series, alone or against a reference series: scattered
+parts, the free-field pullback, single outgoing modes, eigenfunction
+sources and interior deviations are each built as a series first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .mie import (
     Layer,
     ModeSolution,
     ParticularTerm,
+    ResonanceSpec,
     angular_eigenvalue,
     resonance_scan,
     solve_modes,
@@ -174,7 +178,8 @@ class FieldSeries:
 
     domain "virtual" evaluates the series directly; "physical" composes it
     with the inverse blow-up map of the stored epsilon, which leaves all
-    values outside radius 2 unchanged.  The angular structure is symmetric
+    values outside radius 2 unchanged; epsilon 0 is the limit map, defined
+    outside radius 1 only.  The angular structure is symmetric
     about `axis` (monopole coefficients times Legendre / cosine factors).
     """
 
@@ -190,14 +195,22 @@ class FieldSeries:
     def __post_init__(self) -> None:
         if self.domain not in ("virtual", "physical"):
             raise ValidationError(f"unknown domain tag {self.domain!r}")
-        if self.domain == "physical" and not (self.epsilon and self.epsilon > 0):
-            raise ValidationError("physical domain requires epsilon > 0")
+        if self.domain == "physical" and not (self.epsilon is not None and self.epsilon >= 0):
+            raise ValidationError("physical domain requires epsilon >= 0")
         if len(self.modes) != self.truncation + 1:
             raise ValidationError("modes must cover orders 0..truncation")
 
     @property
     def k_exterior(self) -> float:
         return self.medium.exterior_wavenumber(self.k)
+
+    def scattered(self) -> "FieldSeries":
+        """This series with every incident coefficient b_n zeroed.
+
+        Outside the medium that is the scattered field, the outgoing part
+        alone; inside it, the layer coefficients are kept.
+        """
+        return replace(self, modes=tuple(replace(m, b_n=0.0 + 0.0j) for m in self.modes))
 
     def _axis(self) -> np.ndarray:
         if self.axis is not None:
@@ -397,6 +410,18 @@ def free_series(
     )
 
 
+def mode_series(medium: LayeredMedium, k: float, mode: ModeSolution) -> FieldSeries:
+    """Series whose only nonzero order is mode.n: the orders below it vanish."""
+    zero = tuple((0.0 + 0.0j, 0.0 + 0.0j) for _ in medium.layers)
+    modes = tuple(
+        ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j, layer_coeffs=zero)
+        for n in range(mode.n)
+    )
+    return FieldSeries(
+        dimension=medium.dimension, k=k, truncation=mode.n, modes=modes + (mode,), medium=medium
+    )
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -404,67 +429,39 @@ def free_series(
 def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None) -> list[float]:
     """[r_in, r_out] cut at every radius where a profile of the measured quantity has a kink.
 
-    Those are the layer radii of the series and of a reference series, and
-    the map's branch radii 1 and 2 for a physical-domain series and for the
-    free-field pullback reference (a (b, k) pair), which follows the map.
+    Those are the layer radii of the series and of the reference, and the
+    map's branch radii 1 and 2 for a physical-domain series.
     """
     kinks = [lay.radius for lay in series.medium.layers]
-    if series.domain == "physical" or isinstance(reference, tuple):
+    if series.domain == "physical":
         kinks += [1.0, 2.0]
     cuts = {r_in, r_out} | {r for r in kinks if r_in < r < r_out}
-    if isinstance(reference, FieldSeries):
+    if reference is not None:
         cuts.update(_split_points(reference, r_in, r_out))
     return sorted(cuts)
 
 
-def _mode_profiles(series: FieldSeries, which: str, reference, r: np.ndarray):
-    """Per-mode (value, derivative) arrays, (modes, P), of the measured quantity.
+def _profiles(series: FieldSeries, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode (value, derivative) arrays, (modes, P), at radii of the measured domain.
 
     r holds the nodes of one _split_points segment, which lies on one
     branch of the blow-up map (physical domain), where the map is affine.
     """
-    d = series.dimension
-    if series.domain == "physical":
-        slope, offset = inverse_branch(BlowupMap(series.epsilon, d), r[0])
-        vals, ders = series.radial_many(slope * r + offset)
-        ders *= slope
-    else:
-        vals, ders = series.radial_many(r)
-    if which == "total":
-        return vals, ders
-    if which == "scattered":
-        if np.any(r < series.medium.outer_radius):
-            raise ValidationError("scattered norm only defined outside the medium")
-        kap = series.k_exterior
-        b = np.array([m.b_n for m in series.modes])[:, None]
-        jc, jd = specfun.regular_array(d, series.truncation, kap * r)
-        # grouped as in radial_many, so a field with no scattered part gives exact zeros
-        return vals - b * jc, ders - kap * (b * jd)
-    if which == "diff_vs_reference":
-        if reference is None:
-            raise ValidationError("diff_vs_reference needs a reference")
-        if isinstance(reference, FieldSeries):
-            rvals, rders = _mode_profiles(reference, "total", None, r)
-            n = min(len(vals), len(rvals))
-            return vals[:n] - rvals[:n], ders[:n] - rders[:n]
-        # analytic pullback of the free field through the limit map
-        b, free_k = reference
-        if np.any(r <= 1.0):
-            raise ValidationError("free-field pullback undefined at radii <= 1")
-        dt0, offset = inverse_branch(BlowupMap(0.0, d), r)
-        gv, gd = specfun.regular_array(d, series.truncation, free_k * (dt0 * r + offset))
-        b = np.asarray(b)[:, None]
-        return vals - b * gv, ders - b * free_k * gd * dt0
-    raise ValidationError(f"unknown norm selector {which!r}")
+    if series.domain == "virtual":
+        return series.radial_many(r)
+    slope, offset = inverse_branch(BlowupMap(series.epsilon, series.dimension), r[0])
+    vals, ders = series.radial_many(slope * r + offset)
+    ders *= slope
+    return vals, ders
 
 
-def _l2_h1_density(d: int, vals: np.ndarray, ders: np.ndarray, r: np.ndarray, first: int = 0):
-    """(2, P) L2 and H1 densities at radii r of the profiles of modes first, first + 1, ...
+def _l2_h1_density(d: int, vals: np.ndarray, ders: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(2, P) L2 and H1 densities at radii r of the profiles of modes 0, 1, ...
 
     Angular Parseval: each mode weighs mode_weight, and its angular
     gradient adds the angular eigenvalue times |value|^2 / r^2.
     """
-    ns = range(first, first + len(vals))
+    ns = range(len(vals))
     w = np.array([mode_weight(d, n) for n in ns])[:, None]
     nu = np.array([angular_eigenvalue(d, n) for n in ns])[:, None]
     v2 = np.abs(vals) ** 2
@@ -483,30 +480,35 @@ def _norm_pair(dens, cuts) -> tuple[float, float]:
 
 
 def norm_annulus(
-    series: FieldSeries,
-    which: str,
-    r_in: float,
-    r_out: float,
-    reference=None,
+    series: FieldSeries, r_in: float, r_out: float, reference: FieldSeries | None = None
 ) -> tuple[float, float]:
-    """(L2, full H1) norms of a field over an annulus via angular Parseval.
+    """(L2, full H1) norms of a series, or of series - reference, on r_in <= |x| <= r_out.
 
-    which selects the measured quantity: the total field, the scattered
-    part (outgoing components only, defined outside the medium), or the
-    difference against a reference.  The reference is either another
-    FieldSeries on the same domain or a pair (b, k) meaning the analytic
-    pullback of the free incident field through the limit map (which is
-    the free field itself outside radius 2).  Both norms come from one
-    two-component quadrature on the same nodes.
+    r_in = 0 gives the ball.  Angular Parseval reduces both norms to one
+    two-component radial quadrature of the mode profiles, cut at every
+    layer radius and map branch radius.  The reference shares the series'
+    dimension and axis; where one has more modes than the other, the extra
+    modes count in full.  The scattered part is series.scattered(), the
+    free-field pullback free_series on the limit map (domain "physical",
+    epsilon 0).
     """
-    if not 0.0 < r_in < r_out:
+    if not 0.0 <= r_in < r_out:
         raise ValidationError(f"bad annulus [{r_in}, {r_out}]")
+    same = (series.dimension, series.axis)
+    if reference is not None and (reference.dimension, reference.axis) != same:
+        raise ValidationError("reference series must share the dimension and axis")
 
     def dens(rr: np.ndarray) -> np.ndarray:
-        return _l2_h1_density(series.dimension, *_mode_profiles(series, which, reference, rr), rr)
+        vals, ders = _profiles(series, rr)
+        if reference is not None:
+            rv, rd = _profiles(reference, rr)
+            if len(rv) > len(vals):
+                vals, ders, rv, rd = rv, rd, vals, ders   # |a - b| = |b - a|
+            vals[: len(rv)] -= rv
+            ders[: len(rd)] -= rd
+        return _l2_h1_density(series.dimension, vals, ders, rr)
 
-    cuts = _split_points(series, r_in, r_out, reference if which == "diff_vs_reference" else None)
-    return _norm_pair(dens, cuts)
+    return _norm_pair(dens, _split_points(series, r_in, r_out, reference))
 
 
 def outgoing_mode_norm(
@@ -518,15 +520,22 @@ def outgoing_mode_norm(
     H_0(k|x|) (2d) on the annulus, the reference magnitude of the
     instability experiment.
     """
+    med = LayeredMedium(d, (Layer(r_in, 1.0, 1.0),))   # the annulus lies outside it
+    unit = ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=1.0 + 0.0j,
+                        layer_coeffs=((0.0 + 0.0j, 0.0 + 0.0j),))
+    return norm_annulus(mode_series(med, k, unit), r_in, r_out)
 
-    def dens(rr: np.ndarray) -> np.ndarray:
-        z = k * rr
-        reg, sing = specfun.array_chain(d, n + 1, z)
-        h = reg + 1j * sing
-        hd = specfun.chain_derivative(h, z, 1.0 if d == 3 else 0.0)
-        return _l2_h1_density(d, h[n : n + 1], k * hd[n : n + 1], rr, first=n)
 
-    return _norm_pair(dens, [r_in, r_out])
+def eigenfunction_normalization(spec: ResonanceSpec) -> float:
+    """Amplitude making spec's resonant radial mode, as a series mode, unit in L2(B1).
+
+    A series evaluates mode n with its angular factor (mode_weight), so in
+    2d a mode n >= 1 counts both signs of n.
+    """
+    med = LayeredMedium(spec.dimension, (Layer(1.0, 1.0, 1.0),))
+    unit = ModeSolution(n=spec.mode, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
+                        layer_coeffs=((1.0 + 0.0j, 0.0 + 0.0j),))
+    return 1.0 / norm_annulus(mode_series(med, spec.kappa_star, unit), 0.0, 1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +607,6 @@ def interior_limit(
             raise UnsupportedConfigurationError(
                 "active interior limits implemented for radial (mode 0) sources"
             )
-        from .mie import eigenfunction_normalization
-
         q = amp * eigenfunction_normalization(spec) / lay.a
         part = ParticularTerm.for_source(d, 0, kap, complex(spec.kappa_star), q)
         if d == 3:
@@ -642,15 +649,23 @@ def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldS
 
 
 def interior_deviation(interior: FieldSeries, limit: InteriorLimit | None) -> tuple[float, float]:
-    """(L2, H1) norms over the unit ball of (interior field - limit)."""
+    """(L2, H1) norms over the unit ball of (interior field - limit).
 
-    def dens(rr: np.ndarray) -> np.ndarray:
-        vals, ders = interior.radial_many(rr)
-        if limit is not None:
-            lv, ld = limit.radial0(rr)
-            vals[0] -= lv
-            ders[0] -= ld
-        return _l2_h1_density(interior.dimension, vals, ders, rr)
-
-    cuts = [0.0] + [lay.radius for lay in interior.medium.layers if lay.radius < 1.0] + [1.0]
-    return _norm_pair(dens, cuts)
+    A nonzero limit is c R_0(kappa r) in the single interior layer, at
+    that layer's wavenumber, so the difference is the interior series with
+    mode 0's layer coefficient lowered by c: subtracted on coefficients,
+    not on node values, it keeps its digits where the two nearly cancel.
+    Limits with a particular term (interior sources) are not supported.
+    """
+    if limit is not None and limit.kind != "zero":
+        if limit.particular is not None:
+            raise UnsupportedConfigurationError("deviation from a source-driven limit")
+        med = interior.medium
+        kap = med.wavenumber(interior.k, 0)
+        if len(med.layers) != 1 or abs(kap - limit.kappa) > 1e-12 * limit.kappa:
+            raise ValidationError("interior limit needs one interior layer at its wavenumber")
+        m0 = interior.modes[0]
+        (c0, s0), = m0.layer_coeffs
+        m0 = replace(m0, layer_coeffs=((c0 - limit.coefficient, s0),))
+        interior = replace(interior, modes=(m0,) + interior.modes[1:])
+    return norm_annulus(interior, 0.0, 1.0)

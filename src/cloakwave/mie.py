@@ -31,13 +31,16 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .quadrature import integrate
 from .specfun import find_root
 
 FREQUENCY_CAP = 50.0
 # smallest regularization: eps^(-d) is 1e300 there in 3d, and float ** overflows
 # (OverflowError) below about 5.6e-103 (3d) and 7.5e-155 (2d)
 EPSILON_FLOOR = 1e-100
+# smallest eps of a 3d instability sweep: at the tuned density, double-precision
+# solve_modes keeps |alpha_0 + 1| <= 2.6e-5 at 1e-5 and <= 1.7e-3 at 1e-6 but
+# reads 0.55 to 0.97 at 3e-8 (k = 0.5 to 10), while the tuned root still holds
+TUNING_FLOOR_3D = 1e-6
 CONDITION_CAP = 1.0e12
 MP_DIGITS = 60             # working precision of the tuning polish and tuned alpha0
 
@@ -683,28 +686,12 @@ def tuned_inclusion_config(tuned: TunedSigma) -> CloakConfig:
 # interior eigenfunction source
 
 
-def eigenfunction_normalization(spec: ResonanceSpec) -> float:
-    """Amplitude making the resonant radial mode L2-normalized on the ball."""
-    d, n, kap = spec.dimension, spec.mode, spec.kappa_star
-
-    def dens(r: np.ndarray) -> np.ndarray:
-        vals = specfun.array_chain(d, n, kap * r, singular=False)[0][n]
-        return np.abs(vals) ** 2 * r ** (d - 1)
-
-    if d == 3:
-        ang = 4.0 * math.pi / (2 * n + 1)
-    else:
-        ang = 2.0 * math.pi if n == 0 else math.pi
-    norm2 = ang * integrate(dens, 0.0, 1.0).real
-    return 1.0 / math.sqrt(norm2)
-
-
 def interior_source_mode_solve(
     medium: LayeredMedium,
     k: float,
     spec: ResonanceSpec,
     normalization: float,
-    eigen_norm: float | None = None,
+    eigen_norm: float,
 ) -> ModeSolution:
     """Transmission solve with the normalized eigenfunction as interior source.
 
@@ -713,8 +700,8 @@ def interior_source_mode_solve(
     field is zero.  The particular solution comes from the derivative-in-
     wavenumber identity when the source oscillates at the layer wavenumber,
     and from the resolvent quotient otherwise.  eigen_norm is
-    eigenfunction_normalization(spec), a quadrature, computed here unless a
-    caller that solves many rows for one spec passes it.
+    fields.eigenfunction_normalization(spec), a quadrature that a caller
+    solving many rows for one spec computes once.
     """
     if len(medium.layers) != 1:
         raise UnsupportedConfigurationError(
@@ -726,8 +713,6 @@ def interior_source_mode_solve(
     d, n = medium.dimension, spec.mode
     kap = medium.wavenumber(k, 0)
     kap_src = complex(spec.kappa_star)
-    if eigen_norm is None:
-        eigen_norm = eigenfunction_normalization(spec)
     amp = normalization * eigen_norm
     if amp == 0.0:
         part = None

@@ -23,6 +23,7 @@ from cloakwave.fields import (
     IncidentSpec,
     auto_truncation,
     blown_up_interior_series,
+    eigenfunction_normalization,
     incident_coefficients,
     interior_deviation,
     interior_limit,
@@ -35,7 +36,6 @@ from cloakwave.mie import (
     LayeredMedium,
     alpha0_closed_form,
     blown_up_medium,
-    eigenfunction_normalization,
     first_resonance,
     interior_source_mode_solve,
     solve_modes,
@@ -323,6 +323,24 @@ def test_criterion_5_interior_limit_slope_window():
     assert quad_slope > 2.5, f"mode 2 deviation slope {quad_slope:.3f}, expected eps^3"
 
 
+def test_criterion_5_deviation_converges_at_small_eps():
+    """The resonant interior deviation keeps its eps^2 constant down to eps = 1e-5.
+
+    There it is about 1e-10 against an interior field of order one: the
+    limit is subtracted on the mode-0 coefficient, so the quadrature sees
+    the small difference itself, not two nearly equal node values.
+    """
+    kap = first_resonance(3, 1.0).kappa_star
+    cfg0 = _plane_config(3, sigma=kap**2)
+    spec = cfg0.incident
+    b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 3), 3)
+    for eps in (1e-3, 1e-4, 1e-5):
+        cfg = CloakConfig(3, 1.0, eps, cfg0.interior, incident=spec)
+        interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
+        l2 = interior_deviation(interior, interior_limit(3, cfg, b[0]))[0]
+        assert abs(l2 / eps**2 - 1.58252) <= 1e-4, (eps, l2 / eps**2)
+
+
 def test_criterion_6_oracle_equivalences():
     rng = np.random.default_rng(2024)
     worst_cf = 0.0
@@ -361,8 +379,8 @@ def test_criterion_6_oracle_equivalences():
         spec = first_resonance(d, k)
         cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
         med = blown_up_medium(cfg)
-        sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d))
         c_e = eigenfunction_normalization(spec)
+        sol = interior_source_mode_solve(med, k, spec, eps ** (2 - d), c_e)
         grid, u_fd = fd_interior_source_solve(
             d, k, eps, 1.0, spec.sigma0, spec.kappa_star, c_e, npts=10000
         )

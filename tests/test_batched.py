@@ -26,6 +26,7 @@ from cloakwave.fields import (
     _split_points,
     auto_truncation,
     blown_up_interior_series,
+    eigenfunction_normalization,
     incident_coefficients,
     interior_deviation,
     interior_limit,
@@ -226,7 +227,8 @@ def _cloak_series(d):
 def _eigen_series(d):
     """Virtual blown-up eigenmode field: mode 1 with a particular term in layer 0."""
     spec = first_resonance(d, 1.0, 1)
-    return eigenmode_series(CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),)), spec)
+    cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),))
+    return eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
 
 
 def _points(d, radii, seed):
@@ -372,7 +374,7 @@ def _source_series(d, detune):
     """Eigenfunction-driven mode 1: a particular term of either kind in layer 0."""
     spec = first_resonance(d, 1.0, 1)
     cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0 * detune),))
-    return eigenmode_series(cfg, spec)
+    return eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -457,7 +459,7 @@ def test_norm_pairs_match_separate_values(d):
     virt, _ = _layered_series(d)
     want = _separate_norms(lambda r: _node_density(d, *virt.radial_all(r), r),
                            _split_points(virt, 0.07, 3.0))
-    assert norm_annulus(virt, "total", 0.07, 3.0) == pytest.approx(want, rel=1e-10)
+    assert norm_annulus(virt, 0.07, 3.0) == pytest.approx(want, rel=1e-10)
 
     res = first_resonance(d, 1.0)
     cfg = CloakConfig(d, 1.0, 0.05, (Layer(1.0, 1.0, res.sigma0),))
@@ -556,7 +558,7 @@ def test_one_array_chain_per_level_per_layer(d, monkeypatch):
     virt, blown = _layered_series(d)
     counts = _counting(monkeypatch)
     # three segments (two layers and the exterior), one layer each
-    norm_annulus(virt, "total", 0.03, 2.5)
+    norm_annulus(virt, 0.03, 2.5)
     assert counts["array_chain"] == counts["levels"] > 3
     counts.update(array_chain=0, levels=0)
     interior_deviation(blown, None)

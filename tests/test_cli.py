@@ -67,6 +67,28 @@ interior.sigma = 1.0
         assert abs(complex(re_, im_) + 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("tuning", ["exact", "paper"])
+def test_instability_3d_below_tuning_floor_exits_2_without_files(tmp_path, capsys, tuning):
+    # below 1e-6 the double-precision solve no longer holds alpha0 = -1 in 3d
+    cfg = _write_cfg(
+        tmp_path,
+        f"""
+experiment = instability
+dimension = 3
+k = 1.0
+eps_list = 1e-4, 1e-5, 3e-7
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 1.0
+tuning = {tuning}
+""",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["instability", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)
+    assert "1e-06" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_2_without_files(tmp_path):
     cfg = _write_cfg(tmp_path, "experiment = sweep\ndimension = 3\nk = -1.0\n")
     out = str(tmp_path / "out")
@@ -365,7 +387,8 @@ grid.points = 25
     # recorded L2 norms to peak amplitudes with the known radial profiles
     # (interior ~ j0(kappa* r) peaking at the center, exterior ~ |h0(k r)|)
     from cloakwave.experiments import blowup_sweep
-    from cloakwave.mie import eigenfunction_normalization, first_resonance
+    from cloakwave.fields import eigenfunction_normalization
+    from cloakwave.mie import first_resonance
 
     rec = blowup_sweep(3, 1.0, (1e-1, 3e-2, 1e-2))[-1]
     spec = first_resonance(3, 1.0)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,16 +21,25 @@ from cloakwave.fields import (
     auto_truncation,
     blown_up_interior_series,
     default_truncation,
+    eigenfunction_normalization,
     free_series,
     incident_coefficients,
     interior_deviation,
     interior_limit,
+    mode_series,
     mode_weight,
     norm_annulus,
     outgoing_mode_norm,
     solve_series,
 )
-from cloakwave.mie import CloakConfig, Layer, LayeredMedium, first_resonance, virtual_medium
+from cloakwave.mie import (
+    CloakConfig,
+    Layer,
+    LayeredMedium,
+    ModeSolution,
+    first_resonance,
+    virtual_medium,
+)
 
 from oracles import collocation_monopole_limit
 
@@ -189,7 +199,7 @@ def test_scattered_norm_homogeneous_is_zero():
     b = incident_coefficients(spec, k, auto_truncation(spec, k, 2), 2)
     med = LayeredMedium(2, (Layer(1.0, 1.0, 1.0),))
     ser = solve_series(med, k, b)
-    assert norm_annulus(ser, "scattered", 2.0, 4.0)[0] == 0.0
+    assert norm_annulus(ser.scattered(), 2.0, 4.0)[0] == 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -200,7 +210,7 @@ def test_parseval_matches_tensor_grid_quadrature(d):
     b[2] = -0.3 + 1.1j
     ser = solve_series(med, 1.3, b)
     r_in, r_out = 1.5, 3.0
-    mine = norm_annulus(ser, "total", r_in, r_out)[0]
+    mine = norm_annulus(ser, r_in, r_out)[0]
     # Gauss-Legendre tensor grid oracle
     xr, wr = np.polynomial.legendre.leggauss(220)
     rr = 0.5 * (r_out - r_in) * xr + 0.5 * (r_in + r_out)
@@ -231,6 +241,11 @@ def test_parseval_matches_tensor_grid_quadrature(d):
     assert abs(mine - brute) <= 1e-7 * brute
 
 
+def _pullback(d, k, b):
+    """The free field of coefficients b pulled back through the limit map."""
+    return replace(free_series(d, k, b), domain="physical", epsilon=0.0)
+
+
 def test_truncation_robustness_of_norms():
     k = 1.0
     cfg = CloakConfig(3, k, 0.05, (Layer(1.0, 1.3, 0.7),))
@@ -240,7 +255,7 @@ def test_truncation_robustness_of_norms():
     for nn in (n, 2 * n):
         b = incident_coefficients(spec, k, nn, 3)
         ser = solve_series(virtual_medium(cfg), k, b)
-        vals.append(norm_annulus(ser, "diff_vs_reference", 2.0, 4.0, reference=(b, k))[0])
+        vals.append(norm_annulus(ser, 2.0, 4.0, reference=_pullback(3, k, b))[0])
     assert abs(vals[0] - vals[1]) <= 1e-10 * vals[1]
 
 
@@ -249,8 +264,8 @@ def test_diff_vs_free_pullback_equals_scattered_outside():
     spec = IncidentSpec("plane_wave", direction=(1.0, 0.0))
     b = incident_coefficients(spec, 1.2, auto_truncation(spec, 1.2, 2), 2)
     ser = solve_series(virtual_medium(cfg), 1.2, b)
-    d1 = norm_annulus(ser, "scattered", 2.0, 4.0)[0]
-    d2 = norm_annulus(ser, "diff_vs_reference", 2.0, 4.0, reference=(b, 1.2))[0]
+    d1 = norm_annulus(ser.scattered(), 2.0, 4.0)[0]
+    d2 = norm_annulus(ser, 2.0, 4.0, reference=_pullback(2, 1.2, b))[0]
     assert abs(d1 - d2) <= 1e-12 * d1
 
 
@@ -259,14 +274,26 @@ def test_diff_vs_reference_series():
     b = np.array([1.0 + 0.0j, 0.5j])
     s1 = solve_series(med, 1.0, b)
     s2 = solve_series(med, 1.0, b)
-    assert norm_annulus(s1, "diff_vs_reference", 1.5, 3.0, reference=s2) == (0.0, 0.0)
+    assert norm_annulus(s1, 1.5, 3.0, reference=s2) == (0.0, 0.0)
+
+
+def test_diff_vs_shorter_reference_counts_extra_modes():
+    # the reference has mode 0 only: modes 1 and 2 of the series count in full
+    med = LayeredMedium(2, (Layer(1.0, 1.5, 1.0),))
+    ser = solve_series(med, 1.0, np.array([1.0, 0.5j, 0.3]))
+    short = solve_series(med, 1.0, np.array([0.5 + 0.0j]))
+    padded = solve_series(med, 1.0, np.array([0.5 + 0.0j, 0.0, 0.0]))
+    want = norm_annulus(ser, 1.5, 3.0, reference=padded)
+    assert want[0] > 1.0
+    assert norm_annulus(ser, 1.5, 3.0, reference=short) == pytest.approx(want, rel=1e-12)
+    assert norm_annulus(short, 1.5, 3.0, reference=ser) == pytest.approx(want, rel=1e-12)
 
 
 def test_h1_norm_exceeds_l2():
     med = LayeredMedium(3, (Layer(1.0, 1.5, 2.0),))
     b = np.array([1.0 + 0.0j, 2.0j, 0.3 + 0.0j])
     ser = solve_series(med, 1.0, b)
-    l2, h1 = norm_annulus(ser, "total", 1.2, 2.5)
+    l2, h1 = norm_annulus(ser, 1.2, 2.5)
     assert h1 > l2
 
 
@@ -283,9 +310,33 @@ def test_outgoing_mode_norm_against_quadrature():
 def test_norm_homogeneity_property(scale):
     med = LayeredMedium(2, (Layer(1.0, 1.5, 0.9),))
     b = np.array([1.0 + 0.0j, 0.0, 0.4 - 0.2j])
-    base = norm_annulus(solve_series(med, 1.0, b), "total", 1.4, 2.2)[0]
-    scaled = norm_annulus(solve_series(med, 1.0, scale * b), "total", 1.4, 2.2)[0]
+    base = norm_annulus(solve_series(med, 1.0, b), 1.4, 2.2)[0]
+    scaled = norm_annulus(solve_series(med, 1.0, scale * b), 1.4, 2.2)[0]
     assert abs(scaled - scale * base) <= 1e-9 * max(scaled, 1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_eigenfunction_source_is_unit_as_a_series_mode(d, n):
+    # L2(B1) of the normalized eigenfunction, evaluated as series mode n
+    # (angular factor included), on a tensor grid independent of Parseval
+    spec = first_resonance(d, 1.0, n)
+    unit = ModeSolution(n=n, b_n=0j, alpha_n=0j,
+                        layer_coeffs=((eigenfunction_normalization(spec) + 0j, 0j),))
+    ser = mode_series(LayeredMedium(d, (Layer(1.0, 1.0, 1.0),)), spec.kappa_star, unit)
+    xr, wr = np.polynomial.legendre.leggauss(120)
+    rr, wr = 0.5 * (xr + 1.0), 0.5 * wr * (0.5 * (xr + 1.0)) ** (d - 1)
+    if d == 2:
+        th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+        wt = np.full(th.size, 2.0 * math.pi / th.size)
+    else:
+        xt, wt = np.polynomial.legendre.leggauss(48)
+        th = 0.5 * math.pi * (xt + 1.0)
+        wt = 0.5 * math.pi * wt * 2.0 * math.pi * np.sin(th)   # about the axis (x)
+    x, y = np.outer(rr, np.cos(th)).ravel(), np.outer(rr, np.sin(th)).ravel()
+    pts = np.column_stack((x, y) if d == 2 else (x, y, np.zeros_like(x)))
+    u = ser.eval_many(pts).reshape(rr.size, th.size)
+    assert float(wr @ np.abs(u) ** 2 @ wt) == pytest.approx(1.0, rel=1e-10)
 
 
 # -- interior limits -----------------------------------------------------------

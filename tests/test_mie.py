@@ -15,6 +15,7 @@ from cloakwave.errors import (
     ValidationError,
 )
 from cloakwave.experiments import instability_sweep
+from cloakwave.fields import eigenfunction_normalization
 from cloakwave.mie import (
     CloakConfig,
     Layer,
@@ -22,7 +23,6 @@ from cloakwave.mie import (
     alpha0_closed_form,
     blown_up_medium,
     detect_resonances,
-    eigenfunction_normalization,
     first_resonance,
     interior_source_mode_solve,
     resonance_condition,
@@ -436,7 +436,9 @@ def test_resonance_condition_normalization():
 def test_interior_source_zero_amplitude():
     spec = first_resonance(3, 1.0)
     cfg = CloakConfig(3, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),))
-    sol = interior_source_mode_solve(blown_up_medium(cfg), 1.0, spec, 0.0)
+    sol = interior_source_mode_solve(
+        blown_up_medium(cfg), 1.0, spec, 0.0, eigenfunction_normalization(spec)
+    )
     assert sol.alpha_n == 0.0
     assert sol.layer_coeffs[0][0] == 0.0
 
@@ -447,7 +449,9 @@ def test_interior_source_matches_fd_oracle_resonant(d):
     spec = first_resonance(d, k)
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
     med = blown_up_medium(cfg)
-    sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d))
+    sol = interior_source_mode_solve(
+        med, k, spec, normalization=eps ** (2 - d), eigen_norm=eigenfunction_normalization(spec)
+    )
 
     # independent amplitude for the normalized eigenfunction
     rr = np.linspace(0.0, 1.0, 40001)
@@ -487,9 +491,9 @@ def test_interior_source_matches_fd_oracle_nonresonant():
     sigma = spec.sigma0 + 2.0
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, sigma),))
     med = blown_up_medium(cfg)
-    sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d))
-    assert sol.particular.kind == "off_resonance"
     c_e = eigenfunction_normalization(spec)
+    sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d), eigen_norm=c_e)
+    assert sol.particular.kind == "off_resonance"
     grid, u_fd = fd_interior_source_solve(
         d, k, eps, 1.0, sigma, spec.kappa_star, c_e, npts=20000
     )
@@ -510,7 +514,7 @@ def test_interior_source_requires_single_unit_layer():
     spec = first_resonance(3, 1.0)
     med = LayeredMedium(3, (Layer(0.5, 1.0, 1.0), Layer(1.0, 1.0, 1.0)))
     with pytest.raises(UnsupportedConfigurationError):
-        interior_source_mode_solve(med, 1.0, spec, 1.0)
+        interior_source_mode_solve(med, 1.0, spec, 1.0, eigenfunction_normalization(spec))
 
 
 def test_singular_system_error_surfaces(monkeypatch):
