@@ -48,7 +48,7 @@ EXPERIMENTS = ("sweep", "instability", "blowup", "resonances", "scan-k", "field"
 GRID_POINT_CAP = 1_000_000
 SCAN_POINT_CAP = 1_000_000
 GRID_RADIUS_CAP = 5.0
-FIELD_BLOCK = 256          # points per field-dump evaluation block
+FIELD_BLOCK = 1024         # points per field-dump evaluation block
 # field.csv rows by dimension: "%.17g" writes a float or nan as _fmt does
 FIELD_ROW = {d: ",".join(["%.17g"] * (d + 3)) + "\n" for d in (2, 3)}
 
@@ -451,6 +451,7 @@ def _field_evaluator(config: RunConfig):
         domain="physical",
         epsilon=eps,
         axis=None if spec.axis is None else tuple(spec.axis),
+        incident=spec,
     )
     return series.eval_many, n_max
 

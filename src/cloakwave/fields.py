@@ -3,12 +3,15 @@
 A field is a truncated sum over angular modes; for concentric media the
 modes never couple, so every norm reduces to per-mode radial quadrature
 through angular orthogonality (Parseval), and point evaluation to a sum of
-radial profiles times Legendre polynomials (3d) or cosines (2d).  Physical
-domain fields are the virtual series composed with the inverse blow-up
-map, and agree with it identically outside radius 2.  Every L2/H1 norm is
-norm_annulus of a series, alone or against a reference series: scattered
-parts, the free-field pullback, single outgoing modes, eigenfunction
-sources and interior deviations are each built as a series first.
+radial profiles times Legendre polynomials (3d) or cosines (2d).  Outside
+the medium, block evaluation of a series that carries its incident spec
+takes the incident field in closed form plus the few nonzero outgoing
+terms (FieldSeries.eval_many).  Physical domain fields are the virtual
+series composed with the inverse blow-up map, and agree with it
+identically outside radius 2.  Every L2/H1 norm is norm_annulus of a
+series, alone or against a reference series: scattered parts, the
+free-field pullback, single outgoing modes, eigenfunction sources and
+interior deviations are each built as a series first.
 """
 
 from __future__ import annotations
@@ -181,6 +184,8 @@ class FieldSeries:
     values outside radius 2 unchanged; epsilon 0 is the limit map, defined
     outside radius 1 only.  The angular structure is symmetric
     about `axis` (monopole coefficients times Legendre / cosine factors).
+    `incident` is the spec whose coefficients the b_n are, if any; it lets
+    eval_many take the incident field in closed form outside the medium.
     """
 
     dimension: int
@@ -191,6 +196,7 @@ class FieldSeries:
     domain: str = "virtual"
     epsilon: float | None = None
     axis: tuple[float, ...] | None = None
+    incident: IncidentSpec | None = None
 
     def __post_init__(self) -> None:
         if self.domain not in ("virtual", "physical"):
@@ -208,9 +214,11 @@ class FieldSeries:
         """This series with every incident coefficient b_n zeroed.
 
         Outside the medium that is the scattered field, the outgoing part
-        alone; inside it, the layer coefficients are kept.
+        alone; inside it, the layer coefficients are kept.  The incident
+        spec goes with the b_n.
         """
-        return replace(self, modes=tuple(replace(m, b_n=0.0 + 0.0j) for m in self.modes))
+        modes = tuple(replace(m, b_n=0.0 + 0.0j) for m in self.modes)
+        return replace(self, modes=modes, incident=None)
 
     def _axis(self) -> np.ndarray:
         if self.axis is not None:
@@ -251,8 +259,7 @@ class FieldSeries:
         instead (see specfun.chain).  At r = 0 only the monopole's regular
         part and a particular term survive.
         """
-        d, n_max = self.dimension, self.truncation
-        shift = 1.0 if d == 3 else 0.0
+        n_max = self.truncation
         one = np.ndim(rs) == 0
         rs = np.asarray(rs, dtype=float).ravel()
         layer = self._layer_of(rs)
@@ -268,22 +275,9 @@ class FieldSeries:
             if not sel.size:
                 continue
             z = kap * rs[sel]
-            need_sing = bool(np.any(cs != 0))
-            top = n_max + 1 if derivatives else n_max   # f'_n needs f_(n+1)
-            reg, sing = specfun.chain(d, top, z[0] if one else z, need_sing)
-            if need_sing and outgoing:
-                sing *= 1j
-                sing += reg   # H = J + iY
+            vals[:, sel], dv = self._combine(z[0] if one else z, co, cs, outgoing, derivatives)
             if derivatives:
-                dv = co[:, None] * specfun.chain_derivative(reg, z, shift)
-                if need_sing:
-                    dv += cs[:, None] * specfun.chain_derivative(sing, z, shift)
                 ders[:, sel] = kap * dv
-            # weighted in place, so that a group holds no arrays beyond its chains
-            v = np.multiply(co[:, None], reg[: n_max + 1], out=reg[: n_max + 1])
-            if need_sing:
-                v += np.multiply(cs[:, None], sing[: n_max + 1], out=sing[: n_max + 1])
-            vals[:, sel] = v
         inner = np.flatnonzero(layer == 0)
         for m in self.modes:
             if m.particular is not None and inner.size:
@@ -292,6 +286,31 @@ class FieldSeries:
                 if derivatives:
                     ders[m.n, inner] += pd
         return vals, ders
+
+    def _combine(self, z, co, cs, outgoing: bool, derivatives: bool):
+        """co_n R_n(z) + cs_n S_n(z) for n < len(co), and its z-derivative or None.
+
+        One chain call; S is the outgoing H = J + iY if outgoing, else the
+        singular family.  The values are weighted in place, so that the
+        call holds no arrays beyond its chains.
+        """
+        n_max = len(co) - 1
+        need_sing = bool(np.any(cs != 0))
+        top = n_max + 1 if derivatives else n_max   # f'_n needs f_(n+1)
+        reg, sing = specfun.chain(self.dimension, top, z, need_sing)
+        if need_sing and outgoing:
+            sing *= 1j
+            sing += reg   # H = J + iY
+        dv = None
+        if derivatives:
+            shift = 1.0 if self.dimension == 3 else 0.0
+            dv = co[:, None] * specfun.chain_derivative(reg, z, shift)
+            if need_sing:
+                dv += cs[:, None] * specfun.chain_derivative(sing, z, shift)
+        v = np.multiply(co[:, None], reg[: n_max + 1], out=reg[: n_max + 1])
+        if need_sing:
+            v += np.multiply(cs[:, None], sing[: n_max + 1], out=sing[: n_max + 1])
+        return v, dv
 
     def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
         """(values, derivatives) of every mode's radial profile at radius r."""
@@ -318,53 +337,102 @@ class FieldSeries:
         return xv, radii(xv)
 
     def eval(self, x) -> complex:
-        """Field value at a point (physical tag composes with the inverse map)."""
+        """Field value at a point from every order (physical tag composes with the inverse map)."""
         xv, r = self._to_virtual(np.asarray(x, dtype=float)[None])
         r = float(r[0])
         vals, _ = self.radial_all(r)
         if r == 0.0:
             return complex(vals[0])
         cosg = min(1.0, max(-1.0, float(np.dot(xv[0] / r, self._axis()))))
-        return complex(np.sum(vals * self._angular(cosg)))
+        return complex(np.sum(vals * self._angular(cosg, self.truncation)))
 
-    def _angular(self, c):
-        """Angular factor of every mode, by rows, at c = cos(angle to the axis).
+    def _angular(self, c, n_max: int):
+        """Angular factor of modes 0..n_max, by rows, at c = cos(angle to the axis).
 
         Legendre polynomials P_n(c) in 3d; in 2d the cosines T_n(c) of the
         multiples of the angle, doubled from mode 1 on (both signs of n).
         """
-        ang = np.empty((self.truncation + 1,) + np.shape(c))
+        ang = np.empty((n_max + 1,) + np.shape(c))
         ang[0] = 1.0
-        if self.truncation >= 1:
+        if n_max >= 1:
             ang[1] = c
         if self.dimension == 3:
-            for n in range(1, self.truncation):
+            for n in range(1, n_max):
                 ang[n + 1] = ((2 * n + 1) * c * ang[n] - n * ang[n - 1]) / (n + 1)
             return ang
         c2 = 2.0 * c
-        for n in range(1, self.truncation):
+        for n in range(1, n_max):
             ang[n + 1] = c2 * ang[n] - ang[n - 1]
         ang[1:] *= 2.0
         return ang
 
     def eval_many(self, points) -> np.ndarray:
-        """Field values at the rows of a (P, d) array, as eval gives them.
+        """Field values at the rows of a (P, d) array, within about 1e-13 max|u| of eval's.
 
-        Points are mapped to the virtual domain, their radial profiles come
-        from radial_many (one array-argument chain per layer) and their
-        angular factors from one recurrence, and a row's value does not
-        depend on the other rows.  A block holding a point eval rejects
-        raises eval's error.
+        Points are mapped to the virtual domain.  With an incident spec,
+        points beyond the medium's outer radius take the incident field in
+        closed form plus the outgoing terms up to the last nonzero alpha_n
+        (a mode incidence adds its one b_n term instead): one short chain
+        and recurrence.  Other points, and every point of a series without
+        a spec, sum all orders of radial_many (one array-argument chain per
+        layer) times the angular factors of one recurrence.  A row's value
+        does not depend on the other rows.  A block holding a point eval
+        rejects raises eval's error.
         """
         x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         xv, r = self._to_virtual(x)
-        vals, _ = self.radial_many(r, derivatives=False)
+        far = (self._layer_of(r) == len(self.medium.layers)) & (self.incident is not None)
+        near = ~far
+        out = np.empty(len(r), dtype=complex)
+        if near.any():
+            vals = self.radial_many(r[near], derivatives=False)[0]
+            out[near] = self._mode_sum(vals, xv[near], r[near])
+        if far.any():
+            vals = self._outgoing_many(r[far])
+            out[far] = self._mode_sum(vals, xv[far], r[far]) + self._incident_many(xv[far])
+        return out
+
+    def _mode_sum(self, vals: np.ndarray, xv: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Sum over the rows of radial values (orders 0, 1, ...) times their angular factors."""
         ax, pos = self._axis(), r > 0.0
-        cosg = np.ones(len(x))   # at the origin only the monopole is nonzero
+        cosg = np.ones(len(r))   # at the origin only the monopole is nonzero
         cosg[pos] = sum((xv[pos, i] / r[pos]) * ax[i] for i in range(self.dimension))
-        vals *= self._angular(np.clip(cosg, -1.0, 1.0))
+        vals *= self._angular(np.clip(cosg, -1.0, 1.0), len(vals) - 1)
         # row-wise sums over contiguous rows: the same order for any block
         return np.sum(np.ascontiguousarray(vals.T), axis=1)
+
+    def _outgoing_many(self, r: np.ndarray) -> np.ndarray:
+        """Exterior profiles of the orders the closed-form incident field leaves out.
+
+        Those are alpha_n H_n up to the last nonzero alpha_n, and for a mode
+        incidence its b_n J_n term: an array of (m + 1, r.size).
+        """
+        kap, co, cs, _ = self._layer_basis(len(self.medium.layers))
+        if self.incident.kind != "mode":
+            co = np.zeros_like(co)
+        m = int(np.flatnonzero((co != 0) | (cs != 0)).max(initial=0))
+        return self._combine(kap * r, co[: m + 1], cs[: m + 1], True, False)[0]
+
+    def _incident_many(self, xv: np.ndarray):
+        """Closed form of the incident series at virtual points (0 for a mode).
+
+        The sums incident_coefficients truncates, about the series axis: the
+        plane wave A exp(ik e.x), and the point source's free-space Green's
+        function at r0 e, A exp(ik R) / (4 pi R) in 3d and A (i/4) H_0(kR)
+        in 2d, R = |x - r0 e|.
+        """
+        spec, k, ax = self.incident, self.k_exterior, self._axis()
+        amp = complex(spec.amplitude)
+        if spec.kind == "plane_wave":
+            # elementwise, not a matrix product, so no row depends on the block
+            return amp * np.exp(1j * k * sum(xv[:, i] * ax[i] for i in range(self.dimension)))
+        if spec.kind == "mode":
+            return 0.0
+        dist = np.linalg.norm(xv - float(np.linalg.norm(spec.location)) * ax, axis=1)
+        if self.dimension == 3:
+            return amp * np.exp(1j * k * dist) / (4.0 * math.pi * dist)
+        reg, sing = specfun.chain(2, 0, k * dist)
+        return amp * 0.25j * (reg[0] + 1j * sing[0])
 
 
 def solve_series(
@@ -375,9 +443,11 @@ def solve_series(
     domain: str = "virtual",
     epsilon: float | None = None,
     axis: tuple[float, ...] | None = None,
+    incident: IncidentSpec | None = None,
 ) -> FieldSeries:
     """Series of every order of an incident coefficient vector (one solve_modes call).
 
+    incident, if given, is the spec b was computed from (see FieldSeries).
     Orders so deep in the evanescent regime that the singular basis
     overflows double precision at an interface (high order at a tiny
     inclusion radius) scatter nothing at working precision and keep only
@@ -392,6 +462,7 @@ def solve_series(
         domain=domain,
         epsilon=epsilon,
         axis=axis,
+        incident=incident,
     )
 
 

@@ -31,12 +31,13 @@ it then ends at the last representable order.
 
 array_chain runs the same chains over a 1-D array of arguments at once.
 It is the kernel of every array-argument evaluation, whatever the array's
-length: field points in blocks (FieldSeries.eval_many), the nodes of one
-quadrature refinement level (FieldSeries.radial_many, regular_array) and
-resonance scan grids.  The scalar chains stay the kernel of scalar-argument
-calls: the all-orders transfer solve (one partial chain per interface
-side), bessel, incident coefficients and FieldSeries.eval; for one
-argument an array pass costs 7-35x more.  Over orders 0..200,
+length: field points in blocks (FieldSeries.eval_many: all orders inside
+the medium, the few outgoing orders and the 2d point source's H_0 outside
+it), the nodes of one quadrature refinement level (FieldSeries.radial_many,
+regular_array) and resonance scan grids.  The scalar chains stay the
+kernel of scalar-argument calls: the all-orders transfer solve (one partial
+chain per interface side), bessel, incident coefficients and
+FieldSeries.eval; for one argument an array pass costs 7-35x more.  Over orders 0..200,
 1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
 of the local size |f_n| + |f_(n+1)|, and raise the same errors where
 either overflows.

@@ -9,6 +9,7 @@ per-point or per-radius scalar path.
 import functools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -213,14 +214,14 @@ def test_array_chain_allocates_little_beyond_its_outputs(d):
 
 @functools.lru_cache(maxsize=None)
 def _cloak_series(d):
-    """Physical-domain plane-wave field of the dump configuration (k = 10)."""
+    """Physical-domain plane-wave field of the dump configuration (k = 10), with its spec."""
     k, eps = 10.0, 0.01
     spec = IncidentSpec("plane_wave", direction=(0.6, 0.8, 0.0)[:d])
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, 2.0),), spec)
     n = auto_truncation(spec, k, d, r_eval=4.3)
     b = incident_coefficients(spec, k, n, d, r_eval=4.3)
     return solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
-                        axis=tuple(spec.axis))
+                        axis=tuple(spec.axis), incident=spec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -266,12 +267,97 @@ def test_eval_many_with_particular_term(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_eval_many_point_alone_equals_point_in_block(d):
-    # the eigenmode series adds a particular term in layer 0
+    # the cloak series' blocks mix full-series points (r < 1) with closed-form
+    # exterior ones; the eigenmode series has no spec and a particular term
     for ser, r_max in ((_cloak_series(d), 4.3), (_eigen_series(d), 3.9)):
         pts = _points(d, np.linspace(0.0, r_max, 128), seed=10 + d)
         block = ser.eval_many(pts)
         alone = np.array([ser.eval_many(p[None])[0] for p in pts])
         assert np.array_equal(block, alone)
+
+
+def _full_values(ser, pts):
+    """The same series without its spec, point by point: every order summed.
+
+    NaN where that path raises BesselOverflowError: its exterior singular
+    chain runs to the truncation order, whose Y_N (y_N) overflows at small
+    virtual radii and high order, although alpha_n is zero there.
+    """
+    full = replace(ser, incident=None)
+    out = []
+    for p in pts:
+        try:
+            out.append(full.eval_many(p[None])[0])
+        except BesselOverflowError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+# (radius, a, sigma) of 1-3 lossless layers; the outermost radius becomes 1
+_LAYERS = st.lists(
+    st.tuples(st.floats(0.3, 1.0), st.floats(0.5, 2.0), st.floats(0.5, 3.0)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.floats(0.5, 30.0),
+    st.floats(1e-3, 0.3),
+    _LAYERS,
+    st.sampled_from(["plane_wave", "point_source", "mode"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exterior_closed_form_matches_full_series(d, k, eps, layers, kind, seed):
+    rng = np.random.default_rng(seed)
+    radii = sorted({round(r, 3) for r, _, _ in layers} - {1.0})[: len(layers) - 1] + [1.0]
+    interior = tuple(Layer(r, a, s) for r, (_, a, s) in zip(radii, layers))
+    amp = complex(*rng.uniform(-2.0, 2.0, 2))
+    unit = rng.normal(size=d)
+    unit /= np.linalg.norm(unit)
+    if kind == "plane_wave":
+        spec, r_max = IncidentSpec(kind, amp, direction=tuple(unit)), 4.0
+    elif kind == "point_source":
+        r0 = rng.uniform(3.0, 4.4)
+        # inside the source radius, where the addition theorem converges
+        spec, r_max = IncidentSpec(kind, amp, location=tuple(r0 * unit)), 0.75 * r0
+    else:
+        spec, r_max = IncidentSpec(kind, amp, mode=int(rng.integers(0, 8))), 4.0
+    cfg = CloakConfig(d, k, eps, interior, spec)
+    n = auto_truncation(spec, k, d, r_eval=r_max)
+    b = incident_coefficients(spec, k, n, d, r_eval=r_max)
+    ser = solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
+                       axis=None if spec.axis is None else tuple(spec.axis), incident=spec)
+    # the shell (1, 2) and the exterior beyond r = 2
+    r_pts = np.concatenate([rng.uniform(1.001, 1.999, 20), rng.uniform(2.001, r_max, 20)])
+    pts = _points(d, r_pts, seed)
+    got, want = ser.eval_many(pts), _full_values(ser, pts)
+    ok = np.isfinite(want)
+    assert np.all(np.isfinite(got)) and np.all(ok[20:])
+    assert np.max(np.abs(got - want)[ok]) <= 1e-13 * np.max(np.abs(want[ok]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_exterior_closed_form_just_outside_the_cloaked_ball(d):
+    # virtual radii just above eps, where the zeroed alpha_n (noise floor of
+    # solve_modes) matter most: both paths keep exactly the nonzero alpha_n;
+    # the 2d medium is the one whose mode 7 breaks interface continuity
+    k, eps, lay = 7.645, 0.00866, Layer(1.0, 1.275, 1.795)
+    spec = IncidentSpec("plane_wave", direction=(0.6, 0.8, 0.0)[:d])
+    cfg = CloakConfig(d, k, eps, (lay,), spec)
+    n = auto_truncation(spec, k, d)
+    b = incident_coefficients(spec, k, n, d)
+    ser = solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
+                       axis=tuple(spec.axis), incident=spec)
+    alphas = [m.alpha_n for m in ser.modes]
+    last = max(i for i, a in enumerate(alphas) if a != 0)
+    assert 0 < last < n and not any(alphas[last + 1:])
+    r_virtual = eps * lay.radius * (1.0 + np.logspace(-9, -1, 40))
+    assert len(ser._outgoing_many(r_virtual)) == last + 1
+    pts = _points(d, 1.0 + np.logspace(-9, -1, 40), seed=d)
+    got, want = ser.eval_many(pts), _full_values(ser, pts)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _raised(fn):

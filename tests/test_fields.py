@@ -94,6 +94,38 @@ def test_point_source_reconstruction_2d():
         assert abs(ser.eval(x) - exact) <= 1e-8 * abs(exact)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["plane_wave", "point_source"])
+def test_exterior_closed_form_matches_scipy(d, kind):
+    # a layer of the exterior's own material scatters nothing, so eval_many
+    # beyond it is the closed-form incident field alone, out to 0.9 of the
+    # source radius (the dump's limit), where the series' tail converges slowly
+    k, amp = 12.0, 0.7 - 0.4j
+    unit = np.array([0.6, 0.0, 0.8][:d] if d == 3 else [0.6, 0.8])
+    if kind == "plane_wave":
+        spec = IncidentSpec(kind, amp, direction=tuple(unit))
+    else:
+        spec = IncidentSpec(kind, amp, location=tuple(3.2 * unit))
+    n = auto_truncation(spec, k, d, r_eval=2.0)
+    med = LayeredMedium(d, (Layer(0.2, 1.0, 1.0),))
+    ser = solve_series(med, k, incident_coefficients(spec, k, n, d, r_eval=2.0),
+                       axis=tuple(unit), incident=spec)
+    assert not any(m.alpha_n for m in ser.modes)
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=(200, d))
+    x *= (rng.uniform(0.25, 0.9 * 3.2, 200) / np.linalg.norm(x, axis=1))[:, None]
+    if kind == "plane_wave":
+        exact = amp * np.exp(1j * k * (x @ unit))
+    else:
+        dist = np.linalg.norm(x - 3.2 * unit, axis=1)
+        exact = amp * (np.exp(1j * k * dist) / (4.0 * math.pi * dist) if d == 3
+                       else 0.25j * ss.hankel1(0, k * dist))
+    got = ser.eval_many(x)
+    assert np.max(np.abs(got - exact) / np.abs(exact)) <= 1e-14
+    # the scattered part drops the spec with the b_n
+    assert not np.any(ser.scattered().eval_many(x))
+
+
 def test_point_source_radius_validation():
     with pytest.raises(ValidationError):
         IncidentSpec("point_source", location=(0.0, 2.0))
