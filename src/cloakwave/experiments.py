@@ -322,7 +322,7 @@ def blowup_sweep(
     interior_layer = Layer(1.0, 1.0, spec.sigma0)
     # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
     out_l2, out_h1 = outgoing_mode_norm(d, k, mode, probe[0], probe[1])
-    eigen_norm = eigenfunction_normalization(spec)   # one quadrature for every row
+    eigen_norm = eigenfunction_normalization(spec)   # one value for every row
 
     def one(e: float) -> SweepRecord:
         try:

@@ -1,9 +1,13 @@
 """Incident-field expansions, truncated modal fields, norms, interior limits.
 
 A field is a truncated sum over angular modes; for concentric media the
-modes never couple, so every norm reduces to per-mode radial quadrature
+modes never couple, so every norm reduces to per-mode radial integrals
 through angular orthogonality (Parseval), and point evaluation to a sum of
-radial profiles times Legendre polynomials (3d) or cosines (2d).  Outside
+radial profiles times Legendre polynomials (3d) or cosines (2d).  The
+radial integrals are closed forms (Lommel's integral and Green's first
+identity) wherever the profiles are Bessel combinations at one real
+wavenumber, and adaptive quadrature elsewhere: the physical shell, an
+inner layer with a particular term, a lossy layer.  Outside
 the medium, block evaluation of a series that carries its incident spec
 takes the incident field in closed form plus the few nonzero outgoing
 terms (FieldSeries.eval_many).  Physical domain fields are the virtual
@@ -16,6 +20,8 @@ interior deviations are each built as a series first.
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -40,12 +46,13 @@ from .mie import (
     solve_modes,
 )
 from .quadrature import integrate
-from .transform import BlowupMap, inverse_branch, map_inverse, radii
+from .transform import BlowupMap, inverse_branch, map_inverse, radial_forward, radii
 
 TAIL_TOL = 1e-14
 _INTERFACE_TOL = 1e-12
 
 POINT_SOURCE_RADIUS_RANGE = (2.5, 4.5)
+CANCELLATION_CAP = 100.0   # closed-form norm segments whose endpoint terms exceed this multiple integrate
 
 
 def default_truncation(k: float, r_max: float) -> int:
@@ -291,25 +298,29 @@ class FieldSeries:
         """co_n R_n(z) + cs_n S_n(z) for n < len(co), and its z-derivative or None.
 
         One chain call; S is the outgoing H = J + iY if outgoing, else the
-        singular family.  The values are weighted in place, so that the
+        singular family, which runs only up to the last nonzero cs_n (one
+        order more for derivatives): the orders above it scatter nothing
+        and may overflow.  The values are weighted in place, so that the
         call holds no arrays beyond its chains.
         """
         n_max = len(co) - 1
-        need_sing = bool(np.any(cs != 0))
+        m = int(np.flatnonzero(cs).max(initial=-1))   # last singular order in use
         top = n_max + 1 if derivatives else n_max   # f'_n needs f_(n+1)
-        reg, sing = specfun.chain(self.dimension, top, z, need_sing)
-        if need_sing and outgoing:
+        reg, sing = specfun.chain(
+            self.dimension, top, z, m >= 0, singular_nmax=m + 1 if derivatives else m
+        )
+        if sing is not None and outgoing:
             sing *= 1j
-            sing += reg   # H = J + iY
+            sing += reg[: len(sing)]   # H = J + iY
         dv = None
         if derivatives:
             shift = 1.0 if self.dimension == 3 else 0.0
             dv = co[:, None] * specfun.chain_derivative(reg, z, shift)
-            if need_sing:
-                dv += cs[:, None] * specfun.chain_derivative(sing, z, shift)
+            if sing is not None:
+                dv[: m + 1] += cs[: m + 1, None] * specfun.chain_derivative(sing, z, shift)
         v = np.multiply(co[:, None], reg[: n_max + 1], out=reg[: n_max + 1])
-        if need_sing:
-            v += np.multiply(cs[:, None], sing[: n_max + 1], out=sing[: n_max + 1])
+        if sing is not None:
+            v[: m + 1] += np.multiply(cs[: m + 1, None], sing[: m + 1], out=sing[: m + 1])
         return v, dv
 
     def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -500,12 +511,14 @@ def mode_series(medium: LayeredMedium, k: float, mode: ModeSolution) -> FieldSer
 def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None) -> list[float]:
     """[r_in, r_out] cut at every radius where a profile of the measured quantity has a kink.
 
-    Those are the layer radii of the series and of the reference, and the
-    map's branch radii 1 and 2 for a physical-domain series.
+    Those are the layer radii of the series and of the reference, through
+    the blow-up map for a physical-domain series, and then also the map's
+    branch radii 1 and 2.
     """
     kinks = [lay.radius for lay in series.medium.layers]
     if series.domain == "physical":
-        kinks += [1.0, 2.0]
+        m = BlowupMap(series.epsilon, series.dimension)
+        kinks = [radial_forward(m, r) for r in kinks] + [1.0, 2.0]
     cuts = {r_in, r_out} | {r for r in kinks if r_in < r < r_out}
     if reference is not None:
         cuts.update(_split_points(reference, r_in, r_out))
@@ -526,28 +539,82 @@ def _profiles(series: FieldSeries, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vals, ders
 
 
-def _l2_h1_density(d: int, vals: np.ndarray, ders: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """(2, P) L2 and H1 densities at radii r of the profiles of modes 0, 1, ...
+def _bessel_segment(series: FieldSeries, lo: float, hi: float):
+    """(wavenumber, J and Y coefficients) on a _split_points segment, or None.
 
-    Angular Parseval: each mode weighs mode_weight, and its angular
-    gradient adds the angular eigenvalue times |value|^2 / r^2.
+    None unless every profile there is a Bessel combination at one real
+    wavenumber: a lossless layer without a particular term, on a branch of
+    the inverse map without offset (the virtual domain; radius 2 outward
+    and the blown-up ball, at the slope times the layer's wavenumber).
     """
-    ns = range(len(vals))
-    w = np.array([mode_weight(d, n) for n in ns])[:, None]
-    nu = np.array([angular_eigenvalue(d, n) for n in ns])[:, None]
-    v2 = np.abs(vals) ** 2
-    l2 = np.sum(w * v2, axis=0)
-    h1 = l2 + np.sum(w * (np.abs(ders) ** 2 + nu * v2 / r**2), axis=0)
-    return np.stack([l2, h1]) * r ** (d - 1)
+    slope, offset, mid = 1.0, 0.0, 0.5 * (lo + hi)
+    if series.domain == "physical":
+        slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon, series.dimension), mid))
+    idx = bisect.bisect([lay.radius for lay in series.medium.layers], slope * mid)
+    kap, co, cs, outgoing = series._layer_basis(idx)
+    kap = slope * complex(kap)
+    if offset != 0.0 or kap.imag != 0.0 or (idx == 0 and any(m.particular for m in series.modes)):
+        return None
+    return kap.real, (co + cs if outgoing else co), (1j * cs if outgoing else cs)   # H = J + iY
 
 
-def _norm_pair(dens, cuts) -> tuple[float, float]:
-    """(L2, H1) norms from a two-component density integrated between successive cuts."""
-    total = np.zeros(2)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += integrate(dens, lo, hi).real
-    l2, h1 = np.sqrt(np.maximum(total, 0.0))
-    return float(l2), float(h1)
+def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, r: float):
+    """Per-mode antiderivatives (F, G) at r > 0 of u_n = co_n R_n(kap r) + cs_n Y_n(kap r).
+
+    F = r^d / 2 (|u_n|^2 - Re u_(n-1) conj u_(n+1)) integrates the L2
+    density r^(d-1) |u_n|^2 (Lommel, DLMF 10.22.5), and G + kap^2 F the
+    gradient density r^(d-1) (|u_n'|^2 + nu_n |u_n|^2 / r^2) (Green's first
+    identity), G = r^(d-1) Re conj(u_n) u_n'.  u_(n+j) puts mode n's
+    coefficients on the orders n + j; order -1 is -f_1 in 2d, j_(-1) =
+    cos z / z and y_(-1) = j_0 in 3d.  One scalar chain.
+    """
+    z = kap * r
+    m = int(np.flatnonzero(cs).max(initial=-1))   # last singular order in use
+    reg, sing = specfun.chain(d, len(co), z, m >= 0, singular_nmax=m + 1)
+    if d == 2:
+        below = -reg[1, 0], None if sing is None else -sing[1, 0]
+    else:   # the recurrence would cancel y's orders 0 and 1 at small z
+        below = cmath.cos(z) / z, reg[0, 0]
+
+    def rows(f, f_below):   # orders n - 1, n, n + 1 and the z-derivative of the modes n
+        ext = np.concatenate(([f_below], f[:, 0]))
+        return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d - 2.0)[:, 0]])
+
+    u = co * rows(reg, below[0])
+    if sing is not None:
+        u[:, : m + 1] += cs[: m + 1] * rows(sing, below[1])
+    lower, u_n, upper, du = u
+    f = 0.5 * r**d * (np.abs(u_n) ** 2 - (lower * upper.conj()).real)
+    return f, r ** (d - 1) * kap * (u_n.conj() * du).real
+
+
+def _closed_segment(series: FieldSeries, reference: FieldSeries | None, lo: float, hi: float):
+    """(L2^2, H1^2) of series - reference on a _split_points segment in closed form, or None.
+
+    None, so that the segment is integrated, where _bessel_segment finds no
+    closed form for a series or their wavenumbers differ, where kap lo lies
+    in (0, SMALL_ARG), and where the endpoint terms exceed CANCELLATION_CAP
+    times their difference (short segments; slowly varying fields, whose
+    small gradient is G + kap^2 F).  A reference is subtracted on
+    coefficients, zero-padded to the longer series.
+    """
+    segs = [_bessel_segment(s, lo, hi) for s in (series, reference) if s is not None]
+    if None in segs or len({seg[0] for seg in segs}) > 1 or 0.0 < segs[0][0] * lo < specfun.SMALL_ARG:
+        return None
+    kap, co, cs = segs[0]
+    if reference is not None:
+        _, rco, rcs = segs[1]
+        n = max(len(co), len(rco))
+        co, cs, rco, rcs = (np.pad(c, (0, n - len(c))) for c in (co, cs, rco, rcs))
+        co, cs = co - rco, cs - rcs
+    (fa, ga), (fb, gb) = (
+        _lommel_green(series.dimension, kap, co, cs, r) if r > 0.0 else (0.0, 0.0) for r in (lo, hi)
+    )
+    w = np.array([mode_weight(series.dimension, n) for n in range(len(co))])
+    scale, ends = 1.0 + kap * kap, np.abs(fa) + np.abs(fb)
+    value = np.array([w @ (fb - fa), w @ (scale * (fb - fa) + gb - ga)])
+    size = np.array([w @ ends, w @ (scale * ends + np.abs(ga) + np.abs(gb))])
+    return None if np.any(size > CANCELLATION_CAP * value) else value
 
 
 def norm_annulus(
@@ -555,11 +622,15 @@ def norm_annulus(
 ) -> tuple[float, float]:
     """(L2, full H1) norms of a series, or of series - reference, on r_in <= |x| <= r_out.
 
-    r_in = 0 gives the ball.  Angular Parseval reduces both norms to one
-    two-component radial quadrature of the mode profiles, cut at every
-    layer radius and map branch radius.  The reference shares the series'
-    dimension and axis; where one has more modes than the other, the extra
-    modes count in full.  The scattered part is series.scattered(), the
+    r_in = 0 gives the ball.  Angular Parseval reduces both norms to the
+    mode profiles' radial integrals, cut at every layer radius and map
+    branch radius.  A segment of Bessel profiles at one real wavenumber
+    takes them in closed form (_closed_segment); one two-component radial
+    quadrature runs on the others: the physical shell 1 < r < 2, an inner
+    layer with a particular term, a lossy layer, and segments whose closed
+    form would cancel digits.  The reference shares the series' dimension
+    and axis; where one has more modes than the other, the extra modes
+    count in full.  The scattered part is series.scattered(), the
     free-field pullback free_series on the limit map (domain "physical",
     epsilon 0).
     """
@@ -569,6 +640,8 @@ def norm_annulus(
     if reference is not None and (reference.dimension, reference.axis) != same:
         raise ValidationError("reference series must share the dimension and axis")
 
+    d = series.dimension
+
     def dens(rr: np.ndarray) -> np.ndarray:
         vals, ders = _profiles(series, rr)
         if reference is not None:
@@ -577,9 +650,21 @@ def norm_annulus(
                 vals, ders, rv, rd = rv, rd, vals, ders   # |a - b| = |b - a|
             vals[: len(rv)] -= rv
             ders[: len(rd)] -= rd
-        return _l2_h1_density(series.dimension, vals, ders, rr)
+        # each mode weighs mode_weight; its angular gradient adds nu_n |u_n|^2 / r^2
+        w = np.array([mode_weight(d, n) for n in range(len(vals))])[:, None]
+        nu = np.array([angular_eigenvalue(d, n) for n in range(len(vals))])[:, None]
+        v2 = np.abs(vals) ** 2
+        l2 = np.sum(w * v2, axis=0)
+        h1 = l2 + np.sum(w * (np.abs(ders) ** 2 + nu * v2 / rr**2), axis=0)
+        return np.stack([l2, h1]) * rr ** (d - 1)
 
-    return _norm_pair(dens, _split_points(series, r_in, r_out, reference))
+    cuts = _split_points(series, r_in, r_out, reference)
+    total = np.zeros(2)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        closed = _closed_segment(series, reference, lo, hi)
+        total += integrate(dens, lo, hi).real if closed is None else closed
+    l2, h1 = np.sqrt(np.maximum(total, 0.0))
+    return float(l2), float(h1)
 
 
 def outgoing_mode_norm(

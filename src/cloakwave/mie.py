@@ -700,8 +700,8 @@ def interior_source_mode_solve(
     field is zero.  The particular solution comes from the derivative-in-
     wavenumber identity when the source oscillates at the layer wavenumber,
     and from the resolvent quotient otherwise.  eigen_norm is
-    fields.eigenfunction_normalization(spec), a quadrature that a caller
-    solving many rows for one spec computes once.
+    fields.eigenfunction_normalization(spec), which a caller solving many
+    rows for one spec computes once.
     """
     if len(medium.layers) != 1:
         raise UnsupportedConfigurationError(

@@ -36,11 +36,11 @@ the medium, the few outgoing orders and the 2d point source's H_0 outside
 it), the nodes of one quadrature refinement level (FieldSeries.radial_many,
 regular_array) and resonance scan grids.  The scalar chains stay the
 kernel of scalar-argument calls: the all-orders transfer solve (one partial
-chain per interface side), bessel, incident coefficients and
-FieldSeries.eval; for one argument an array pass costs 7-35x more.  Over orders 0..200,
-1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
-of the local size |f_n| + |f_(n+1)|, and raise the same errors where
-either overflows.
+chain per interface side), the ends of closed-form norm segments, bessel,
+incident coefficients and FieldSeries.eval; for one argument an array pass
+costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
+0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
+|f_n| + |f_(n+1)|, and raise the same errors where either overflows.
 
 An array_chain step writes into preallocated buffers, never a product over
 an operand (a *= b can round a complex product differently from a * b).
@@ -224,19 +224,22 @@ def _sph_j_only(nmax: int, z: complex) -> np.ndarray:
 
 
 def _scalar_chain(
-    d: int, nmax: int, z: complex, singular: bool, partial: bool = False
+    d: int, nmax: int, z: complex, singular: bool, partial: bool = False,
+    singular_nmax: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The scalar kernel of chain: 1-D (regular, singular) orders 0..nmax at one z.
 
-    The singular chain needs z != 0 and |z| <= ARG_CAP; partial ends it at
-    its last representable order instead of raising BesselOverflowError
-    (see _upward), so it may be shorter than the regular one.  y_0 is the
-    closed form -cos z / z.  Below |z| = SMALL_ARG the regular family is
-    _leading_regular's, and y_1 is y_0 / z: z^2 underflows from about
-    1e-162, and the dropped -sin z / z is below 1e-40 of it.
+    The singular chain needs z != 0 and |z| <= ARG_CAP and ends at order
+    singular_nmax (default nmax); partial ends it at its last representable
+    order instead of raising BesselOverflowError (see _upward), so it may be
+    shorter than the regular one.  y_0 is the closed form -cos z / z.
+    Below |z| = SMALL_ARG the regular family is _leading_regular's, and y_1
+    is y_0 / z: z^2 underflows from about 1e-162, and the dropped
+    -sin z / z is below 1e-40 of it.
     """
     z = _check_order_arg(nmax, z, singular=True) if singular else complex(z)
     tiny = abs(z) < SMALL_ARG
+    top = nmax if singular_nmax is None else min(nmax, singular_nmax)
     if d == 3:
         j = _leading_regular(3, nmax, z) if tiny else _sph_j_only(nmax, z)
         if not singular:
@@ -244,7 +247,7 @@ def _scalar_chain(
         sin_z, cos_z = cmath.sin(z), cmath.cos(z)
         y0 = -cos_z / z
         y1 = y0 / z if tiny else -cos_z / (z * z) - sin_z / z
-        return j, _upward(y0, y1, nmax, z, 0.5, "y", partial)
+        return j, _upward(y0, y1, top, z, 0.5, "y", partial)
     full = _leading_regular(2, nmax + 1, z) if tiny else _cyl_j_chain_full(nmax, z)
     if not singular:
         return full[: nmax + 1], None
@@ -252,43 +255,17 @@ def _scalar_chain(
         # 1/z is near the double range: Y_0' and the upward steps pass
         # through inf and nan before _upward's overflow check ends the chain
         with np.errstate(over="ignore", invalid="ignore"):
-            return full[: nmax + 1].copy(), _upward(*_cyl_y01(z, full), nmax, z, 0.0, "Y", partial)
+            return full[: nmax + 1].copy(), _upward(*_cyl_y01(z, full), top, z, 0.0, "Y", partial)
     y0, y1 = _cyl_y01(z, full)
-    return full[: nmax + 1].copy(), _upward(y0, y1, nmax, z, 0.0, "Y", partial)
+    return full[: nmax + 1].copy(), _upward(y0, y1, top, z, 0.0, "Y", partial)
 
 
-def array_chain(
-    d: int, nmax: int, z, singular: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Orders 0..nmax of J, Y (d = 2) or j, y (d = 3) over a 1-D array of z.
+def _miller_pass(z: np.ndarray, mag: np.ndarray, nmax: int, spherical: bool):
+    """array_chain's downward pass, unnormalized: orders 0..max(nmax, 1) at each z.
 
-    Returns (regular, singular) arrays of shape (nmax + 1, len(z)); the
-    singular one is None unless asked for.  Each argument runs the scalar
-    chains' algorithm on its own: Miller recurrence from its own start
-    order with its own rescaling, Y_0 and Y_1 from the Neumann sums of
-    _cyl_y01 (accumulated during the downward pass), and upward recurrence
-    of the singular family up to the same overflow limit.  Regular 3d
-    values of orders up to 0.9 |z| come from upward recurrence, as in
-    _sph_j_only: through the ~|z| oscillatory steps below the turning point
-    Miller's downward pass loses about 1e-13 at |z| ~ 600.  Arguments below
-    SMALL_ARG run the scalar kernel one at a time (leading terms), the
-    others this kernel as one block, so no column depends on the others.
+    Also returns (cylindrical) the even-order part of the normalization sum
+    and the Neumann sums of Y_0 and Y_0' = -Y_1 (see _cyl_y01).
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    mag = np.abs(z)
-    for w in (z[np.argmax(mag)], z[np.argmin(mag)]):
-        _check_order_arg(nmax, w, singular=True)
-    tiny = mag < SMALL_ARG
-    if tiny.any():
-        out = [np.empty((nmax + 1, z.size), dtype=complex) for _ in range(1 + singular)]
-        for i in np.flatnonzero(tiny).tolist():
-            for o, col in zip(out, _scalar_chain(d, nmax, z[i], singular)):
-                o[:, i] = col
-        if not tiny.all():
-            for o, part in zip(out, array_chain(d, nmax, z[~tiny], singular)):
-                o[:, ~tiny] = part
-        return out[0], out[1] if singular else None
-    spherical = d == 3
     half = 0.5 if spherical else 0.0
     mag_min = float(mag.min())
     start = (nmax + 1.9 * mag + 36).astype(int)
@@ -299,8 +276,6 @@ def array_chain(
     top = max(nmax, 1)
     raw = np.zeros((top + 1, z.size), dtype=complex)
     prev, cur, nxt, coef = (np.zeros_like(z) for _ in range(4))
-    # even-order part of the normalization sum and the Neumann sums of Y_0
-    # and Y_0' = -Y_1 (see _cyl_y01)
     even, s0, s1 = np.zeros_like(z), np.zeros_like(z), np.zeros_like(z)
     b_prev = b_cur = 0.0   # the bounds B of the last two orders (module docstring)
     for m in range(int(start.max()), -1, -1):
@@ -332,12 +307,62 @@ def array_chain(
                 raw[:, big] *= 1.0e-250
             # 1.5 > sqrt(2): a bound on the modulus from the largest component
             b_prev, b_cur = (1.5 * float(np.abs(f.view(float)).max()) for f in (prev, cur))
+    return raw, even, s0, s1
+
+
+def array_chain(
+    d: int, nmax: int, z, singular: bool = True, singular_nmax: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Orders 0..nmax of J, Y (d = 2) or j, y (d = 3) over a 1-D array of z.
+
+    Returns (regular, singular) arrays of shape (nmax + 1, len(z)); the
+    singular one is None unless asked for, and ends at singular_nmax if
+    given.  Each argument runs the scalar chains' algorithm on its own:
+    Miller recurrence from its own start order with its own rescaling, Y_0
+    and Y_1 from the Neumann sums of _cyl_y01 (accumulated during the
+    downward pass), and upward recurrence of the singular family up to the
+    same overflow limit.  Regular 3d values of orders up to 0.9 |z| come
+    from upward recurrence, as in _sph_j_only: through the ~|z| oscillatory
+    steps below the turning point Miller's downward pass loses about 1e-13
+    at |z| ~ 600; arguments that need no other order skip the Miller pass.
+    Arguments below SMALL_ARG run the scalar kernel one at a time (leading
+    terms), the others this kernel as one block, so no column depends on
+    the others.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    mag = np.abs(z)
+    for w in (z[np.argmax(mag)], z[np.argmin(mag)]):
+        _check_order_arg(nmax, w, singular=True)
+    ns = nmax if singular_nmax is None else min(nmax, singular_nmax)
+    tiny = mag < SMALL_ARG
+    if tiny.any():
+        out = [np.empty((rows + 1, z.size), dtype=complex) for rows in (nmax, ns)[: 1 + singular]]
+        for i in np.flatnonzero(tiny).tolist():
+            for o, col in zip(out, _scalar_chain(d, nmax, z[i], singular, singular_nmax=ns)):
+                o[:, i] = col
+        if not tiny.all():
+            for o, part in zip(out, array_chain(d, nmax, z[~tiny], singular, ns)):
+                o[:, ~tiny] = part
+        return out[0], out[1] if singular else None
+    spherical = d == 3
+    half = 0.5 if spherical else 0.0
+    coef, nxt = np.zeros_like(z), np.zeros_like(z)
     if spherical:
         sin_z, cos_z = np.sin(z), np.cos(z)
         j0, j1 = sin_z / z, sin_z / (z * z) - cos_z / z
-        # against j_0 below |z| = 1, where j_1's closed form cancels (_sph_j_only)
-        raw *= np.where((mag < 1.0) | (np.abs(j0) >= np.abs(j1)), j0 / raw[0], j1 / raw[1])
         up = np.minimum(nmax, (0.9 * mag).astype(int))
+        slow = up < nmax   # the arguments that need the Miller pass
+        sel = slice(None) if slow.all() else slow   # a slice takes no copy
+        raw = None if sel is not slow else np.zeros((max(nmax, 1) + 1, z.size), dtype=complex)
+        if slow.any():
+            part = _miller_pass(z[sel], mag[sel], nmax, True)[0]
+            # against j_0 below |z| = 1, where j_1's closed form cancels (_sph_j_only)
+            small = (mag[sel] < 1.0) | (np.abs(j0[sel]) >= np.abs(j1[sel]))
+            part *= np.where(small, j0[sel] / part[0], j1[sel] / part[1])
+            if raw is None:
+                raw = part
+            else:
+                raw[:, slow] = part
         raw[0] = np.where((up > 0) | (nmax == 0), j0, raw[0])
         raw[1] = np.where(up > 0, j1, raw[1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -346,6 +371,7 @@ def array_chain(
                 np.copyto(raw[n + 1], np.subtract(nxt, raw[n - 1], out=nxt), where=up > n)
         y = [-cos_z / z, -cos_z / (z * z) - sin_z / z]
     else:
+        raw, even, s0, s1 = _miller_pass(z, mag, nmax, False)
         norm = raw[0] + 2.0 * even
         if not np.all(norm):
             bad = z[np.argmin(np.abs(norm))]
@@ -357,11 +383,12 @@ def array_chain(
         y = [y0, -y0p]
     if not singular:
         return raw[: nmax + 1], None
-    sing = np.empty((nmax + 1, z.size), dtype=complex)
-    sing[:2] = y[: nmax + 1]
+    mag_min = float(mag.min())
+    sing = np.empty((ns + 1, z.size), dtype=complex)
+    sing[:2] = y[: ns + 1]
     b_prev = b_cur = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(nmax + 1):
+        for n in range(ns + 1):
             if n > 1:
                 c = 2.0 * (n - 1 + half)
                 np.multiply(np.divide(c, z, out=coef), sing[n - 1], out=sing[n])
@@ -379,22 +406,24 @@ def array_chain(
 
 
 def chain(
-    d: int, nmax: int, z, singular: bool = True, partial: bool = False
+    d: int, nmax: int, z, singular: bool = True, partial: bool = False,
+    singular_nmax: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """array_chain's (regular, singular) for a scalar z or a 1-D array of z.
 
     The kernel follows the argument's type, not its length: a scalar runs
     the scalar chains, which cost 7-35x less for one argument, and gives
     (nmax + 1, 1) columns; an array runs array_chain whatever its length,
-    so a value does not depend on the batch it came in.  partial (scalar z
-    only) ends the singular chain at its last representable order instead
-    of raising, so it may hold fewer rows than the regular one.
+    so a value does not depend on the batch it came in.  singular_nmax
+    (default nmax) ends the singular family there, so the orders above it
+    cannot overflow.  partial (scalar z only) ends the singular chain at its
+    last representable order instead of raising, so it may hold fewer rows
+    than the regular one.
     """
     if np.ndim(z) > 0:
-        return array_chain(d, nmax, z, singular)
-    reg, sing = _scalar_chain(d, nmax, z, singular, partial)
+        return array_chain(d, nmax, z, singular, singular_nmax)
+    reg, sing = _scalar_chain(d, nmax, z, singular, partial, singular_nmax)
     return reg[:, None], None if sing is None else sing[:, None]
-
 
 def chain_derivative(f: np.ndarray, z, shift: float) -> np.ndarray:
     """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1).

@@ -121,6 +121,22 @@ def test_array_chain_overflow_raises_like_scalar(d):
     assert sing is None and reg[-1, 0] == 0.0
 
 
+def test_array_chain_3d_miller_pass_only_where_upward_recurrence_stops_short(monkeypatch):
+    # nmax = 20: from |z| = 22.3 on, int(0.9 |z|) >= nmax, so every order
+    # comes by upward recurrence from j_0 and j_1
+    zs = np.array([0.5, 31.5, 3.0 + 0.1j, 22.3, 420.0 + 3.0j])
+    whole = specfun.array_chain(3, 20, zs)
+    seen = []
+    real = specfun._miller_pass
+    monkeypatch.setattr(specfun, "_miller_pass", lambda z, *a: seen.append(list(z)) or real(z, *a))
+    assert all(np.array_equal(a, b) for a, b in zip(specfun.array_chain(3, 20, zs), whole))
+    assert seen == [[0.5, 3.0 + 0.1j]]
+    for i in range(zs.size):
+        alone = specfun.array_chain(3, 20, zs[i : i + 1])
+        assert all(np.array_equal(a[:, 0], b[:, i]) for a, b in zip(alone, whole))
+    assert seen == [[0.5, 3.0 + 0.1j], [0.5], [3.0 + 0.1j]]
+
+
 def test_array_chain_block_equals_single_arguments():
     # 1e-3 rescales in the Miller pass, and its singular chain overflows
     zs = np.array([1e-3, 0.37 + 0.2j, 4.0, 31.5, 420.0 + 3.0j])
@@ -643,11 +659,15 @@ def _counting(monkeypatch):
 def test_one_array_chain_per_level_per_layer(d, monkeypatch):
     virt, blown = _layered_series(d)
     counts = _counting(monkeypatch)
-    # three segments (two layers and the exterior), one layer each
-    norm_annulus(virt, 0.03, 2.5)
+    # segments that still integrate, one layer each: the lossy inner layer,
+    # and a physical shell segment (it maps into the virtual exterior)
+    norm_annulus(virt, 0.03, 0.05)
+    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 1.2, 1.8)
     assert counts["array_chain"] == counts["levels"] > 3
     counts.update(array_chain=0, levels=0)
+    # the lossy layer of the blown-up interior, and of the physical blown-up ball
     interior_deviation(blown, None)
+    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 0.1, 0.45)
     assert counts["array_chain"] == counts["levels"] > 2
     counts.update(array_chain=0, levels=0)
     first_resonance(d, 1.0)

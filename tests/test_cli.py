@@ -9,7 +9,7 @@ import pytest
 import scipy.special as ss
 from scipy.optimize import brentq
 
-from cloakwave import cli
+from cloakwave import cli, specfun
 from cloakwave.cli import build_run_config, parse_config_text
 from cloakwave.errors import BesselOverflowError
 from cloakwave.fields import FieldSeries
@@ -581,9 +581,10 @@ grid.points = 25
 @pytest.mark.parametrize("d", [2, 3])
 def test_field_dump_just_outside_the_cloak_at_high_order(tmp_path, d):
     # the grid point (1.0005, 0, ...) maps to virtual radius 0.0635, where
-    # Y_154 (y_153) of the truncation N = 155 overflows: summing every order
-    # there raises, although alpha_n is zero from order 11 (10) on; the dump's
-    # exterior runs only the outgoing orders and writes every point
+    # Y_154 (y_153) of the truncation N = 155 overflows, although alpha_n is
+    # zero from order 11 (10) on; the dump's exterior runs only the outgoing
+    # orders, eval the singular family up to the last nonzero alpha_n, and
+    # both write every point
     text = f"""
 experiment = field
 dimension = {d}
@@ -604,17 +605,11 @@ grid.points = 29
     got = rows[:, d] + 1j * rows[:, d + 1]
     assert np.all(np.isfinite(got))
     series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
-    want, overflowed = [], 0
-    for p in rows[:, :d]:
-        try:
-            want.append(series.eval(p))
-        except BesselOverflowError:
-            overflowed += 1
-            want.append(np.nan)
-    want = np.array(want)
-    ok = np.isfinite(want)
-    assert overflowed >= 1
-    assert np.max(np.abs(got - want)[ok]) <= 1e-13 * np.max(np.abs(want[ok]))
+    r_v = series._to_virtual(np.array([[1.0005] + [0.0] * (d - 1)]))[1][0]
+    with pytest.raises(BesselOverflowError):
+        specfun.chain(d, series.truncation, series.k_exterior * r_v)
+    want = np.array([series.eval(p) for p in rows[:, :d]])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_sweep_probe_reaching_into_the_shell(tmp_path):
@@ -634,6 +629,25 @@ def test_sweep_probe_reaching_into_the_shell(tmp_path):
     bad = _write_cfg(tmp_path, SWEEP_CFG + "probe.r_in = 0.5\n", name="bad.cfg")
     assert cli.main(["sweep", "--config", bad, "--out", str(tmp_path / "bad")]) == 2
     assert not os.path.exists(tmp_path / "bad" / "results.csv")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sweep_probe_near_radius_one_at_high_order(tmp_path, d):
+    # the shell segment maps down to virtual radii near eps, where the
+    # exterior singular chain overflows from about order 157: it stops at
+    # the last nonzero alpha_n instead of the truncation
+    direction = "1, 0" if d == 2 else "1, 0, 0"
+    text = (
+        f"experiment = sweep\ndimension = {d}\nk = 26.0\neps_list = 0.0625, 0.03, 0.01\n"
+        "interior.radii = 1.0\ninterior.a = 1.0\ninterior.sigma = 1.0\n"
+        f"incident.kind = plane_wave\nincident.direction = {direction}\n"
+        "probe.r_in = 1.001\nprobe.r_out = 2.5\n"
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path, text), "--out", out]) == 0
+    rows = open(os.path.join(out, "results.csv")).read().splitlines()[1:]
+    vis = [float(r.split(",")[1]) for r in rows]
+    assert len(vis) == 3 and vis[0] > vis[1] > vis[2] > 0.0
 
 
 @pytest.mark.parametrize("d", [2, 3])

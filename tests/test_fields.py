@@ -4,18 +4,22 @@ import cmath
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 
+from cloakwave import fields
 from cloakwave.errors import (
     InterfaceEvaluationError,
     TruncationError,
     UnsupportedConfigurationError,
     ValidationError,
 )
+from cloakwave.experiments import blowup_sweep, instability_sweep
 from cloakwave.fields import (
+    CANCELLATION_CAP,
     FieldSeries,
     IncidentSpec,
     auto_truncation,
@@ -369,6 +373,122 @@ def test_eigenfunction_source_is_unit_as_a_series_mode(d, n):
     pts = np.column_stack((x, y) if d == 2 else (x, y, np.zeros_like(x)))
     u = ser.eval_many(pts).reshape(rr.size, th.size)
     assert float(wr @ np.abs(u) ** 2 @ wt) == pytest.approx(1.0, rel=1e-10)
+
+
+# -- closed-form norms ----------------------------------------------------------
+
+
+def _quadrature_only(fn, *args, **kw):
+    """fn with every norm segment integrated: the path without closed forms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_closed_segment", lambda *a: None)
+        return fn(*args, **kw)
+
+
+def _counting_integrate(monkeypatch):
+    calls = []
+    real = fields.integrate
+    monkeypatch.setattr(fields, "integrate", lambda f, a, b: calls.append((a, b)) or real(f, a, b))
+    return calls
+
+
+@st.composite
+def _norm_cases(draw):
+    """A lossless layered cloak and one norm_annulus call on it.
+
+    The kinds: the virtual series, its scattered part, the physical series
+    on the blown-up ball, and the physical series against the free-field
+    pullback outside radius 1.  Segments lie at the inclusion's scale
+    (eps) or at unit scale, r_in = 0 included, lengths down to 1e-3 of it.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    k = draw(st.floats(0.1, 30.0))
+    eps = 10.0 ** draw(st.floats(-3.0, -0.5))
+    radii = sorted(draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), max_size=2, unique=True)))
+    layers = tuple(
+        Layer(r, draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 3.0))) for r in radii + [1.0]
+    )
+    spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+    cfg = CloakConfig(d, k, eps, layers, spec)
+    b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
+    virt = solve_series(virtual_medium(cfg), k, b)
+    kind = draw(st.sampled_from(["series", "scattered", "ball", "pullback"]))
+    length = 10.0 ** draw(st.floats(-3.0, 0.0))
+    reference = None
+    if kind == "pullback":
+        series = replace(virt, domain="physical", epsilon=eps)
+        reference = replace(free_series(d, k, b), domain="physical", epsilon=0.0)
+        r_in = draw(st.floats(1.05, 3.5))
+    elif kind == "ball":
+        series = replace(virt, domain="physical", epsilon=eps)
+        r_in = draw(st.just(0.0) | st.floats(0.0, 0.9))
+        length *= 1.0 - r_in
+    elif draw(st.booleans()):   # at the inclusion's scale
+        series = virt if kind == "series" else virt.scattered()
+        r_in = eps * draw(st.just(0.0) | st.floats(0.0, 3.0))
+        length *= 3.0 * eps
+    else:
+        # clear of the inclusion: a segment from near it to unit scale
+        # defeats uniform panels (the outgoing part peaks at radius eps)
+        series = virt if kind == "series" else virt.scattered()
+        r_in = draw(st.floats(0.5, 3.0))
+        length *= 3.0
+    return series, r_in, r_in + length, reference
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_norm_cases())
+def test_closed_form_norms_match_quadrature(case):
+    series, r_in, r_out, reference = case
+    want = _quadrature_only(norm_annulus, series, r_in, r_out, reference=reference)
+    assert norm_annulus(series, r_in, r_out, reference=reference) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_only_segments_without_closed_form_integrate(d, monkeypatch):
+    calls = _counting_integrate(monkeypatch)
+    # scattered norm on the probe, interior deviation, reference norm
+    instability_sweep(d, 1.0, (1e-1, 3e-2, 1e-2))
+    assert calls == []
+    # the blown-up interior of each row, whose one layer holds the particular term
+    blowup_sweep(d, 1.0, (1e-1, 3e-2, 1e-2))
+    assert calls == [(0.0, 1.0)] * 3
+    calls.clear()
+    # a lossy layer, and the physical shell segment of a probe across radius 2
+    spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+    cfg = CloakConfig(d, 2.0, 0.1, (Layer(0.5, 1.3, 2.0 + 0.3j), Layer(1.0, 0.8, 1.5)), spec)
+    b = incident_coefficients(spec, 2.0, auto_truncation(spec, 2.0, d), d)
+    virt = solve_series(virtual_medium(cfg), 2.0, b)
+    norm_annulus(virt, 0.0, 1.0)
+    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 1.5, 3.0)
+    assert calls == [(0.0, 0.05), (1.5, 2.0)]
+
+
+@pytest.mark.parametrize("r_out, integrated", [(1.0095, True), (1.0105, False)])
+def test_cancelling_segments_integrate(r_out, integrated, monkeypatch):
+    # a slowly varying monopole (k = 1e-3): on [1, b] the L2 endpoint terms
+    # r^2 / 2 |u|^2 exceed the value by (1 + b^2) / (b^2 - 1), 105.8 and 95.8
+    assert CANCELLATION_CAP == 100.0
+    ser = free_series(2, 1e-3, np.array([1.0 + 0.0j]))
+    want = _quadrature_only(norm_annulus, ser, 1.0, r_out)
+    calls = _counting_integrate(monkeypatch)
+    assert norm_annulus(ser, 1.0, r_out) == pytest.approx(want, rel=1e-12)
+    assert len(calls) == integrated
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_eigenfunction_normalization_against_mpmath(d, n):
+    spec = first_resonance(d, 1.0, n)
+    with mpmath.workdps(30):
+        kap = mpmath.mpf(spec.kappa_star)
+        if d == 2:
+            prof = lambda r: mpmath.besselj(n, kap * r)   # noqa: E731
+        else:
+            prof = lambda r: mpmath.sqrt(mpmath.pi / (2 * kap * r)) * mpmath.besselj(n + 0.5, kap * r)  # noqa: E731
+        l2 = mode_weight(d, n) * mpmath.quad(lambda r: prof(r) ** 2 * r ** (d - 1), [0, 1])
+        want = float(1 / mpmath.sqrt(l2))
+    assert eigenfunction_normalization(spec) == pytest.approx(want, rel=1e-13)
 
 
 # -- interior limits -----------------------------------------------------------
