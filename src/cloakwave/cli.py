@@ -31,7 +31,6 @@ from .experiments import (
 from .fields import (
     IncidentSpec,
     auto_truncation,
-    eigenfunction_normalization,
     incident_coefficients,
     solve_series,
 )
@@ -426,7 +425,7 @@ def _field_evaluator(config: RunConfig):
     if config.field_kind == "eigenmode":
         spec = first_resonance(d, k, config.blowup_mode)
         cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
-        series = eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
+        series = eigenmode_series(cfg, spec)
         m = BlowupMap(eps, d)
 
         def values(pts: np.ndarray) -> np.ndarray:

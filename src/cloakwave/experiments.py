@@ -29,7 +29,6 @@ from .fields import (
     eigenfunction_normalization,
     free_series,
     incident_coefficients,
-    interior_deviation,
     interior_limit,
     mode_series,
     norm_annulus,
@@ -169,8 +168,8 @@ def convergence_sweep(
     Per epsilon: the virtual small-inclusion problem is solved at the
     config's frequency, the visibility is the norm of (cloaked field -
     free-field pullback) over the probe annulus, which may reach into the
-    shell (radius > 1), and the interior deviation is
-    measured against the closed-form interior limit.  The rate fit uses
+    shell (radius > 1), and the interior deviation is the norm of
+    (blown-up interior field - interior_limit) over the unit ball.  The rate fit uses
     epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less than a
     decade is reported as degenerate instead of failing the sweep.  A
     homogeneous interior within RESONANCE_PROXIMITY of a resonance raises
@@ -194,7 +193,7 @@ def convergence_sweep(
     # the free field pulled back through the limit map
     pullback = replace(free_series(d, k, b, axis), domain="physical", epsilon=0.0)
     # the free field at the blown-up point: only the monopole regular basis is nonzero there
-    limit = interior_limit(d, config, complex(b[0])) if _homogeneous_interior(config) else None
+    limit = interior_limit(config, complex(b[0]), axis) if _homogeneous_interior(config) else None
 
     def one(e: float) -> SweepRecord:
         cfg = replace(config, epsilon=e)
@@ -205,7 +204,8 @@ def convergence_sweep(
             # with the inverse map on a probe reaching into the shell
             cloaked = replace(series, domain="physical", epsilon=e)
             vis_l2, vis_h1 = norm_annulus(cloaked, probe[0], probe[1], reference=pullback)
-            int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), limit)
+            interior = blown_up_interior_series(cfg, series)
+            int_l2, int_h1 = norm_annulus(interior, 0.0, 1.0, reference=limit)
         except SingularSystemError as exc:
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
@@ -259,7 +259,7 @@ def instability_sweep(
             vm = virtual_medium(cfg)
             series = solve_series(vm, k, b)
             vis_l2, vis_h1 = norm_annulus(series.scattered(), probe[0], probe[1])
-            int_l2, int_h1 = interior_deviation(blown_up_interior_series(cfg, series), None)
+            int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
         except SingularSystemError as exc:
             rec = SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
@@ -286,19 +286,16 @@ def instability_sweep(
     )
 
 
-def eigenmode_series(config: CloakConfig, spec: ResonanceSpec, eigen_norm: float) -> FieldSeries:
+def eigenmode_series(config: CloakConfig, spec: ResonanceSpec) -> FieldSeries:
     """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
 
     The source is spec's L2-normalized radial eigenfunction times
     eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
-    eigen_norm is eigenfunction_normalization(spec), as in interior_source_mode_solve.
     """
     d, eps = config.dimension, config.epsilon
     med = blown_up_medium(config)
-    sol = interior_source_mode_solve(
-        med, config.k, spec, normalization=eps ** (2 - d), eigen_norm=eigen_norm
-    )
-    return mode_series(med, config.k, sol)
+    amplitude = eps ** (2 - d) * eigenfunction_normalization(spec)
+    return mode_series(med, config.k, interior_source_mode_solve(med, config.k, spec, amplitude))
 
 
 def blowup_sweep(
@@ -322,18 +319,15 @@ def blowup_sweep(
     interior_layer = Layer(1.0, 1.0, spec.sigma0)
     # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
     out_l2, out_h1 = outgoing_mode_norm(d, k, mode, probe[0], probe[1])
-    eigen_norm = eigenfunction_normalization(spec)   # one value for every row
 
     def one(e: float) -> SweepRecord:
         try:
-            series = eigenmode_series(
-                CloakConfig(d, k, e, (interior_layer,)), spec, eigen_norm
-            )
+            series = eigenmode_series(CloakConfig(d, k, e, (interior_layer,)), spec)
         except SingularSystemError as exc:
             return SweepRecord(
                 e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
             )
-        int_l2, int_h1 = interior_deviation(series, None)
+        int_l2, int_h1 = norm_annulus(series, 0.0, 1.0)
         amp_out = abs(series.modes[mode].alpha_n)
         return SweepRecord(e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1)
 

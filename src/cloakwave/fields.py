@@ -1,4 +1,4 @@
-"""Incident-field expansions, truncated modal fields, norms, interior limits.
+"""Incident-field expansions, truncated modal fields, norms, interior limits as series.
 
 A field is a truncated sum over angular modes; for concentric media the
 modes never couple, so every norm reduces to per-mode radial integrals
@@ -15,7 +15,7 @@ series composed with the inverse blow-up map, and agree with it
 identically outside radius 2.  Every L2/H1 norm is norm_annulus of a
 series, alone or against a reference series: scattered parts, the
 free-field pullback, single outgoing modes, eigenfunction sources and
-interior deviations are each built as a series first.
+interior limits are each built as a series first.
 """
 
 from __future__ import annotations
@@ -195,9 +195,7 @@ class FieldSeries:
     eval_many take the incident field in closed form outside the medium.
     """
 
-    dimension: int
     k: float
-    truncation: int
     modes: tuple[ModeSolution, ...]
     medium: LayeredMedium
     domain: str = "virtual"
@@ -210,8 +208,15 @@ class FieldSeries:
             raise ValidationError(f"unknown domain tag {self.domain!r}")
         if self.domain == "physical" and not (self.epsilon is not None and self.epsilon >= 0):
             raise ValidationError("physical domain requires epsilon >= 0")
-        if len(self.modes) != self.truncation + 1:
-            raise ValidationError("modes must cover orders 0..truncation")
+
+    @property
+    def dimension(self) -> int:
+        return self.medium.dimension
+
+    @property
+    def truncation(self) -> int:
+        """Highest order of the series (its modes are orders 0..truncation)."""
+        return len(self.modes) - 1
 
     @property
     def k_exterior(self) -> float:
@@ -465,9 +470,7 @@ def solve_series(
     their incident part (solve_modes' last-order fallback).
     """
     return FieldSeries(
-        dimension=medium.dimension,
         k=k,
-        truncation=len(b) - 1,
         modes=solve_modes(medium, k, b),
         medium=medium,
         domain=domain,
@@ -487,9 +490,7 @@ def free_series(
                      layer_coeffs=((complex(b[n]), 0.0 + 0.0j),))
         for n in range(len(b))
     )
-    return FieldSeries(
-        dimension=d, k=k, truncation=len(b) - 1, modes=modes, medium=med, axis=axis
-    )
+    return FieldSeries(k=k, modes=modes, medium=med, axis=axis)
 
 
 def mode_series(medium: LayeredMedium, k: float, mode: ModeSolution) -> FieldSeries:
@@ -499,9 +500,7 @@ def mode_series(medium: LayeredMedium, k: float, mode: ModeSolution) -> FieldSer
         ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j, layer_coeffs=zero)
         for n in range(mode.n)
     )
-    return FieldSeries(
-        dimension=medium.dimension, k=k, truncation=mode.n, modes=modes + (mode,), medium=medium
-    )
+    return FieldSeries(k=k, modes=modes + (mode,), medium=medium)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +512,18 @@ def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None
 
     Those are the layer radii of the series and of the reference, through
     the blow-up map for a physical-domain series, and then also the map's
-    branch radii 1 and 2.
+    branch radii 1 and 2.  At eps > 0 the shell is also cut at the images
+    of the virtual radii eps (1 + 2^j) below 2: near the inclusion the
+    field varies on the scale of the virtual radius, and these dyadic
+    segments keep the quadrature's panels on that scale toward r = 1.
     """
     kinks = [lay.radius for lay in series.medium.layers]
     if series.domain == "physical":
-        m = BlowupMap(series.epsilon, series.dimension)
+        eps = series.epsilon
+        if eps > 0.0:
+            dyadic = (eps * (1.0 + 2.0**j) for j in range(int(math.log2(2.0 / eps)) + 1))
+            kinks += [r for r in dyadic if r < 2.0]
+        m = BlowupMap(eps, series.dimension)
         kinks = [radial_forward(m, r) for r in kinks] + [1.0, 2.0]
     cuts = {r_in, r_out} | {r for r in kinks if r_in < r < r_out}
     if reference is not None:
@@ -698,48 +704,26 @@ def eigenfunction_normalization(spec: ResonanceSpec) -> float:
 # interior limits and blown-up interior fields
 
 
-@dataclass(frozen=True)
-class InteriorLimit:
-    """Closed-form limit of the interior field as the regularization vanishes."""
-
-    dimension: int
-    kind: str                     # "zero" | "monopole_resonant" | "neumann"
-    coefficient: complex = 0.0 + 0.0j
-    kappa: float = 0.0
-    particular: ParticularTerm | None = None
-
-    def radial0(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """Mode-0 radial profile (value, derivative) at a radius or an array of radii.
-
-        Other modes vanish.
-        """
-        r = np.asarray(r, dtype=float)
-        if self.kind == "zero":
-            return np.zeros(r.shape, dtype=complex), np.zeros(r.shape, dtype=complex)
-        vals, ders = specfun.regular_array(self.dimension, 0, self.kappa * r)
-        val = self.coefficient * vals[0].reshape(r.shape)
-        der = self.coefficient * self.kappa * ders[0].reshape(r.shape)
-        if self.particular is not None:
-            pv, pd = self.particular.eval(r)
-            val, der = val + pv, der + pd
-        return val, der
-
-
 def interior_limit(
-    d: int,
     config: CloakConfig,
     u_at_origin: complex,
+    axis: tuple[float, ...] | None = None,
     interior_source: tuple | None = None,
-) -> InteriorLimit:
-    """Limit interior field for a homogeneous isotropic cloaked region.
+) -> FieldSeries | None:
+    """Limit of the blown-up interior field as eps vanishes, as a series; None for zero.
 
-    Passive non-resonant interiors shield completely (zero limit).  A 3d
+    Passive non-resonant interiors shield completely (None).  A 3d
     monopole resonance leaks the free field's value at the blown-up point:
-    the limit is u(0) j_0(kappa* r) / j_0(kappa*).  An interior source is
-    given as (spec, amplitude); it is supported for non-resonant media
-    (Neumann problem in closed form) and rejected at resonance, where the
-    source fails the orthogonality condition and no limit exists.
+    u(0) j_0(kappa* r) / j_0(kappa*).  An interior source (spec, amplitude)
+    is supported for non-resonant 3d media, where the limit solves the
+    Neumann problem in closed form (mode 0's particular term plus the
+    regular part cancelling its flux at r = 1), and rejected at resonance,
+    where the source fails the orthogonality condition and no limit
+    exists.  The series lies on blown_up_interior_series' medium at
+    config.k, so norm_annulus(interior, 0, 1, reference=limit) subtracts it
+    on coefficients; axis is the interior series' axis.
     """
+    d = config.dimension
     if len(config.interior) != 1:
         raise UnsupportedConfigurationError(
             "interior limit implemented for a single homogeneous layer"
@@ -750,6 +734,7 @@ def interior_limit(
     kap = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
     normed = resonance_scan(d, default_truncation(config.k, 1.0) + 5, kap, lay.a)[1][:, 0]
     resonant_modes = np.flatnonzero(np.abs(normed) < 1e-9).tolist()
+    part = None
     if interior_source is not None:
         spec, amp = interior_source
         if spec.mode in resonant_modes and abs(
@@ -763,24 +748,21 @@ def interior_limit(
             raise UnsupportedConfigurationError(
                 "active interior limits implemented for radial (mode 0) sources"
             )
+        if d == 2:
+            raise UnsupportedConfigurationError(
+                "active 2d interior limits are non-local; not implemented"
+            )
         q = amp * eigenfunction_normalization(spec) / lay.a
         part = ParticularTerm.for_source(d, 0, kap, complex(spec.kappa_star), q)
-        if d == 3:
-            # Neumann condition at the unit sphere fixes the homogeneous part
-            _, pd = part.eval(1.0)
-            reg = specfun.bessel(3, "regular", 0, kap)
-            coef = -pd / (kap * reg.derivative)
-            return InteriorLimit(d, "neumann", complex(coef), kap, part)
-        raise UnsupportedConfigurationError(
-            "active 2d interior limits are non-local; not implemented"
-        )
-    if d == 3 and 0 in resonant_modes:
-        reg = specfun.bessel(3, "regular", 0, kap)
-        return InteriorLimit(
-            d, "monopole_resonant", complex(u_at_origin) / reg.value, kap
-        )
-    # passive non-resonant (2d or 3d) and passive higher-mode-resonant 3d
-    return InteriorLimit(d, "zero")
+        # Neumann condition at the unit sphere fixes the homogeneous part
+        coef = -part.eval(1.0)[1] / (kap * specfun.bessel(3, "regular", 0, kap).derivative)
+    elif d == 3 and 0 in resonant_modes:
+        coef = complex(u_at_origin) / specfun.bessel(3, "regular", 0, kap).value
+    else:   # passive non-resonant (2d or 3d) and passive higher-mode-resonant 3d
+        return None
+    mode0 = ModeSolution(n=0, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
+                         layer_coeffs=((complex(coef), 0.0 + 0.0j),), particular=part)
+    return FieldSeries(k=config.k, modes=(mode0,), medium=LayeredMedium(d, config.interior), axis=axis)
 
 
 def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldSeries:
@@ -793,35 +775,4 @@ def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldS
     if series.domain != "virtual":
         raise ValidationError("blow-up rescale expects a virtual-domain series")
     unit = LayeredMedium(config.dimension, config.interior)
-    return FieldSeries(
-        dimension=config.dimension,
-        k=config.k,
-        truncation=series.truncation,
-        modes=series.modes,
-        medium=unit,
-        domain="virtual",
-        axis=series.axis,
-    )
-
-
-def interior_deviation(interior: FieldSeries, limit: InteriorLimit | None) -> tuple[float, float]:
-    """(L2, H1) norms over the unit ball of (interior field - limit).
-
-    A nonzero limit is c R_0(kappa r) in the single interior layer, at
-    that layer's wavenumber, so the difference is the interior series with
-    mode 0's layer coefficient lowered by c: subtracted on coefficients,
-    not on node values, it keeps its digits where the two nearly cancel.
-    Limits with a particular term (interior sources) are not supported.
-    """
-    if limit is not None and limit.kind != "zero":
-        if limit.particular is not None:
-            raise UnsupportedConfigurationError("deviation from a source-driven limit")
-        med = interior.medium
-        kap = med.wavenumber(interior.k, 0)
-        if len(med.layers) != 1 or abs(kap - limit.kappa) > 1e-12 * limit.kappa:
-            raise ValidationError("interior limit needs one interior layer at its wavenumber")
-        m0 = interior.modes[0]
-        (c0, s0), = m0.layer_coeffs
-        m0 = replace(m0, layer_coeffs=((c0 - limit.coefficient, s0),))
-        interior = replace(interior, modes=(m0,) + interior.modes[1:])
-    return norm_annulus(interior, 0.0, 1.0)
+    return FieldSeries(k=config.k, modes=series.modes, medium=unit, axis=series.axis)

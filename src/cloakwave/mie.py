@@ -26,6 +26,7 @@ import numpy as np
 
 from . import specfun
 from .errors import (
+    BesselOverflowError,
     BracketError,
     SingularSystemError,
     UnsupportedConfigurationError,
@@ -88,10 +89,6 @@ class LayeredMedium:
             raise ValidationError(f"layer radii must increase strictly: {radii}")
         if self.exterior_a <= 0 or self.exterior_sigma <= 0:
             raise ValidationError("exterior coefficients must be positive")
-
-    @property
-    def outer_radius(self) -> float:
-        return self.layers[-1].radius
 
     def wavenumber(self, k: float, index: int) -> complex:
         lay = self.layers[index]
@@ -687,21 +684,16 @@ def tuned_inclusion_config(tuned: TunedSigma) -> CloakConfig:
 
 
 def interior_source_mode_solve(
-    medium: LayeredMedium,
-    k: float,
-    spec: ResonanceSpec,
-    normalization: float,
-    eigen_norm: float,
+    medium: LayeredMedium, k: float, spec: ResonanceSpec, amplitude: float
 ) -> ModeSolution:
-    """Transmission solve with the normalized eigenfunction as interior source.
+    """Transmission solve with a radial eigenfunction as interior source.
 
-    The right-hand side is normalization * e in the (single) inner layer,
-    where e is the L2-normalized radial mode of spec, and the incident
+    The right-hand side is amplitude * R_n(kappa* r) in the (single) inner
+    layer, n = spec.mode and kappa* = spec.kappa_star, and the incident
     field is zero.  The particular solution comes from the derivative-in-
     wavenumber identity when the source oscillates at the layer wavenumber,
-    and from the resolvent quotient otherwise.  eigen_norm is
-    fields.eigenfunction_normalization(spec), which a caller solving many
-    rows for one spec computes once.
+    and from the resolvent quotient otherwise; the interface system is
+    solve_modes' (_interface_side rows at r = 1).
     """
     if len(medium.layers) != 1:
         raise UnsupportedConfigurationError(
@@ -712,24 +704,17 @@ def interior_source_mode_solve(
         raise UnsupportedConfigurationError("inner layer radius must be 1")
     d, n = medium.dimension, spec.mode
     kap = medium.wavenumber(k, 0)
-    kap_src = complex(spec.kappa_star)
-    amp = normalization * eigen_norm
-    if amp == 0.0:
+    if amplitude == 0.0:
         part = None
         pv, pd = 0.0 + 0.0j, 0.0 + 0.0j
     else:
-        part = ParticularTerm.for_source(d, n, kap, kap_src, amp / lay.a)
+        part = ParticularTerm.for_source(d, n, kap, complex(spec.kappa_star), amplitude / lay.a)
         pv, pd = part.eval(1.0)
-    kap_ext = medium.exterior_wavenumber(k)
-    reg_i = specfun.bessel(d, "regular", n, kap)
-    out_e = specfun.bessel(d, "outgoing", n, kap_ext)
-    m = np.array(
-        [
-            [reg_i.value, -out_e.value],
-            [lay.a * kap * reg_i.derivative, -medium.exterior_a * kap_ext * out_e.derivative],
-        ],
-        dtype=complex,
-    )
+    inner = _interface_side(d, n, lay.a, kap, 1.0, False)
+    outer = _interface_side(d, n, medium.exterior_a, medium.exterior_wavenumber(k), 1.0, True)
+    if min(len(inner), len(outer)) <= n:
+        raise BesselOverflowError(f"singular basis of order {n + 1} overflows at the interface")
+    m = np.stack([inner[n, :, 0], -outer[n, :, 1]], axis=1)   # regular inside, outgoing outside
     rhs = np.array([-pv, -lay.a * pd], dtype=complex)
     y, cond = _solve_stack(m[None], rhs[None])
     if not cond[0] < CONDITION_CAP:

@@ -25,9 +25,9 @@ from cloakwave.fields import (
     blown_up_interior_series,
     eigenfunction_normalization,
     incident_coefficients,
-    interior_deviation,
     interior_limit,
     mode_weight,
+    norm_annulus,
     solve_series,
 )
 from cloakwave.mie import (
@@ -207,7 +207,7 @@ def _resonant_interior_solves():
     for eps in EPS_RATE:
         cfg = CloakConfig(3, 1.0, eps, cfg0.interior, incident=spec)
         ser = solve_series(virtual_medium(cfg), 1.0, b)
-        solves.append((blown_up_interior_series(cfg, ser), interior_limit(3, cfg, b[0])))
+        solves.append((blown_up_interior_series(cfg, ser), interior_limit(cfg, b[0])))
     return solves, cfg0, b
 
 
@@ -222,8 +222,8 @@ def _mode_deviation(interior: FieldSeries, limit, n: int) -> float:
         m if m.n == n else dataclasses.replace(m, layer_coeffs=zero, particular=None)
         for m in interior.modes
     )
-    return interior_deviation(
-        dataclasses.replace(interior, modes=modes), limit if n == 0 else None
+    return norm_annulus(
+        dataclasses.replace(interior, modes=modes), 0.0, 1.0, reference=limit if n == 0 else None
     )[0]
 
 
@@ -257,14 +257,15 @@ def _resonant_leading_constants(cfg: CloakConfig, b: np.ndarray) -> dict[int, fl
 
 def test_criterion_5_interior_limit_convergence_and_collocation():
     solves, cfg0, _ = _resonant_interior_solves()
-    errs = [interior_deviation(s, lim)[0] for s, lim in solves]
+    errs = [norm_annulus(s, 0.0, 1.0, reference=lim)[0] for s, lim in solves]
     decreasing = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     bound_const = max(e / eps for e, eps in zip(errs, EPS_RATE))
     kap = first_resonance(3, 1.0).kappa_star
-    lim = interior_limit(3, cfg0, 1.0 + 0.0j)
+    lim = interior_limit(cfg0, 1.0 + 0.0j)
     r, v, resid = collocation_monopole_limit(kap, 1.0 + 0.0j, n=48)
+    # the node r = 1 is the layer interface: read the limit just inside
     worst = max(
-        abs(lim.radial0(float(ri))[0] - vi) for ri, vi in zip(r, v)
+        abs(lim.radial_all(min(float(ri), 1.0 - 1e-11))[0][0] - vi) for ri, vi in zip(r, v)
     )
     ok = decreasing and bound_const < 1.0 and resid < 1e-8 and worst < 1e-8
     _report(
@@ -298,7 +299,7 @@ def test_criterion_5_interior_limit_slope_window():
     than eps^2.
     """
     solves, cfg0, b = _resonant_interior_solves()
-    errs = [interior_deviation(s, lim)[0] for s, lim in solves]
+    errs = [norm_annulus(s, 0.0, 1.0, reference=lim)[0] for s, lim in solves]
     slope = _fit_slope(EPS_RATE, errs)
     parts = {n: [_mode_deviation(s, lim, n) for s, lim in solves] for n in (0, 1, 2)}
     scaled = {n: [p / e**2 for p, e in zip(parts[n], EPS_RATE)] for n in (0, 1)}
@@ -337,7 +338,7 @@ def test_criterion_5_deviation_converges_at_small_eps():
     for eps in (1e-3, 1e-4, 1e-5):
         cfg = CloakConfig(3, 1.0, eps, cfg0.interior, incident=spec)
         interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
-        l2 = interior_deviation(interior, interior_limit(3, cfg, b[0]))[0]
+        l2 = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0]
         assert abs(l2 / eps**2 - 1.58252) <= 1e-4, (eps, l2 / eps**2)
 
 
@@ -380,11 +381,11 @@ def test_criterion_6_oracle_equivalences():
         cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
         med = blown_up_medium(cfg)
         c_e = eigenfunction_normalization(spec)
-        sol = interior_source_mode_solve(med, k, spec, eps ** (2 - d), c_e)
+        sol = interior_source_mode_solve(med, k, spec, eps ** (2 - d) * c_e)
         grid, u_fd = fd_interior_source_solve(
             d, k, eps, 1.0, spec.sigma0, spec.kappa_star, c_e, npts=10000
         )
-        series = FieldSeries(dimension=d, k=k, truncation=0, modes=(sol,), medium=med)
+        series = FieldSeries(k=k, modes=(sol,), medium=med)
         scale = float(np.max(np.abs(u_fd)))
         for i in np.linspace(5, len(grid) - 5, 50, dtype=int):
             rr = float(grid[i])

@@ -27,9 +27,7 @@ from cloakwave.fields import (
     _split_points,
     auto_truncation,
     blown_up_interior_series,
-    eigenfunction_normalization,
     incident_coefficients,
-    interior_deviation,
     interior_limit,
     mode_weight,
     norm_annulus,
@@ -245,7 +243,7 @@ def _eigen_series(d):
     """Virtual blown-up eigenmode field: mode 1 with a particular term in layer 0."""
     spec = first_resonance(d, 1.0, 1)
     cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),))
-    return eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
+    return eigenmode_series(cfg, spec)
 
 
 def _points(d, radii, seed):
@@ -476,7 +474,7 @@ def _source_series(d, detune):
     """Eigenfunction-driven mode 1: a particular term of either kind in layer 0."""
     spec = first_resonance(d, 1.0, 1)
     cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0 * detune),))
-    return eigenmode_series(cfg, spec, eigenfunction_normalization(spec))
+    return eigenmode_series(cfg, spec)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -568,17 +566,18 @@ def test_norm_pairs_match_separate_values(d):
     spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
     interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
-    lim = interior_limit(d, cfg, b[0])
+    lim = interior_limit(cfg, b[0])
 
     def deviation(r):
         vals, ders = interior.radial_all(r)
-        lv, ld = lim.radial0(r)
-        vals[0] -= lv
-        ders[0] -= ld
+        if lim is not None:
+            lv, ld = lim.radial_all(r)
+            vals[0] -= lv[0]
+            ders[0] -= ld[0]
         return _node_density(d, vals, ders, r)
 
     want = _separate_norms(deviation, [0.0, 1.0])
-    assert interior_deviation(interior, lim) == pytest.approx(want, rel=1e-10)
+    assert norm_annulus(interior, 0.0, 1.0, reference=lim) == pytest.approx(want, rel=1e-10)
 
     def outgoing(r):
         one, (_, _, kind) = _one(d)
@@ -666,7 +665,7 @@ def test_one_array_chain_per_level_per_layer(d, monkeypatch):
     assert counts["array_chain"] == counts["levels"] > 3
     counts.update(array_chain=0, levels=0)
     # the lossy layer of the blown-up interior, and of the physical blown-up ball
-    interior_deviation(blown, None)
+    norm_annulus(blown, 0.0, 1.0)
     norm_annulus(replace(virt, domain="physical", epsilon=0.1), 0.1, 0.45)
     assert counts["array_chain"] == counts["levels"] > 2
     counts.update(array_chain=0, levels=0)

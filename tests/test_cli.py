@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,16 @@ from scipy.optimize import brentq
 from cloakwave import cli, specfun
 from cloakwave.cli import build_run_config, parse_config_text
 from cloakwave.errors import BesselOverflowError
-from cloakwave.fields import FieldSeries
+from cloakwave.fields import (
+    FieldSeries,
+    auto_truncation,
+    free_series,
+    incident_coefficients,
+    norm_annulus,
+    solve_series,
+)
+from cloakwave.mie import virtual_medium
+from cloakwave.transform import BlowupMap, radial_forward
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -648,6 +658,37 @@ def test_sweep_probe_near_radius_one_at_high_order(tmp_path, d):
     rows = open(os.path.join(out, "results.csv")).read().splitlines()[1:]
     vis = [float(r.split(",")[1]) for r in rows]
     assert len(vis) == 3 and vis[0] > vis[1] > vis[2] > 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sweep_probe_just_above_radius_one(tmp_path, d):
+    # near r = 1 the cloaked field varies on the virtual scale eps: the
+    # shell is cut at the images of eps (1 + 2^j), and cuts twice as dense,
+    # eps (1 + 2^(j/2)), change no visibility by more than 1e-10
+    direction = "1, 0" if d == 2 else "1, 0, 0"
+    text = (
+        f"experiment = sweep\ndimension = {d}\nk = 1.0\neps_list = 1e-2, 1e-3, 1e-5\n"
+        "interior.radii = 1.0\ninterior.a = 1.0\ninterior.sigma = 1.0\n"
+        f"incident.kind = plane_wave\nincident.direction = {direction}\n"
+        "probe.r_in = 1.0001\nprobe.r_out = 2.5\n"
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--config", _write_cfg(tmp_path, text), "--out", out]) == 0
+    rows = np.loadtxt(os.path.join(out, "results.csv"), delimiter=",", skiprows=1, usecols=(0, 1, 2))
+    cloak = build_run_config(parse_config_text(text)).cloak
+    spec = cloak.incident
+    b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
+    axis = tuple(spec.axis)
+    pullback = replace(free_series(d, 1.0, b, axis), domain="physical", epsilon=0.0)
+    for eps, vis_l2, vis_h1 in rows:
+        series = solve_series(virtual_medium(replace(cloak, epsilon=eps)), 1.0, b, axis=axis)
+        cloaked = replace(series, domain="physical", epsilon=eps)
+        m = BlowupMap(eps, d)
+        dense = [radial_forward(m, eps * (1.0 + 2.0 ** (j / 2))) for j in range(40)]
+        cuts = [1.0001] + [c for c in dense if 1.0001 < c < 2.0] + [2.0, 2.5]
+        parts = [norm_annulus(cloaked, lo, hi, reference=pullback) for lo, hi in zip(cuts, cuts[1:])]
+        want = np.sqrt(np.sum(np.square(parts), axis=0))
+        assert (vis_l2, vis_h1) == pytest.approx(tuple(want), rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -346,23 +346,13 @@ def test_shell_probe_matches_pointwise_sampling():
     assert abs(v - brute) < 1e-3 * v
 
 
-def test_blowup_sweep_normalizes_the_eigenfunction_once(monkeypatch):
-    real = ex.eigenfunction_normalization
-    specs = []
-
-    def counting(spec):
-        specs.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(ex, "eigenfunction_normalization", counting)
+def test_blowup_sweep_rows_match_per_row_eigenmode_series():
     for d in (2, 3):
-        specs.clear()
         eps = (1e-2, 3e-3, 1e-3, 3e-4)
         recs = ex.blowup_sweep(d, 1.0, eps)
-        assert len(specs) == 1   # one quadrature for the sweep, not one per row
         spec = first_resonance(d, 1.0)
-        # rows equal those of per-row normalization, bitwise
+        # rows equal the norms of one eigenmode series per row, bitwise
         for e, rec in zip(eps, recs):
             cfg = CloakConfig(d, 1.0, e, (Layer(1.0, 1.0, spec.sigma0),))
-            series = ex.eigenmode_series(cfg, spec, real(spec))
-            assert rec.interior_h1 == ex.interior_deviation(series, None)[1]
+            series = ex.eigenmode_series(cfg, spec)
+            assert rec.interior_h1 == norm_annulus(series, 0.0, 1.0)[1]

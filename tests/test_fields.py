@@ -28,7 +28,6 @@ from cloakwave.fields import (
     eigenfunction_normalization,
     free_series,
     incident_coefficients,
-    interior_deviation,
     interior_limit,
     mode_series,
     mode_weight,
@@ -44,6 +43,7 @@ from cloakwave.mie import (
     first_resonance,
     virtual_medium,
 )
+from cloakwave.transform import BlowupMap, radial_forward
 
 from oracles import collocation_monopole_limit
 
@@ -461,7 +461,9 @@ def test_only_segments_without_closed_form_integrate(d, monkeypatch):
     virt = solve_series(virtual_medium(cfg), 2.0, b)
     norm_annulus(virt, 0.0, 1.0)
     norm_annulus(replace(virt, domain="physical", epsilon=0.1), 1.5, 3.0)
-    assert calls == [(0.0, 0.05), (1.5, 2.0)]
+    # the shell is also cut at the image of the virtual radius eps (1 + 2^4)
+    cut = radial_forward(BlowupMap(0.1, d), 0.1 * (1.0 + 2.0**4))
+    assert calls == [(0.0, 0.05), (1.5, cut), (cut, 2.0)]
 
 
 @pytest.mark.parametrize("r_out, integrated", [(1.0095, True), (1.0105, False)])
@@ -496,30 +498,29 @@ def test_eigenfunction_normalization_against_mpmath(d, n):
 
 def test_interior_limit_nonresonant_passive_is_zero():
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, 1.0),))
-    lim = interior_limit(3, cfg, 1.0)
-    assert lim.kind == "zero"
-    assert lim.radial0(0.5) == (0.0, 0.0)
+    assert interior_limit(cfg, 1.0) is None
     cfg2 = CloakConfig(2, 1.0, 0.1, (Layer(1.0, 1.0, 1.0),))
-    assert interior_limit(2, cfg2, 1.0).kind == "zero"
+    assert interior_limit(cfg2, 1.0) is None
 
 
 def test_interior_limit_resonant_monopole_closed_form():
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, KAPPA3**2),))
-    lim = interior_limit(3, cfg, 1.0)
-    assert lim.kind == "monopole_resonant"
+    lim = interior_limit(cfg, 1.0)
+    assert lim.truncation == 0 and lim.medium == LayeredMedium(3, cfg.interior)
     j0_at = math.sin(KAPPA3) / KAPPA3
-    v0, _ = lim.radial0(0.0)
+    v0 = lim.radial_all(0.0)[0][0]
     assert abs(v0 - 1.0 / j0_at) <= 1e-12 * abs(1.0 / j0_at)
 
 
 def test_interior_limit_matches_collocation_oracle():
     u0 = 1.0 + 0.0j
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, KAPPA3**2),))
-    lim = interior_limit(3, cfg, u0)
+    lim = interior_limit(cfg, u0)
     r, v, resid = collocation_monopole_limit(KAPPA3, u0, n=48)
     assert resid < 1e-8
     for ri, vi in zip(r, v):
-        mine, _ = lim.radial0(float(ri))
+        # the node r = 1 is the layer interface: read the limit just inside
+        mine = lim.radial_all(min(float(ri), 1.0 - 1e-11))[0][0]
         assert abs(mine - vi) < 1e-8
 
 
@@ -527,31 +528,50 @@ def test_interior_limit_active_resonant_rejected():
     spec = first_resonance(3, 1.0)
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, spec.sigma0),))
     with pytest.raises(UnsupportedConfigurationError):
-        interior_limit(3, cfg, 1.0, interior_source=(spec, 1.0))
+        interior_limit(cfg, 1.0, interior_source=(spec, 1.0))
 
 
 def test_interior_limit_active_nonresonant_neumann():
     spec = first_resonance(3, 1.0)
     sigma = spec.sigma0 + 3.0
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, sigma),))
-    lim = interior_limit(3, cfg, 0.0, interior_source=(spec, 1.0))
-    assert lim.kind == "neumann"
-    # Neumann condition satisfied by construction
-    _, der = lim.radial0(1.0)
+    lim = interior_limit(cfg, 0.0, interior_source=(spec, 1.0))
+    assert lim.modes[0].particular is not None
+    # Neumann condition satisfied by construction; r = 1 is the layer interface
+    der = lim.radial_all(1.0 - 1e-11)[1][0]
     assert abs(der) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1.0, 0.8])
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)])
+def test_deviation_from_the_limit_subtracts_on_coefficients(k, axis):
+    # the deviation from a resonant limit is the interior series with mode
+    # 0's coefficient lowered by the limit's: bitwise, because the limit
+    # sits on the interior's medium at its wavenumber
+    spec = IncidentSpec("plane_wave", direction=axis)
+    b = incident_coefficients(spec, k, auto_truncation(spec, k, 3), 3)
+    layer = Layer(1.0, 1.0, first_resonance(3, k).sigma0)
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+        cfg = CloakConfig(3, k, eps, (layer,))
+        interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), k, b, axis=axis))
+        lim = interior_limit(cfg, b[0], axis)
+        m0 = interior.modes[0]
+        (c0, s0), = m0.layer_coeffs
+        lowered = replace(m0, layer_coeffs=((c0 - lim.modes[0].layer_coeffs[0][0], s0),))
+        want = norm_annulus(replace(interior, modes=(lowered,) + interior.modes[1:]), 0.0, 1.0)
+        assert norm_annulus(interior, 0.0, 1.0, reference=lim) == want
 
 
 def test_interior_convergence_nonresonant_rate():
     # passive non-resonant: U_eps -> 0 in L2(B1) at rate O(eps)
     spec = IncidentSpec("plane_wave", direction=(0.0, 0.0, 1.0))
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 3), 3)
-    lim = None
     vals = []
     for eps in (1e-1, 1e-2, 1e-3):
         cfg = CloakConfig(3, 1.0, eps, (Layer(1.0, 1.0, 1.0),))
         ser = solve_series(virtual_medium(cfg), 1.0, b)
         interior = blown_up_interior_series(cfg, ser)
-        vals.append(interior_deviation(interior, interior_limit(3, cfg, b[0]))[0])
+        vals.append(norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0])
     assert vals[0] / vals[1] == pytest.approx(10.0, rel=0.4)
     assert vals[1] / vals[2] == pytest.approx(10.0, rel=0.15)
 
@@ -564,7 +584,7 @@ def test_interior_convergence_resonant_to_closed_form():
         cfg = CloakConfig(3, 1.0, eps, (Layer(1.0, 1.0, KAPPA3**2),))
         ser = solve_series(virtual_medium(cfg), 1.0, b)
         interior = blown_up_interior_series(cfg, ser)
-        dev = interior_deviation(interior, interior_limit(3, cfg, b[0]))[0]
+        dev = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0]
         assert dev < prev
         prev = dev
     assert prev < 2e-6

@@ -436,9 +436,7 @@ def test_resonance_condition_normalization():
 def test_interior_source_zero_amplitude():
     spec = first_resonance(3, 1.0)
     cfg = CloakConfig(3, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),))
-    sol = interior_source_mode_solve(
-        blown_up_medium(cfg), 1.0, spec, 0.0, eigenfunction_normalization(spec)
-    )
+    sol = interior_source_mode_solve(blown_up_medium(cfg), 1.0, spec, 0.0)
     assert sol.alpha_n == 0.0
     assert sol.layer_coeffs[0][0] == 0.0
 
@@ -450,7 +448,7 @@ def test_interior_source_matches_fd_oracle_resonant(d):
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
     med = blown_up_medium(cfg)
     sol = interior_source_mode_solve(
-        med, k, spec, normalization=eps ** (2 - d), eigen_norm=eigenfunction_normalization(spec)
+        med, k, spec, eps ** (2 - d) * eigenfunction_normalization(spec)
     )
 
     # independent amplitude for the normalized eigenfunction
@@ -471,7 +469,7 @@ def test_interior_source_matches_fd_oracle_resonant(d):
     )
     from cloakwave.fields import FieldSeries
 
-    series = FieldSeries(dimension=d, k=k, truncation=0, modes=(sol,), medium=med)
+    series = FieldSeries(k=k, modes=(sol,), medium=med)
     idx = np.linspace(5, len(grid) - 5, 60, dtype=int)
     worst = 0.0
     scale = float(np.max(np.abs(u_fd)))
@@ -492,14 +490,14 @@ def test_interior_source_matches_fd_oracle_nonresonant():
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, sigma),))
     med = blown_up_medium(cfg)
     c_e = eigenfunction_normalization(spec)
-    sol = interior_source_mode_solve(med, k, spec, normalization=eps ** (2 - d), eigen_norm=c_e)
+    sol = interior_source_mode_solve(med, k, spec, eps ** (2 - d) * c_e)
     assert sol.particular.kind == "off_resonance"
     grid, u_fd = fd_interior_source_solve(
         d, k, eps, 1.0, sigma, spec.kappa_star, c_e, npts=20000
     )
     from cloakwave.fields import FieldSeries
 
-    series = FieldSeries(dimension=d, k=k, truncation=0, modes=(sol,), medium=med)
+    series = FieldSeries(k=k, modes=(sol,), medium=med)
     idx = np.linspace(5, len(grid) - 5, 60, dtype=int)
     scale = float(np.max(np.abs(u_fd)))
     for i in idx:
@@ -514,7 +512,7 @@ def test_interior_source_requires_single_unit_layer():
     spec = first_resonance(3, 1.0)
     med = LayeredMedium(3, (Layer(0.5, 1.0, 1.0), Layer(1.0, 1.0, 1.0)))
     with pytest.raises(UnsupportedConfigurationError):
-        interior_source_mode_solve(med, 1.0, spec, 1.0, eigenfunction_normalization(spec))
+        interior_source_mode_solve(med, 1.0, spec, 1.0)
 
 
 def test_singular_system_error_surfaces(monkeypatch):
