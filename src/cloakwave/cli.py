@@ -64,7 +64,6 @@ class RunConfig:
     cloak: CloakConfig
     eps_list: tuple[float, ...]
     probe: tuple[float, float]
-    truncation: int | None
     tuning: str
     blowup_mode: int
     scan_k: tuple[float, float, int, int]        # k_min, k_max, points, modes
@@ -124,6 +123,9 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     experiment = get("experiment")
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}")
+    if "truncation" in kv:
+        # summary.json echoes every key, so an unused truncation would be recorded
+        raise ValidationError("config key 'truncation' is not settable: the run chooses it")
 
     def count(key: str, default: str, cap: float = math.inf) -> int:
         """The integer at key if it lies in [0, cap], else ValidationError naming key."""
@@ -141,7 +143,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     eps_list = tuple(_floats(get("eps_list", "1e-1, 3e-2, 1e-2, 3e-3, 1e-3")))
     probe_in = _number(get("probe.r_in", "2.0"))
     probe_out = _number(get("probe.r_out", "4.0"))
-    truncation = count("truncation", "0", specfun.ORDER_CAP) or None   # 0: automatic
     tuning = get("tuning", "exact")
     blowup_mode = count("blowup.mode", "0", specfun.ORDER_CAP)
     scan_k = (
@@ -188,7 +189,6 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         cloak=cloak,
         eps_list=eps_list,
         probe=(probe_in, probe_out),
-        truncation=truncation,
         tuning=tuning,
         blowup_mode=blowup_mode,
         scan_k=scan_k,
@@ -271,12 +271,7 @@ def _ratefit_json(fit) -> dict | None:
 
 
 def _run_sweep(config: RunConfig, out_dir: str) -> None:
-    res = convergence_sweep(
-        config.cloak,
-        config.eps_list,
-        probe=config.probe,
-        truncation=config.truncation,
-    )
+    res = convergence_sweep(config.cloak, config.eps_list, probe=config.probe)
     _write(os.path.join(out_dir, "results.csv"), records_csv(res.records))
     _write(
         os.path.join(out_dir, "summary.json"),
@@ -441,13 +436,12 @@ def _field_evaluator(config: RunConfig):
                 f"field grid corner radius {corner:.3g} reaches the point-source "
                 f"expansion boundary (source radius {r0:.3g})"
             )
-    n_max = config.truncation or auto_truncation(spec, k, d, r_eval=corner)
+    n_max = auto_truncation(spec, k, d, r_eval=corner)
     b = incident_coefficients(spec, k, n_max, d, r_eval=corner)
     series = solve_series(
         virtual_medium(cloak),
         k,
         b,
-        domain="physical",
         epsilon=eps,
         axis=None if spec.axis is None else tuple(spec.axis),
         incident=spec,
@@ -501,7 +495,7 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
 def _run_modes(config: RunConfig, out_dir: str) -> None:
     cloak = config.cloak
     spec = cloak.incident
-    n_max = config.truncation or auto_truncation(spec, cloak.k, cloak.dimension)
+    n_max = auto_truncation(spec, cloak.k, cloak.dimension)
     b = incident_coefficients(spec, cloak.k, n_max, cloak.dimension)
     medium = virtual_medium(cloak)
     lines = ["n,b_re,b_im,alpha_re,alpha_im,inner_c_re,inner_c_im"]

@@ -23,13 +23,11 @@ from .errors import (
 )
 from .fields import (
     FieldSeries,
-    IncidentSpec,
     auto_truncation,
     blown_up_interior_series,
     eigenfunction_normalization,
     free_series,
     incident_coefficients,
-    interior_limit,
     mode_series,
     norm_annulus,
     outgoing_mode_norm,
@@ -37,6 +35,7 @@ from .fields import (
 )
 from .mie import (
     EPSILON_FLOOR,
+    RESONANCE_PROXIMITY,
     TUNING_FLOOR_3D,
     CloakConfig,
     Layer,
@@ -57,7 +56,6 @@ DEFAULT_PROBE = (2.0, 4.0)
 # about 730 bytes per point at 10 modes, against 8 bytes per point of the
 # grid itself (scan.points is capped at 1,000,000)
 SCAN_BLOCK = 4096
-RESONANCE_PROXIMITY = 1e-8
 
 
 @dataclass(frozen=True)
@@ -72,6 +70,11 @@ class SweepRecord:
     sigma_eps: float | None = None
     alpha0: complex | None = None
     flags: str = ""
+
+
+def _singular_record(epsilon: float, exc: SingularSystemError) -> SweepRecord:
+    """The row of a solve that hit a singular interface system: NaN norms, flagged."""
+    return SweepRecord(epsilon, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}")
 
 
 @dataclass(frozen=True)
@@ -161,55 +164,51 @@ def convergence_sweep(
     eps_list,
     *,
     probe: tuple[float, float] = DEFAULT_PROBE,
-    truncation: int | None = None,
 ) -> SweepResult:
-    """Visibility and interior-limit deviation across a regularization sweep.
+    """Visibility and interior deviation across a regularization sweep.
 
     Per epsilon: the virtual small-inclusion problem is solved at the
-    config's frequency, the visibility is the norm of (cloaked field -
-    free-field pullback) over the probe annulus, which may reach into the
-    shell (radius > 1), and the interior deviation is the norm of
-    (blown-up interior field - interior_limit) over the unit ball.  The rate fit uses
-    epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less than a
-    decade is reported as degenerate instead of failing the sweep.  A
-    homogeneous interior within RESONANCE_PROXIMITY of a resonance raises
-    ResonantConfigError.
+    config's frequency, truncated at auto_truncation; the visibility is the
+    norm of (cloaked field - free-field pullback) over the probe annulus,
+    which may reach into the shell (radius > 1), and the interior deviation
+    is the norm of the blown-up interior field over the unit ball: its
+    deviation from the limit, which is zero for every interior a sweep
+    accepts (fields.interior_limit).  A homogeneous lossless interior whose
+    normalized resonance condition lies below RESONANCE_PROXIMITY for some
+    mode of the truncation raises ResonantConfigError; layered and lossy
+    interiors shield.  The rate fit uses epsilon in 3d and 1/|ln eps| in
+    2d; a fit on data spanning less than a decade is reported as degenerate
+    instead of failing the sweep.
     """
     eps = _check_eps_list(eps_list)
     d, k = config.dimension, config.k
     if config.incident is None:
         raise ValidationError("convergence sweep needs an incident field")
     spec = config.incident
+    n_max = auto_truncation(spec, k, d)
     if _homogeneous_interior(config) is not None:
-        margin = min_resonance_margin(config, auto_truncation(spec, k, d))
+        margin = min_resonance_margin(config, n_max)
         if margin < RESONANCE_PROXIMITY:
             raise ResonantConfigError(
                 f"configuration is resonant (margin {margin:.3e}); use the "
                 "resonance experiments"
             )
-    n_max = truncation if truncation is not None else auto_truncation(spec, k, d)
     b = incident_coefficients(spec, k, n_max, d)
     axis = None if spec.axis is None else tuple(spec.axis)
     # the free field pulled back through the limit map
-    pullback = replace(free_series(d, k, b, axis), domain="physical", epsilon=0.0)
-    # the free field at the blown-up point: only the monopole regular basis is nonzero there
-    limit = interior_limit(config, complex(b[0]), axis) if _homogeneous_interior(config) else None
+    pullback = replace(free_series(d, k, b, axis), epsilon=0.0)
 
     def one(e: float) -> SweepRecord:
         cfg = replace(config, epsilon=e)
         try:
-            vm = virtual_medium(cfg)
-            series = solve_series(vm, k, b, axis=axis)
+            series = solve_series(virtual_medium(cfg), k, b, axis=axis)
             # the cloaked field: the same series outside radius 2, composed
             # with the inverse map on a probe reaching into the shell
-            cloaked = replace(series, domain="physical", epsilon=e)
+            cloaked = replace(series, epsilon=e)
             vis_l2, vis_h1 = norm_annulus(cloaked, probe[0], probe[1], reference=pullback)
-            interior = blown_up_interior_series(cfg, series)
-            int_l2, int_h1 = norm_annulus(interior, 0.0, 1.0, reference=limit)
+            int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
         except SingularSystemError as exc:
-            return SweepRecord(
-                e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
-            )
+            return _singular_record(e, exc)
         return SweepRecord(e, vis_l2, vis_h1, int_l2, int_h1)
 
     records = tuple(one(e) for e in eps)
@@ -237,36 +236,34 @@ def instability_sweep(
 
     For each epsilon the interior density is tuned near the first monopole
     resonance so the scattering coefficient is driven to -1; the record
-    reports the tuned density (tuning-equation convention), the closed-form
-    alpha0 and the scattered norm over the probe annulus, which the tuned
-    rows compare against the unit-coefficient outgoing norm.  A 3d sweep
-    below TUNING_FLOOR_3D is rejected: the double-precision solve no longer
-    reaches alpha0 = -1 there.
+    reports the tuned density (tuning-equation convention) and the
+    closed-form alpha0.  The incident field is the unit monopole, so each
+    row solves that one order: the scattered norm over the probe annulus
+    is the solve's |alpha_0| times the unit-coefficient outgoing norm, the
+    reference against which the tuned rows read order one, and the
+    interior norm is the blown-up interior series' over the unit ball.  A
+    3d sweep below TUNING_FLOOR_3D is rejected: the double-precision solve
+    no longer reaches alpha0 = -1 there.
     """
     eps = _check_eps_list(eps_list)
     if d == 3 and eps[-1] < TUNING_FLOOR_3D:
         raise ValidationError(f"3d instability needs every epsilon >= {TUNING_FLOOR_3D:g}")
     spec0 = first_resonance(d, k, 0)
-    ref_norm = outgoing_mode_norm(d, k, 0, probe[0], probe[1])[0]
-    mode_inc = IncidentSpec("mode", mode=0)
-    b = incident_coefficients(mode_inc, k, auto_truncation(mode_inc, k, d), d)
+    out_l2, out_h1 = outgoing_mode_norm(d, k, 0, probe[0], probe[1])
 
     def one(e: float) -> tuple[SweepRecord, TunedSigma | None]:
         try:
             tuned = tune_sigma(d, k, e, spec0, variant)
             cfg = tuned_inclusion_config(tuned)
             alpha = tuned.alpha0 if variant == "exact" else alpha0_closed_form(d, k, e, tuned.k_eps)
-            vm = virtual_medium(cfg)
-            series = solve_series(vm, k, b)
-            vis_l2, vis_h1 = norm_annulus(series.scattered(), probe[0], probe[1])
+            series = solve_series(virtual_medium(cfg), k, np.ones(1))
             int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
         except SingularSystemError as exc:
-            rec = SweepRecord(
-                e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
-            )
-            return rec, None
+            return _singular_record(e, exc), None
+        amp_out = abs(series.modes[0].alpha_n)
         rec = SweepRecord(
-            e, vis_l2, vis_h1, int_l2, int_h1, sigma_eps=tuned.sigma_paper, alpha0=alpha
+            e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1,
+            sigma_eps=tuned.sigma_paper, alpha0=alpha,
         )
         return rec, tuned
 
@@ -282,7 +279,7 @@ def instability_sweep(
         products_paper.append(weight * abs(t.sigma_paper - t.sigma0_paper))
         products_eq.append(weight * abs(t.sigma_eq - t.sigma0_eq))
     return InstabilityResult(
-        records, tuned, ref_norm, tuple(products_paper), tuple(products_eq)
+        records, tuned, out_l2, tuple(products_paper), tuple(products_eq)
     )
 
 
@@ -324,9 +321,7 @@ def blowup_sweep(
         try:
             series = eigenmode_series(CloakConfig(d, k, e, (interior_layer,)), spec)
         except SingularSystemError as exc:
-            return SweepRecord(
-                e, math.nan, math.nan, math.nan, math.nan, flags=f"singular: {exc}"
-            )
+            return _singular_record(e, exc)
         int_l2, int_h1 = norm_annulus(series, 0.0, 1.0)
         amp_out = abs(series.modes[mode].alpha_n)
         return SweepRecord(e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1)

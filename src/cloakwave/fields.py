@@ -40,9 +40,10 @@ from .mie import (
     Layer,
     ModeSolution,
     ParticularTerm,
+    RESONANCE_PROXIMITY,
     ResonanceSpec,
     angular_eigenvalue,
-    resonance_scan,
+    resonance_condition,
     solve_modes,
 )
 from .quadrature import integrate
@@ -186,10 +187,11 @@ def mode_weight(d: int, n: int) -> float:
 class FieldSeries:
     """Truncated modal field over a layered medium.
 
-    domain "virtual" evaluates the series directly; "physical" composes it
-    with the inverse blow-up map of the stored epsilon, which leaves all
-    values outside radius 2 unchanged; epsilon 0 is the limit map, defined
-    outside radius 1 only.  The angular structure is symmetric
+    With epsilon None the series lives on the virtual domain and is
+    evaluated directly; with an epsilon it is the physical-domain field,
+    the series composed with the inverse blow-up map of that epsilon, which
+    leaves all values outside radius 2 unchanged; epsilon 0 is the limit
+    map, defined outside radius 1 only.  The angular structure is symmetric
     about `axis` (monopole coefficients times Legendre / cosine factors).
     `incident` is the spec whose coefficients the b_n are, if any; it lets
     eval_many take the incident field in closed form outside the medium.
@@ -198,16 +200,9 @@ class FieldSeries:
     k: float
     modes: tuple[ModeSolution, ...]
     medium: LayeredMedium
-    domain: str = "virtual"
     epsilon: float | None = None
     axis: tuple[float, ...] | None = None
     incident: IncidentSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.domain not in ("virtual", "physical"):
-            raise ValidationError(f"unknown domain tag {self.domain!r}")
-        if self.domain == "physical" and not (self.epsilon is not None and self.epsilon >= 0):
-            raise ValidationError("physical domain requires epsilon >= 0")
 
     @property
     def dimension(self) -> int:
@@ -343,7 +338,7 @@ class FieldSeries:
         """
         t = radii(x)
         xv = x
-        if self.domain == "physical":
+        if self.epsilon is not None:
             for b in (1.0, 2.0):
                 if np.any(np.abs(t - b) <= _INTERFACE_TOL * max(1.0, b)):
                     raise InterfaceEvaluationError(
@@ -353,7 +348,7 @@ class FieldSeries:
         return xv, radii(xv)
 
     def eval(self, x) -> complex:
-        """Field value at a point from every order (physical tag composes with the inverse map)."""
+        """Field value at a point from every order (an epsilon composes with the inverse map)."""
         xv, r = self._to_virtual(np.asarray(x, dtype=float)[None])
         r = float(r[0])
         vals, _ = self.radial_all(r)
@@ -456,14 +451,14 @@ def solve_series(
     k: float,
     b: np.ndarray,
     *,
-    domain: str = "virtual",
     epsilon: float | None = None,
     axis: tuple[float, ...] | None = None,
     incident: IncidentSpec | None = None,
 ) -> FieldSeries:
     """Series of every order of an incident coefficient vector (one solve_modes call).
 
-    incident, if given, is the spec b was computed from (see FieldSeries).
+    epsilon, if given, makes it the physical-domain field (see FieldSeries),
+    and incident, if given, is the spec b was computed from.
     Orders so deep in the evanescent regime that the singular basis
     overflows double precision at an interface (high order at a tiny
     inclusion radius) scatter nothing at working precision and keep only
@@ -473,7 +468,6 @@ def solve_series(
         k=k,
         modes=solve_modes(medium, k, b),
         medium=medium,
-        domain=domain,
         epsilon=epsilon,
         axis=axis,
         incident=incident,
@@ -518,8 +512,8 @@ def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None
     segments keep the quadrature's panels on that scale toward r = 1.
     """
     kinks = [lay.radius for lay in series.medium.layers]
-    if series.domain == "physical":
-        eps = series.epsilon
+    eps = series.epsilon
+    if eps is not None:
         if eps > 0.0:
             dyadic = (eps * (1.0 + 2.0**j) for j in range(int(math.log2(2.0 / eps)) + 1))
             kinks += [r for r in dyadic if r < 2.0]
@@ -537,7 +531,7 @@ def _profiles(series: FieldSeries, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     r holds the nodes of one _split_points segment, which lies on one
     branch of the blow-up map (physical domain), where the map is affine.
     """
-    if series.domain == "virtual":
+    if series.epsilon is None:
         return series.radial_many(r)
     slope, offset = inverse_branch(BlowupMap(series.epsilon, series.dimension), r[0])
     vals, ders = series.radial_many(slope * r + offset)
@@ -554,7 +548,7 @@ def _bessel_segment(series: FieldSeries, lo: float, hi: float):
     and the blown-up ball, at the slope times the layer's wavenumber).
     """
     slope, offset, mid = 1.0, 0.0, 0.5 * (lo + hi)
-    if series.domain == "physical":
+    if series.epsilon is not None:
         slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon, series.dimension), mid))
     idx = bisect.bisect([lay.radius for lay in series.medium.layers], slope * mid)
     kap, co, cs, outgoing = series._layer_basis(idx)
@@ -637,8 +631,7 @@ def norm_annulus(
     form would cancel digits.  The reference shares the series' dimension
     and axis; where one has more modes than the other, the extra modes
     count in full.  The scattered part is series.scattered(), the
-    free-field pullback free_series on the limit map (domain "physical",
-    epsilon 0).
+    free-field pullback free_series on the limit map (epsilon 0).
     """
     if not 0.0 <= r_in < r_out:
         raise ValidationError(f"bad annulus [{r_in}, {r_out}]")
@@ -712,7 +705,10 @@ def interior_limit(
 ) -> FieldSeries | None:
     """Limit of the blown-up interior field as eps vanishes, as a series; None for zero.
 
-    Passive non-resonant interiors shield completely (None).  A 3d
+    Passive non-resonant interiors shield completely (None).  A mode is
+    resonant when its normalized resonance condition lies below
+    RESONANCE_PROXIMITY, the test with which the sweeps reject resonant
+    interiors, so a sweep never meets a nonzero limit.  A 3d
     monopole resonance leaks the free field's value at the blown-up point:
     u(0) j_0(kappa* r) / j_0(kappa*).  An interior source (spec, amplitude)
     is supported for non-resonant 3d media, where the limit solves the
@@ -732,14 +728,14 @@ def interior_limit(
     if abs(complex(lay.sigma).imag) > 0:
         raise UnsupportedConfigurationError("interior limit needs lossless interior")
     kap = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
-    normed = resonance_scan(d, default_truncation(config.k, 1.0) + 5, kap, lay.a)[1][:, 0]
-    resonant_modes = np.flatnonzero(np.abs(normed) < 1e-9).tolist()
+
+    def resonant(n: int) -> bool:
+        return abs(resonance_condition(d, n, kap, lay.a)[1]) < RESONANCE_PROXIMITY
+
     part = None
     if interior_source is not None:
         spec, amp = interior_source
-        if spec.mode in resonant_modes and abs(
-            kap - spec.kappa_star
-        ) <= 1e-9 * spec.kappa_star:
+        if resonant(spec.mode) and abs(kap - spec.kappa_star) <= 1e-9 * spec.kappa_star:
             raise UnsupportedConfigurationError(
                 "interior source is a resonant eigenfunction: the orthogonality "
                 "condition fails and the interior energy blows up (no limit)"
@@ -756,7 +752,7 @@ def interior_limit(
         part = ParticularTerm.for_source(d, 0, kap, complex(spec.kappa_star), q)
         # Neumann condition at the unit sphere fixes the homogeneous part
         coef = -part.eval(1.0)[1] / (kap * specfun.bessel(3, "regular", 0, kap).derivative)
-    elif d == 3 and 0 in resonant_modes:
+    elif d == 3 and resonant(0):
         coef = complex(u_at_origin) / specfun.bessel(3, "regular", 0, kap).value
     else:   # passive non-resonant (2d or 3d) and passive higher-mode-resonant 3d
         return None
@@ -772,7 +768,7 @@ def blown_up_interior_series(config: CloakConfig, series: FieldSeries) -> FieldS
     medium give exactly the blown-up interior field, because the interior
     Bessel arguments satisfy kappa_virtual * eps = kappa_unit.
     """
-    if series.domain != "virtual":
+    if series.epsilon is not None:
         raise ValidationError("blow-up rescale expects a virtual-domain series")
     unit = LayeredMedium(config.dimension, config.interior)
     return FieldSeries(k=config.k, modes=series.modes, medium=unit, axis=series.axis)

@@ -43,6 +43,9 @@ EPSILON_FLOOR = 1e-100
 # reads 0.55 to 0.97 at 3e-8 (k = 0.5 to 10), while the tuned root still holds
 TUNING_FLOOR_3D = 1e-6
 CONDITION_CAP = 1.0e12
+# a homogeneous interior whose normalized resonance condition (resonance_condition)
+# falls below this is resonant: sweeps reject it, and its interior limit leaks
+RESONANCE_PROXIMITY = 1e-8
 MP_DIGITS = 60             # working precision of the tuning polish and tuned alpha0
 
 
@@ -72,11 +75,10 @@ class Layer:
 
 @dataclass(frozen=True)
 class LayeredMedium:
-    """Concentric layers (innermost first) in a homogeneous exterior."""
+    """Concentric layers (innermost first) in a homogeneous exterior of unit stiffness."""
 
     dimension: int
     layers: tuple[Layer, ...]
-    exterior_a: float = 1.0
     exterior_sigma: float = 1.0
 
     def __post_init__(self) -> None:
@@ -87,15 +89,15 @@ class LayeredMedium:
         radii = [lay.radius for lay in self.layers]
         if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
             raise ValidationError(f"layer radii must increase strictly: {radii}")
-        if self.exterior_a <= 0 or self.exterior_sigma <= 0:
-            raise ValidationError("exterior coefficients must be positive")
+        if self.exterior_sigma <= 0:
+            raise ValidationError("exterior density must be positive")
 
     def wavenumber(self, k: float, index: int) -> complex:
         lay = self.layers[index]
         return k * cmath.sqrt(complex(lay.sigma) / lay.a)
 
     def exterior_wavenumber(self, k: float) -> float:
-        return k * math.sqrt(self.exterior_sigma / self.exterior_a)
+        return k * math.sqrt(self.exterior_sigma)
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,7 @@ def blown_up_medium(config: CloakConfig) -> LayeredMedium:
         Layer(lay.radius, lay.a * eps ** (2 - d), lay.sigma * eps ** (2 - d))
         for lay in config.interior
     )
-    return LayeredMedium(
-        dimension=d, layers=layers, exterior_a=1.0, exterior_sigma=eps**2
-    )
+    return LayeredMedium(dimension=d, layers=layers, exterior_sigma=eps**2)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def solve_modes(medium: LayeredMedium, k: float, b) -> tuple[ModeSolution, ...]:
         raw[:, i] = vec
         left = _interface_side(d, n_max, lay.a, medium.wavenumber(k, i), lay.radius, False)
         if i == len(layers) - 1:
-            a_r, kap_r = medium.exterior_a, medium.exterior_wavenumber(k)
+            a_r, kap_r = 1.0, medium.exterior_wavenumber(k)
         else:
             a_r, kap_r = layers[i + 1].a, medium.wavenumber(k, i + 1)
         right = _interface_side(d, n_max, a_r, kap_r, lay.radius, i == len(layers) - 1)
@@ -364,6 +364,20 @@ def solve_modes(medium: LayeredMedium, k: float, b) -> tuple[ModeSolution, ...]:
 # closed-form monopole coefficient and tuning
 
 
+def _monopole_wronskian(ke, flux, exterior: tuple, t, interior: tuple):
+    """ke f'(ke) R_0(t) - flux t f(ke) R_0'(t), from (value, derivative) pairs.
+
+    f is an exterior monopole basis at ke = k eps, R_0 the regular one at
+    the interior argument t, and flux the interior flux factor (1/eps in
+    3d, 1 in 2d).  With f the regular, outgoing and singular basis this is
+    alpha0's numerator, its denominator and the exact tuning condition (the
+    denominator's imaginary part).  Floats and mpmath numbers alike.
+    """
+    f, fp = exterior
+    r, rp = interior
+    return ke * fp * r - flux * t * f * rp
+
+
 def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
     """Monopole scattering coefficient of the rescaled single inclusion.
 
@@ -379,12 +393,13 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
         with mp.workdps(MP_DIGITS):
             return _alpha0_mp(d, mp.mpf(k_eps[0]) + mp.mpf(k_eps[1]), _mp_exterior(d, k, eps))
     ke = k * eps
-    reg_e = specfun.bessel(d, "regular", 0, ke)
-    out_e = specfun.bessel(d, "outgoing", 0, ke)
-    reg_i = specfun.bessel(d, "regular", 0, k_eps)
     flux = 1.0 / eps if d == 3 else 1.0
-    num = ke * reg_e.derivative * reg_i.value - flux * k_eps * reg_e.value * reg_i.derivative
-    den = ke * out_e.derivative * reg_i.value - flux * k_eps * out_e.value * reg_i.derivative
+    reg_i = specfun.bessel(d, "regular", 0, k_eps)
+    interior = (reg_i.value, reg_i.derivative)
+    num, den = (
+        _monopole_wronskian(ke, flux, (ev.value, ev.derivative), k_eps, interior)
+        for ev in (specfun.bessel(d, "regular", 0, ke), specfun.bessel(d, "outgoing", 0, ke))
+    )
     if abs(den) <= 1e-280 * max(1.0, abs(num)):
         raise SingularSystemError("alpha0 denominator vanished to machine precision")
     return complex(-num / den)
@@ -398,7 +413,7 @@ def _mp_regular(d: int, z) -> tuple:
 
 
 def _mp_exterior(d: int, k: float, eps: float) -> tuple:
-    """(k eps, flux factor, Y_0, Y_0'), or y_0, y_0' in 3d, at k eps in mpmath.
+    """(k eps, flux factor, (J_0, J_0'), (Y_0, Y_0')), or j_0 and y_0 in 3d, at k eps in mpmath.
 
     The exterior side of alpha0, evaluated once per tuned row for both the
     polish and alpha0 (inside mp.workdps(MP_DIGITS)).
@@ -406,17 +421,18 @@ def _mp_exterior(d: int, k: float, eps: float) -> tuple:
     ke = mp.mpf(k) * mp.mpf(eps)
     flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
     if d == 3:
-        return ke, flux, -mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2
-    return ke, flux, mp.bessely(0, ke), -mp.bessely(1, ke)
+        sing = -mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2
+    else:
+        sing = mp.bessely(0, ke), -mp.bessely(1, ke)
+    return ke, flux, _mp_regular(d, ke), sing
 
 
 def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
     """alpha0 at the mpmath interior argument t, from _mp_exterior's tuple."""
-    ke, flux, y, yp = exterior
-    j, jp = _mp_regular(d, ke)
-    jt, jpt = _mp_regular(d, t)
-    num = ke * jp * jt - flux * t * j * jpt
-    den = ke * (jp + 1j * yp) * jt - flux * t * (j + 1j * y) * jpt
+    ke, flux, (j, jp), (y, yp) = exterior
+    interior = _mp_regular(d, t)
+    num = _monopole_wronskian(ke, flux, (j, jp), t, interior)
+    den = _monopole_wronskian(ke, flux, (j + 1j * y, jp + 1j * yp), t, interior)
     return complex(-num / den)
 
 
@@ -585,20 +601,6 @@ class TunedSigma:
         return (self.kappa_star / self.k) ** 2
 
 
-def _im_denominator(
-    d: int, k: float, eps: float, sing_e: specfun.BesselEval, t: float
-) -> float:
-    """Im of alpha0's denominator at interior argument t; sing_e is Y_0 or y_0 at k eps."""
-    ke = k * eps
-    reg_i = specfun.bessel(d, "regular", 0, t)
-    flux = 1.0 / eps if d == 3 else 1.0
-    val = (
-        ke * sing_e.derivative * reg_i.value
-        - flux * t * sing_e.value * reg_i.derivative
-    )
-    return val.real
-
-
 def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
     reg = specfun.bessel(d, "regular", 0, t)
     if d == 3:
@@ -611,18 +613,20 @@ def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
 def _refine_root_mp(d: int, t0: float, exterior: tuple):
     """Polish the exact tuning root t0 to the mpmath working precision.
 
-    Newton on g(t) = c1 R_0(t) - c2 t R_0'(t), c1 and c2 from _mp_exterior,
-    with g' from the Bessel equation: c1 J_0' + c2 t J_0 (2d) or
-    c1 j_0' + c2 (j_0' + t j_0) (3d).  The root is simple, so three steps
-    from the double root (error ~1e-14) converge quadratically to 60 digits.
+    Newton on the tuning condition g(t) = c1 R_0(t) - c2 t R_0'(t), the
+    monopole Wronskian of the singular exterior basis (c1 = k eps Y_0',
+    c2 = flux Y_0 from _mp_exterior), with g' from the Bessel equation:
+    c1 J_0' + c2 t J_0 (2d) or c1 j_0' + c2 (j_0' + t j_0) (3d).  The root
+    is simple, so three steps from the double root (error ~1e-14) converge
+    quadratically to 60 digits.
     """
-    ke, flux, y, yp = exterior
-    c1, c2 = ke * yp, flux * y
+    ke, flux, _, sing = exterior
+    c1, c2 = ke * sing[1], flux * sing[0]
     t = mp.mpf(t0)
     for _ in range(3):
-        j, jp = _mp_regular(d, t)
+        j, jp = interior = _mp_regular(d, t)
         slope = c1 * jp + c2 * (t * j if d == 2 else jp + t * j)
-        t -= (c1 * j - c2 * t * jp) / slope
+        t -= _monopole_wronskian(ke, flux, sing, t, interior) / slope
     return t
 
 
@@ -647,9 +651,14 @@ def tune_sigma(
     kap = spec.kappa_star
     half_width = 0.4
     if variant == "exact":
-        # the exterior factor, fixed over the search
-        sing_e = specfun.bessel(d, "singular", 0, k * eps)
-        fun = lambda t: _im_denominator(d, k, eps, sing_e, t)
+        # Im of alpha0's denominator; the exterior factor is fixed over the search
+        ke, flux = k * eps, (1.0 / eps if d == 3 else 1.0)
+        sing_e = specfun.bessel(d, "singular", 0, ke)
+        sing = (sing_e.value, sing_e.derivative)
+
+        def fun(t: float) -> float:
+            reg_i = specfun.bessel(d, "regular", 0, t)
+            return _monopole_wronskian(ke, flux, sing, t, (reg_i.value, reg_i.derivative)).real
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
     try:
@@ -711,7 +720,7 @@ def interior_source_mode_solve(
         part = ParticularTerm.for_source(d, n, kap, complex(spec.kappa_star), amplitude / lay.a)
         pv, pd = part.eval(1.0)
     inner = _interface_side(d, n, lay.a, kap, 1.0, False)
-    outer = _interface_side(d, n, medium.exterior_a, medium.exterior_wavenumber(k), 1.0, True)
+    outer = _interface_side(d, n, 1.0, medium.exterior_wavenumber(k), 1.0, True)
     if min(len(inner), len(outer)) <= n:
         raise BesselOverflowError(f"singular basis of order {n + 1} overflows at the interface")
     m = np.stack([inner[n, :, 0], -outer[n, :, 1]], axis=1)   # regular inside, outgoing outside

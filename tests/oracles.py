@@ -321,7 +321,7 @@ def mode_solve_dense(medium, k: float, n: int, b_n: complex):
             A[2 * i : 2 * i + 2, d_col] += left[:, 1]
         if i == nlay - 1:
             right = _interface_matrix(
-                d, n, medium.exterior_a, medium.exterior_wavenumber(k), lay.radius, True
+                d, n, 1.0, medium.exterior_wavenumber(k), lay.radius, True
             )
             A[2 * i : 2 * i + 2, size - 1] -= right[:, 1]
             rhs[2 * i : 2 * i + 2] += b_n * right[:, 0]
@@ -353,7 +353,7 @@ def continuity_residual(medium, k: float, sol) -> float:
             lval = lval + np.array([pv, lay.a * pd])
         if i == len(medium.layers) - 1:
             right = _interface_matrix(
-                d, n, medium.exterior_a, medium.exterior_wavenumber(k), lay.radius, True
+                d, n, 1.0, medium.exterior_wavenumber(k), lay.radius, True
             )
             rvec = np.array([sol.b_n, sol.alpha_n])
         else:

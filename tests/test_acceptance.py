@@ -462,7 +462,7 @@ def test_criterion_8_change_of_variables_residual():
     spec = IncidentSpec("plane_wave", direction=(0.0, 0.0, 1.0))
     b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
     ser = solve_series(
-        virtual_medium(cfg), k, b, domain="physical", epsilon=eps, axis=(0, 0, 1.0)
+        virtual_medium(cfg), k, b, epsilon=eps, axis=(0, 0, 1.0)
     )
     m = BlowupMap(eps, d)
     rng = np.random.default_rng(99)

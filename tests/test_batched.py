@@ -234,7 +234,7 @@ def _cloak_series(d):
     cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, 2.0),), spec)
     n = auto_truncation(spec, k, d, r_eval=4.3)
     b = incident_coefficients(spec, k, n, d, r_eval=4.3)
-    return solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
+    return solve_series(virtual_medium(cfg), k, b, epsilon=eps,
                         axis=tuple(spec.axis), incident=spec)
 
 
@@ -341,7 +341,7 @@ def test_exterior_closed_form_matches_full_series(d, k, eps, layers, kind, seed)
     cfg = CloakConfig(d, k, eps, interior, spec)
     n = auto_truncation(spec, k, d, r_eval=r_max)
     b = incident_coefficients(spec, k, n, d, r_eval=r_max)
-    ser = solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
+    ser = solve_series(virtual_medium(cfg), k, b, epsilon=eps,
                        axis=None if spec.axis is None else tuple(spec.axis), incident=spec)
     # the shell (1, 2) and the exterior beyond r = 2
     r_pts = np.concatenate([rng.uniform(1.001, 1.999, 20), rng.uniform(2.001, r_max, 20)])
@@ -362,7 +362,7 @@ def test_exterior_closed_form_just_outside_the_cloaked_ball(d):
     cfg = CloakConfig(d, k, eps, (lay,), spec)
     n = auto_truncation(spec, k, d)
     b = incident_coefficients(spec, k, n, d)
-    ser = solve_series(virtual_medium(cfg), k, b, domain="physical", epsilon=eps,
+    ser = solve_series(virtual_medium(cfg), k, b, epsilon=eps,
                        axis=tuple(spec.axis), incident=spec)
     alphas = [m.alpha_n for m in ser.modes]
     last = max(i for i, a in enumerate(alphas) if a != 0)
@@ -661,12 +661,12 @@ def test_one_array_chain_per_level_per_layer(d, monkeypatch):
     # segments that still integrate, one layer each: the lossy inner layer,
     # and a physical shell segment (it maps into the virtual exterior)
     norm_annulus(virt, 0.03, 0.05)
-    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 1.2, 1.8)
+    norm_annulus(replace(virt, epsilon=0.1), 1.2, 1.8)
     assert counts["array_chain"] == counts["levels"] > 3
     counts.update(array_chain=0, levels=0)
     # the lossy layer of the blown-up interior, and of the physical blown-up ball
     norm_annulus(blown, 0.0, 1.0)
-    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 0.1, 0.45)
+    norm_annulus(replace(virt, epsilon=0.1), 0.1, 0.45)
     assert counts["array_chain"] == counts["levels"] > 2
     counts.update(array_chain=0, levels=0)
     first_resonance(d, 1.0)

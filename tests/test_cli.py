@@ -196,10 +196,14 @@ def test_subcommand_config_mismatch(tmp_path):
     assert cli.main(["blowup", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
-def test_truncation_override_too_small_is_numeric_failure(tmp_path):
-    cfg = _write_cfg(tmp_path, SWEEP_CFG + "truncation = 3\n")
-    out = str(tmp_path / "out")
-    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 3
+@pytest.mark.parametrize("value", ["0", "3", "60"])
+def test_truncation_key_exits_2_and_writes_no_files(tmp_path, capsys, value):
+    # the run chooses the truncation; summary.json would echo a key it did not use
+    cfg = _write_cfg(tmp_path, SWEEP_CFG + f"truncation = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "'truncation'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--truncation", "3"], ["--tuning", "paper"]])
@@ -679,10 +683,10 @@ def test_sweep_probe_just_above_radius_one(tmp_path, d):
     spec = cloak.incident
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
     axis = tuple(spec.axis)
-    pullback = replace(free_series(d, 1.0, b, axis), domain="physical", epsilon=0.0)
+    pullback = replace(free_series(d, 1.0, b, axis), epsilon=0.0)
     for eps, vis_l2, vis_h1 in rows:
         series = solve_series(virtual_medium(replace(cloak, epsilon=eps)), 1.0, b, axis=axis)
-        cloaked = replace(series, domain="physical", epsilon=eps)
+        cloaked = replace(series, epsilon=eps)
         m = BlowupMap(eps, d)
         dense = [radial_forward(m, eps * (1.0 + 2.0 ** (j / 2))) for j in range(40)]
         cuts = [1.0001] + [c for c in dense if 1.0001 < c < 2.0] + [2.0, 2.5]

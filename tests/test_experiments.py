@@ -13,8 +13,24 @@ from cloakwave.errors import (
     SingularSystemError,
     ValidationError,
 )
-from cloakwave.fields import IncidentSpec, norm_annulus
-from cloakwave.mie import CloakConfig, Layer, first_resonance, resonance_scan
+from cloakwave.fields import (
+    IncidentSpec,
+    auto_truncation,
+    blown_up_interior_series,
+    incident_coefficients,
+    interior_limit,
+    norm_annulus,
+    solve_series,
+)
+from cloakwave.mie import (
+    CloakConfig,
+    Layer,
+    first_resonance,
+    resonance_condition,
+    resonance_scan,
+    tuned_inclusion_config,
+    virtual_medium,
+)
 
 EPS_LIST = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -66,6 +82,19 @@ def test_resonant_config_rejected():
         ex.convergence_sweep(_cfg(3, sigma=kap.sigma0), EPS_LIST)
 
 
+def test_near_resonant_interior_gets_the_resonant_limit_and_is_rejected():
+    # mode 0's normalized condition is 3.0e-9, inside RESONANCE_PROXIMITY: the
+    # interior limit and the sweep call the interior resonant alike
+    kap = first_resonance(3, 1.0).kappa_star + 3e-9
+    cfg = _cfg(3, sigma=kap**2)
+    assert resonance_condition(3, 0, kap)[1] == pytest.approx(3.0e-9, rel=0.01)
+    lim = interior_limit(cfg, 1.0)
+    assert lim is not None   # u(0) j_0(kappa r) / j_0(kappa), at r = 0
+    assert lim.radial_all(0.0)[0][0] == pytest.approx(kap / math.sin(kap), rel=1e-12)
+    with pytest.raises(ResonantConfigError):
+        ex.convergence_sweep(cfg, EPS_LIST)
+
+
 def test_sweep_validation():
     with pytest.raises(ValidationError):
         ex.convergence_sweep(_cfg(3), (1e-1, 1e-2))
@@ -91,6 +120,37 @@ def test_instability_sweep_2d():
         assert rec.visibility_l2 >= res.reference_norm - 1e-8
     for p in res.products_paper:
         assert 0.15 < p < 0.40
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_instability_rows_solve_one_order(monkeypatch, d):
+    # the unit monopole incidence scatters into mode 0 alone
+    real = ex.solve_series
+    orders = []
+
+    def counting(medium, k, b, **kw):
+        orders.append(len(b))
+        return real(medium, k, b, **kw)
+
+    monkeypatch.setattr(ex, "solve_series", counting)
+    ex.instability_sweep(d, 1.0, (1e-2, 1e-3, 1e-4))
+    assert orders == [1, 1, 1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_instability_rows_match_an_all_orders_solve(d):
+    res = ex.instability_sweep(d, 1.0, (1e-2, 1e-3, 1e-4))
+    spec = IncidentSpec("mode", mode=0)
+    b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
+    assert len(b) > 1
+    for rec, tuned in zip(res.records, res.tuned):
+        cfg = tuned_inclusion_config(tuned)
+        series = solve_series(virtual_medium(cfg), 1.0, b)
+        want = norm_annulus(series.scattered(), 2.0, 4.0) + norm_annulus(
+            blown_up_interior_series(cfg, series), 0.0, 1.0
+        )
+        got = (rec.visibility_l2, rec.visibility_h1, rec.interior_l2, rec.interior_h1)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_detuned_far_convergence_sweep_rate():
@@ -328,7 +388,7 @@ def test_shell_probe_matches_pointwise_sampling():
     spec = cfg.incident
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 3), 3)
     ser = solve_series(
-        virtual_medium(cfg), 1.0, b, domain="physical", epsilon=1e-2, axis=(0, 0, 1.0)
+        virtual_medium(cfg), 1.0, b, epsilon=1e-2, axis=(0, 0, 1.0)
     )
     freeser = free_series(3, 1.0, b, axis=(0, 0, 1.0))
     rs = np.linspace(1.2, 1.8, 122)   # offset to dodge the dummy-layer radius

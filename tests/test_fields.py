@@ -170,7 +170,7 @@ def test_physical_equals_virtual_on_identity_branch():
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 3), 3)
     vm = virtual_medium(cfg)
     sv = solve_series(vm, 1.0, b, axis=(0, 0, 1.0))
-    sp = solve_series(vm, 1.0, b, domain="physical", epsilon=0.2, axis=(0, 0, 1.0))
+    sp = solve_series(vm, 1.0, b, epsilon=0.2, axis=(0, 0, 1.0))
     rng = np.random.default_rng(15)
     for _ in range(1000):
         u = rng.normal(size=3)
@@ -187,7 +187,7 @@ def test_physical_composes_with_inverse_map():
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, 2), 2)
     vm = virtual_medium(cfg)
     sv = solve_series(vm, 1.0, b, axis=(1.0, 0.0))
-    sp = solve_series(vm, 1.0, b, domain="physical", epsilon=0.3, axis=(1.0, 0.0))
+    sp = solve_series(vm, 1.0, b, epsilon=0.3, axis=(1.0, 0.0))
     m = BlowupMap(0.3, 2)
     rng = np.random.default_rng(2)
     for _ in range(50):
@@ -279,7 +279,7 @@ def test_parseval_matches_tensor_grid_quadrature(d):
 
 def _pullback(d, k, b):
     """The free field of coefficients b pulled back through the limit map."""
-    return replace(free_series(d, k, b), domain="physical", epsilon=0.0)
+    return replace(free_series(d, k, b), epsilon=0.0)
 
 
 def test_truncation_robustness_of_norms():
@@ -416,11 +416,11 @@ def _norm_cases(draw):
     length = 10.0 ** draw(st.floats(-3.0, 0.0))
     reference = None
     if kind == "pullback":
-        series = replace(virt, domain="physical", epsilon=eps)
-        reference = replace(free_series(d, k, b), domain="physical", epsilon=0.0)
+        series = replace(virt, epsilon=eps)
+        reference = replace(free_series(d, k, b), epsilon=0.0)
         r_in = draw(st.floats(1.05, 3.5))
     elif kind == "ball":
-        series = replace(virt, domain="physical", epsilon=eps)
+        series = replace(virt, epsilon=eps)
         r_in = draw(st.just(0.0) | st.floats(0.0, 0.9))
         length *= 1.0 - r_in
     elif draw(st.booleans()):   # at the inclusion's scale
@@ -460,7 +460,7 @@ def test_only_segments_without_closed_form_integrate(d, monkeypatch):
     b = incident_coefficients(spec, 2.0, auto_truncation(spec, 2.0, d), d)
     virt = solve_series(virtual_medium(cfg), 2.0, b)
     norm_annulus(virt, 0.0, 1.0)
-    norm_annulus(replace(virt, domain="physical", epsilon=0.1), 1.5, 3.0)
+    norm_annulus(replace(virt, epsilon=0.1), 1.5, 3.0)
     # the shell is also cut at the image of the virtual radius eps (1 + 2^4)
     cut = radial_forward(BlowupMap(0.1, d), 0.1 * (1.0 + 2.0**4))
     assert calls == [(0.0, 0.05), (1.5, cut), (cut, 2.0)]

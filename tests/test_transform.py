@@ -183,7 +183,7 @@ def _composed_field(d: int, eps: float, k: float = 1.0):
     spec = IncidentSpec("plane_wave", direction=axis)
     b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
     return solve_series(
-        virtual_medium(cfg), k, b, domain="physical", epsilon=eps, axis=axis
+        virtual_medium(cfg), k, b, epsilon=eps, axis=axis
     )
 
 
