@@ -34,7 +34,15 @@ from .fields import (
     incident_coefficients,
     solve_series,
 )
-from .mie import CloakConfig, Layer, detect_resonances, first_resonance, solve_modes, virtual_medium
+from .mie import (
+    CloakConfig,
+    Layer,
+    detect_resonances,
+    first_resonance,
+    homogeneous_layer,
+    solve_modes,
+    virtual_medium,
+)
 from .transform import BlowupMap, map_inverse
 
 CSV_HEADER = (
@@ -134,6 +142,13 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
             raise ValidationError(f"{key} = {value} outside [0, {cap}]")
         return value
 
+    def vector(key: str, default: str | None = None) -> tuple[float, ...]:
+        """The first `dimension` components at key; fewer is a ValidationError naming key."""
+        values = tuple(_floats(get(key, default)))
+        if len(values) < dimension:
+            raise ValidationError(f"{key} needs {dimension} components, got {len(values)}")
+        return values[:dimension]
+
     dimension = _number(get("dimension"), int)
     k = _number(get("k"))
     epsilon = _number(get("epsilon", "0.1"))
@@ -170,13 +185,14 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
     if len({len(radii), len(avals), len(svals)}) != 1:
         raise ValidationError("interior.radii/a/sigma must have equal lengths")
     layers = tuple(Layer(r, a, s) for r, a, s in zip(radii, avals, svals))
+    if experiment in ("scan-k", "resonances") and homogeneous_layer(layers) is None:
+        raise ValidationError(f"{experiment} needs a single lossless interior layer")
     kind = get("incident.kind", "plane_wave")
     if kind == "plane_wave":
-        direction = tuple(_floats(get("incident.direction", "1, 0, 0")))[:dimension]
+        direction = vector("incident.direction", "1, 0, 0")
         incident = IncidentSpec("plane_wave", amplitude, direction=direction)
     elif kind == "point_source":
-        location = tuple(_floats(get("incident.location")))[:dimension]
-        incident = IncidentSpec("point_source", amplitude, location=location)
+        incident = IncidentSpec("point_source", amplitude, location=vector("incident.location"))
     elif kind == "mode":
         mode = count("incident.mode", "0", specfun.ORDER_CAP)
         incident = IncidentSpec("mode", amplitude, mode=mode)
@@ -343,12 +359,8 @@ def _run_blowup(config: RunConfig, out_dir: str) -> None:
 
 def _run_resonances(config: RunConfig, out_dir: str) -> None:
     k_min, k_max, modes = config.resonance_window
-    lay = config.cloak.interior[0]
-    if len(config.cloak.interior) != 1 or complex(lay.sigma).imag != 0:
-        raise ValidationError("resonance detection needs a homogeneous lossless interior")
-    found = detect_resonances(
-        config.cloak.dimension, lay.a, complex(lay.sigma).real, (k_min, k_max), modes
-    )
+    lay = homogeneous_layer(config.cloak.interior)   # not None: build_run_config checks
+    found = detect_resonances(config.cloak.dimension, lay.a, lay.sigma, (k_min, k_max), modes)
     rows = [
         {
             "mode": s.mode,
@@ -366,11 +378,9 @@ def _run_resonances(config: RunConfig, out_dir: str) -> None:
 
 def _run_scan(config: RunConfig, out_dir: str) -> None:
     k_min, k_max, points, modes = config.scan_k
-    lay = config.cloak.interior[0]
+    lay = homogeneous_layer(config.cloak.interior)   # not None: build_run_config checks
     grid = np.linspace(k_min, k_max, points)
-    minimum = nonresonance_scan(
-        config.cloak.dimension, lay.a, complex(lay.sigma).real, grid, modes
-    )
+    minimum = nonresonance_scan(config.cloak.dimension, lay.a, lay.sigma, grid, modes)
     _write(
         os.path.join(out_dir, "summary.json"),
         _summary(
@@ -418,9 +428,7 @@ def _field_evaluator(config: RunConfig):
     d, k, eps = cloak.dimension, cloak.k, cloak.epsilon
     corner = config.grid_extent * math.sqrt(2.0)
     if config.field_kind == "eigenmode":
-        spec = first_resonance(d, k, config.blowup_mode)
-        cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
-        series = eigenmode_series(cfg, spec)
+        series = eigenmode_series(first_resonance(d, k, config.blowup_mode), k, eps)
         m = BlowupMap(eps, d)
 
         def values(pts: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ from .mie import (
     TunedSigma,
     alpha0_closed_form,
     first_resonance,
+    homogeneous_layer,
     interior_source_mode_solve,
     blown_up_medium,
     resonance_scan,
@@ -144,21 +145,6 @@ def _check_eps_list(eps_list) -> list[float]:
     return eps
 
 
-def _homogeneous_interior(config: CloakConfig) -> Layer | None:
-    if len(config.interior) == 1 and complex(config.interior[0].sigma).imag == 0:
-        return config.interior[0]
-    return None
-
-
-def min_resonance_margin(config: CloakConfig, modes: int) -> float:
-    """Smallest normalized resonance-condition magnitude at the config's k."""
-    lay = _homogeneous_interior(config)
-    if lay is None:
-        raise ValidationError("resonance margin defined for homogeneous interiors")
-    kappa = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
-    return float(np.min(np.abs(resonance_scan(config.dimension, modes, kappa, lay.a)[1])))
-
-
 def convergence_sweep(
     config: CloakConfig,
     eps_list,
@@ -173,12 +159,12 @@ def convergence_sweep(
     which may reach into the shell (radius > 1), and the interior deviation
     is the norm of the blown-up interior field over the unit ball: its
     deviation from the limit, which is zero for every interior a sweep
-    accepts (fields.interior_limit).  A homogeneous lossless interior whose
-    normalized resonance condition lies below RESONANCE_PROXIMITY for some
-    mode of the truncation raises ResonantConfigError; layered and lossy
-    interiors shield.  The rate fit uses epsilon in 3d and 1/|ln eps| in
-    2d; a fit on data spanning less than a decade is reported as degenerate
-    instead of failing the sweep.
+    accepts (fields.interior_limit).  A single lossless interior layer
+    (mie.homogeneous_layer) whose normalized resonance condition at k lies
+    below RESONANCE_PROXIMITY for some mode of the truncation raises
+    ResonantConfigError; layered and lossy interiors shield.  The rate fit
+    uses epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less
+    than a decade is reported as degenerate instead of failing the sweep.
     """
     eps = _check_eps_list(eps_list)
     d, k = config.dimension, config.k
@@ -186,8 +172,10 @@ def convergence_sweep(
         raise ValidationError("convergence sweep needs an incident field")
     spec = config.incident
     n_max = auto_truncation(spec, k, d)
-    if _homogeneous_interior(config) is not None:
-        margin = min_resonance_margin(config, n_max)
+    lay = homogeneous_layer(config.interior)
+    if lay is not None:
+        kappa = k * math.sqrt(lay.sigma / lay.a)
+        margin = float(np.min(np.abs(resonance_scan(d, n_max, kappa, lay.a)[1])))
         if margin < RESONANCE_PROXIMITY:
             raise ResonantConfigError(
                 f"configuration is resonant (margin {margin:.3e}); use the "
@@ -283,16 +271,18 @@ def instability_sweep(
     )
 
 
-def eigenmode_series(config: CloakConfig, spec: ResonanceSpec) -> FieldSeries:
-    """Blown-up field U(x) = u(eps x) of a resonant interior driven by its eigenfunction.
+def eigenmode_series(spec: ResonanceSpec, k: float, eps: float) -> FieldSeries:
+    """Blown-up field U(x) = u(eps x) of spec's interior driven by its eigenfunction.
 
-    The source is spec's L2-normalized radial eigenfunction times
-    eps^(2 - d), so only mode spec.mode is nonzero; raises SingularSystemError.
+    The interior is one unit layer of stiffness spec.a and density
+    spec.sigma0, resonant at the frequency spec was detected at; the
+    source is spec's L2-normalized radial eigenfunction times eps^(2 - d),
+    so only mode spec.mode is nonzero.  Raises SingularSystemError.
     """
-    d, eps = config.dimension, config.epsilon
-    med = blown_up_medium(config)
+    d = spec.dimension
+    med = blown_up_medium(CloakConfig(d, k, eps, (Layer(1.0, spec.a, spec.sigma0),)))
     amplitude = eps ** (2 - d) * eigenfunction_normalization(spec)
-    return mode_series(med, config.k, interior_source_mode_solve(med, config.k, spec, amplitude))
+    return mode_series(med, k, interior_source_mode_solve(med, k, spec, amplitude))
 
 
 def blowup_sweep(
@@ -313,13 +303,12 @@ def blowup_sweep(
     """
     eps = _check_eps_list(eps_list)
     spec = first_resonance(d, k, mode)
-    interior_layer = Layer(1.0, 1.0, spec.sigma0)
     # u_c(x) = U(x / eps) = alpha * outgoing(k |x|) on the probe annulus
     out_l2, out_h1 = outgoing_mode_norm(d, k, mode, probe[0], probe[1])
 
     def one(e: float) -> SweepRecord:
         try:
-            series = eigenmode_series(CloakConfig(d, k, e, (interior_layer,)), spec)
+            series = eigenmode_series(spec, k, e)
         except SingularSystemError as exc:
             return _singular_record(e, exc)
         int_l2, int_h1 = norm_annulus(series, 0.0, 1.0)

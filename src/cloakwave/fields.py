@@ -43,6 +43,7 @@ from .mie import (
     RESONANCE_PROXIMITY,
     ResonanceSpec,
     angular_eigenvalue,
+    homogeneous_layer,
     resonance_condition,
     solve_modes,
 )
@@ -50,6 +51,7 @@ from .quadrature import integrate
 from .transform import BlowupMap, inverse_branch, map_inverse, radial_forward, radii
 
 TAIL_TOL = 1e-14
+# eval rejects points within this relative distance of an interface or map branch radius
 _INTERFACE_TOL = 1e-12
 
 POINT_SOURCE_RADIUS_RANGE = (2.5, 4.5)
@@ -239,7 +241,7 @@ class FieldSeries:
     def _layer_of(self, r: np.ndarray) -> np.ndarray:
         """Layer index of each radius (len(layers) = exterior); rejects interfaces."""
         for lay in self.medium.layers:
-            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * max(1.0, lay.radius)):
+            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * lay.radius):
                 raise InterfaceEvaluationError(f"evaluation at interface radius {lay.radius}")
         return sum(r >= lay.radius for lay in self.medium.layers)   # radii increase
 
@@ -340,7 +342,7 @@ class FieldSeries:
         xv = x
         if self.epsilon is not None:
             for b in (1.0, 2.0):
-                if np.any(np.abs(t - b) <= _INTERFACE_TOL * max(1.0, b)):
+                if np.any(np.abs(t - b) <= _INTERFACE_TOL * b):
                     raise InterfaceEvaluationError(
                         f"physical evaluation on map branch radius {b}"
                     )
@@ -717,17 +719,15 @@ def interior_limit(
     where the source fails the orthogonality condition and no limit
     exists.  The series lies on blown_up_interior_series' medium at
     config.k, so norm_annulus(interior, 0, 1, reference=limit) subtracts it
-    on coefficients; axis is the interior series' axis.
+    on coefficients; axis is the interior series' axis.  The interior
+    must be a single lossless layer (mie.homogeneous_layer); others raise
+    UnsupportedConfigurationError.
     """
     d = config.dimension
-    if len(config.interior) != 1:
-        raise UnsupportedConfigurationError(
-            "interior limit implemented for a single homogeneous layer"
-        )
-    lay = config.interior[0]
-    if abs(complex(lay.sigma).imag) > 0:
-        raise UnsupportedConfigurationError("interior limit needs lossless interior")
-    kap = config.k * math.sqrt(complex(lay.sigma).real / lay.a)
+    lay = homogeneous_layer(config.interior)
+    if lay is None:
+        raise UnsupportedConfigurationError("interior limit needs a single lossless layer")
+    kap = config.k * math.sqrt(lay.sigma / lay.a)
 
     def resonant(n: int) -> bool:
         return abs(resonance_condition(d, n, kap, lay.a)[1]) < RESONANCE_PROXIMITY

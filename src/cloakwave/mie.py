@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
@@ -125,6 +125,16 @@ class CloakConfig:
             raise ValidationError("interior needs at least one layer")
         if abs(self.interior[-1].radius - 1.0) > 1e-12:
             raise ValidationError("outermost interior layer radius must be 1")
+
+
+def homogeneous_layer(interior: tuple[Layer, ...]) -> Layer | None:
+    """The interior's layer, with a real density, if it is one lossless layer; else None.
+
+    Only such an interior resonates; layered and lossy interiors shield.
+    """
+    if len(interior) == 1 and complex(interior[0].sigma).imag == 0:
+        return replace(interior[0], sigma=complex(interior[0].sigma).real)
+    return None
 
 
 def virtual_medium(config: CloakConfig) -> LayeredMedium:
@@ -394,10 +404,9 @@ def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
             return _alpha0_mp(d, mp.mpf(k_eps[0]) + mp.mpf(k_eps[1]), _mp_exterior(d, k, eps))
     ke = k * eps
     flux = 1.0 / eps if d == 3 else 1.0
-    reg_i = specfun.bessel(d, "regular", 0, k_eps)
-    interior = (reg_i.value, reg_i.derivative)
+    interior = specfun.bessel(d, "regular", 0, k_eps)
     num, den = (
-        _monopole_wronskian(ke, flux, (ev.value, ev.derivative), k_eps, interior)
+        _monopole_wronskian(ke, flux, ev, k_eps, interior)
         for ev in (specfun.bessel(d, "regular", 0, ke), specfun.bessel(d, "outgoing", 0, ke))
     )
     if abs(den) <= 1e-280 * max(1.0, abs(num)):
@@ -475,8 +484,7 @@ def _condition(d: int, n: int, kappa, value, derivative, a: float):
 
 def resonance_condition(d: int, n: int, kappa: float, a: float = 1.0) -> tuple[float, float]:
     """(raw, normalized) modal resonance condition at interior argument kappa (see _condition)."""
-    ev = specfun.bessel(d, "regular", n, kappa)
-    raw, normed = _condition(d, n, kappa, ev.value, ev.derivative, a)
+    raw, normed = _condition(d, n, kappa, *specfun.bessel(d, "regular", n, kappa), a)
     return float(raw), float(normed)
 
 
@@ -498,23 +506,27 @@ def resonance_scan(d: int, modes: int, kappa, a: float = 1.0) -> tuple[np.ndarra
     return raw, normed
 
 
-def _sign_changes(vals: np.ndarray) -> np.ndarray:
-    """Grid intervals [i, i + 1] whose left value is zero or that change sign."""
-    return np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+def _grid_roots(grid: np.ndarray, vals: np.ndarray, fun):
+    """Roots of fun, in grid order, from its values on the grid.
+
+    Each grid point where the value is zero is a root; each interval whose
+    values change sign is refined with find_root.  A generator, so a caller
+    wanting the first root refines one bracket only.
+    """
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)).tolist():
+        if vals[i] == 0.0:
+            yield float(grid[i])
+        else:
+            yield find_root(fun, (float(grid[i]), float(grid[i + 1])))
 
 
 def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
     """First resonant density of the given mode at frequency k, unit stiffness."""
     grid = np.linspace(0.3, 12.0, 2400)
     vals = resonance_scan(d, mode, grid)[0][mode]
-    hits = _sign_changes(vals)
-    if not hits.size:
+    kap = next(_grid_roots(grid, vals, lambda x: resonance_condition(d, mode, x)[0]), None)
+    if kap is None:
         raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
-    i = int(hits[0])
-    if vals[i] == 0.0:
-        kap = float(grid[i])
-    else:
-        kap = find_root(lambda x: resonance_condition(d, mode, x)[0], (grid[i], grid[i + 1]))
     return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
 
 
@@ -541,20 +553,11 @@ def detect_resonances(
     grid = np.linspace(lo, hi, min(npts, 60000))
     raw = resonance_scan(d, modes, grid * slope, a)[0]
     for n in range(modes + 1):
-        vals = raw[n]
-        for i in _sign_changes(vals).tolist():
-            if vals[i] == 0.0:
-                k_root = float(grid[i])
-            else:
-                k_root = find_root(
-                    lambda k: resonance_condition(d, n, k * slope, a)[0],
-                    (float(grid[i]), float(grid[i + 1])),
-                )
-            found.append(
-                ResonanceSpec(
-                    dimension=d, mode=n, kappa_star=k_root * slope, sigma0=sigma, a=a
-                )
-            )
+        fun = lambda k: resonance_condition(d, n, k * slope, a)[0]
+        found += (
+            ResonanceSpec(dimension=d, mode=n, kappa_star=k_root * slope, sigma0=sigma, a=a)
+            for k_root in _grid_roots(grid, raw[n], fun)
+        )
     found.sort(key=lambda s: (s.frequency, s.mode))
     return found
 
@@ -653,12 +656,10 @@ def tune_sigma(
     if variant == "exact":
         # Im of alpha0's denominator; the exterior factor is fixed over the search
         ke, flux = k * eps, (1.0 / eps if d == 3 else 1.0)
-        sing_e = specfun.bessel(d, "singular", 0, ke)
-        sing = (sing_e.value, sing_e.derivative)
+        sing = specfun.bessel(d, "singular", 0, ke)
 
         def fun(t: float) -> float:
-            reg_i = specfun.bessel(d, "regular", 0, t)
-            return _monopole_wronskian(ke, flux, sing, t, (reg_i.value, reg_i.derivative)).real
+            return _monopole_wronskian(ke, flux, sing, t, specfun.bessel(d, "regular", 0, t)).real
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
     try:

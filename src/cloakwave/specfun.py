@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,9 +74,8 @@ _RESCALE_LIMIT = 1.0e250
 _OVERFLOW_LIMIT = 1.0e280
 
 
-@dataclass(frozen=True)
-class BesselEval:
-    """Value and argument-derivative of one Bessel-family function."""
+class BesselEval(NamedTuple):
+    """Value and argument-derivative of one Bessel-family function, a (value, derivative) pair."""
 
     value: complex
     derivative: complex

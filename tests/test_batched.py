@@ -241,9 +241,7 @@ def _cloak_series(d):
 @functools.lru_cache(maxsize=None)
 def _eigen_series(d):
     """Virtual blown-up eigenmode field: mode 1 with a particular term in layer 0."""
-    spec = first_resonance(d, 1.0, 1)
-    cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0),))
-    return eigenmode_series(cfg, spec)
+    return eigenmode_series(first_resonance(d, 1.0, 1), 1.0, 0.01)
 
 
 def _points(d, radii, seed):
@@ -473,8 +471,7 @@ def _layered_series(d):
 def _source_series(d, detune):
     """Eigenfunction-driven mode 1: a particular term of either kind in layer 0."""
     spec = first_resonance(d, 1.0, 1)
-    cfg = CloakConfig(d, 1.0, 0.01, (Layer(1.0, 1.0, spec.sigma0 * detune),))
-    return eigenmode_series(cfg, spec)
+    return eigenmode_series(replace(spec, sigma0=spec.sigma0 * detune), 1.0, 0.01)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -601,12 +598,12 @@ def test_scan_brackets_and_roots_match_scalar_condition():
     grid = np.linspace(0.3, 12.0, 2400)
     for d in (2, 3):
         for mode in (0, 1):
-            want = _scalar_brackets(d, mode, grid)
-            assert mie._sign_changes(resonance_scan(d, mode, grid)[0][mode]).tolist() == want
-            i = want[0]
             fun = lambda x: resonance_condition(d, mode, x)[0]
-            root = specfun.find_root(fun, (grid[i], grid[i + 1]))
-            assert first_resonance(d, 1.0, mode).kappa_star == root
+            want = [specfun.find_root(fun, (grid[i], grid[i + 1]))
+                    for i in _scalar_brackets(d, mode, grid)]
+            vals = resonance_scan(d, mode, grid)[0][mode]
+            assert list(mie._grid_roots(grid, vals, fun)) == want
+            assert first_resonance(d, 1.0, mode).kappa_star == want[0]
     # the benchmark's catalogue windows: sigma = 1.5, modes 0..6
     sigma, modes = 1.5, 6
     slope = math.sqrt(sigma)
@@ -615,10 +612,11 @@ def test_scan_brackets_and_roots_match_scalar_condition():
         raw = resonance_scan(d, modes, ks * slope)[0]
         want = []
         for n in range(modes + 1):
-            brackets = _scalar_brackets(d, n, ks * slope)
-            assert mie._sign_changes(raw[n]).tolist() == brackets
             fun = lambda k: resonance_condition(d, n, k * slope)[0]
-            want += [(n, specfun.find_root(fun, (ks[i], ks[i + 1])) * slope) for i in brackets]
+            roots = [specfun.find_root(fun, (ks[i], ks[i + 1]))
+                     for i in _scalar_brackets(d, n, ks * slope)]
+            assert list(mie._grid_roots(ks, raw[n], fun)) == roots
+            want += [(n, root * slope) for root in roots]
         got = detect_resonances(d, 1.0, sigma, (0.5, k_max), modes)
         assert sorted((s.mode, s.kappa_star) for s in got) == sorted(want)
 

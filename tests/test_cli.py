@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from cloakwave import cli, specfun
 from cloakwave.cli import build_run_config, parse_config_text
-from cloakwave.errors import BesselOverflowError
+from cloakwave.errors import BesselOverflowError, ValidationError
 from cloakwave.fields import (
     FieldSeries,
     auto_truncation,
@@ -143,6 +143,9 @@ _BASES = {
     "blowup": "experiment = blowup\n" + _INTERIOR + "eps_list = 1e-2, 1e-3, 1e-4\n",
     "modes": "experiment = modes\n" + _INTERIOR + "incident.kind = mode\n",
 }
+_LAYERED = (
+    ("interior.radii", "0.5, 1.0"), ("interior.a", "1.0, 1.0"), ("interior.sigma", "3.0, 1.0")
+)
 
 
 @pytest.mark.parametrize(
@@ -170,20 +173,48 @@ _BASES = {
         ("scan-k", "scan.modes", "201", []),
         ("resonances", "resonances.modes", "201", []),
         ("blowup", "blowup.mode", "201", []),
+        # resonance scans and catalogues need one lossless interior layer
+        ("scan-k", "interior.sigma", "1+0.5j", []),
+        ("resonances", "interior.sigma", "1+0.5j", []),
+        pytest.param("scan-k", None, _LAYERED, [], id="scan-k-layered"),
+        pytest.param("resonances", None, _LAYERED, [], id="resonances-layered"),
+        # incident vectors need `dimension` components
+        pytest.param("field", None, (("dimension", "3"), ("incident.direction", "1")), [],
+                     id="field-3d-short-direction"),
+        pytest.param("field", None, (("dimension", "3"), ("grid.extent", "1.0"),
+                                     ("incident.kind", "point_source"),
+                                     ("incident.location", "3.0")), [],
+                     id="field-3d-short-location"),
+        pytest.param("field", None, (("grid.extent", "1.0"), ("incident.kind", "point_source"),
+                                     ("incident.location", "3.0")), [],
+                     id="field-2d-short-location"),
     ],
 )
 def test_malformed_values_exit_2_up_front(tmp_path, capsys, experiment, key, value, flags):
-    # non-finite floats and negative counts are rejected before any work
+    # non-finite floats and negative counts are rejected before any work;
+    # a row with key None sets each (key, value) pair of its value
     text = _BASES[experiment]
-    if key is not None:
-        text = "\n".join(
-            line for line in text.splitlines() if not line.startswith(key + " ")
-        ) + f"\n{key} = {value}\n"
+    edits = dict(value) if key is None else {key: value}
+    text = "\n".join(
+        line for line in text.splitlines() if line.split(" ", 1)[0] not in edits
+    ) + "".join(f"\n{k} = {v}" for k, v in edits.items()) + "\n"
     cfg = _write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([experiment, "--config", cfg, "--out", str(out)] + flags) == 2
     assert not out.exists() or not os.listdir(out)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, key", [("plane_wave", "incident.direction"), ("point_source", "incident.location")]
+)
+def test_incident_vectors_need_dimension_components(kind, key):
+    kv = parse_config_text(_BASES["field"]) | {"dimension": "3", "incident.kind": kind, key: "3.0"}
+    with pytest.raises(ValidationError, match=f"{key} needs 3 components, got 1"):
+        build_run_config(kv)
+    # extra components are dropped: the 2d default direction is 1, 0, 0
+    spec = build_run_config(kv | {"dimension": "2", key: "3.0, 0, 0"}).cloak.incident
+    assert getattr(spec, key.split(".")[1]) == (3.0, 0.0)
 
 
 def test_scan_points_cap_is_inclusive():
@@ -548,6 +579,34 @@ grid.points = {points}
     # (about 3.5 of them measured), not the grid
     n_max = json.load(open(tmp_path / "o41" / "summary.json"))["truncation"]
     assert small <= 5 * cli.FIELD_BLOCK * (n_max + 2) * 16
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_dump_at_tiny_epsilon_matches_point_by_point(tmp_path, d):
+    # the virtual inclusion has radius 1e-13: interface rejection is relative
+    # to it, so the points inside r = 1 evaluate on the blown-up interior
+    text = f"""
+experiment = field
+dimension = {d}
+k = 2.0
+epsilon = 1e-13
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+incident.kind = plane_wave
+incident.direction = {"1, 0" if d == 2 else "0, 0, 1"}
+grid.extent = 1.5
+grid.points = 24
+"""
+    cfg = _write_cfg(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert cli.main(["field", "--config", cfg, "--out", out]) == 0
+    rows = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)
+    assert np.sum(np.linalg.norm(rows[:, :d], axis=1) < 1.0) >= 100
+    series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
+    want = np.array([series.eval(p) for p in rows[:, :d]])
+    got = rows[:, d] + 1j * rows[:, d + 1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -413,6 +413,5 @@ def test_blowup_sweep_rows_match_per_row_eigenmode_series():
         spec = first_resonance(d, 1.0)
         # rows equal the norms of one eigenmode series per row, bitwise
         for e, rec in zip(eps, recs):
-            cfg = CloakConfig(d, 1.0, e, (Layer(1.0, 1.0, spec.sigma0),))
-            series = ex.eigenmode_series(cfg, spec)
+            series = ex.eigenmode_series(spec, 1.0, e)
             assert rec.interior_h1 == norm_annulus(series, 0.0, 1.0)[1]

@@ -10,7 +10,7 @@ import pytest
 import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 
-from cloakwave import fields
+from cloakwave import fields, mie
 from cloakwave.errors import (
     InterfaceEvaluationError,
     TruncationError,
@@ -494,6 +494,20 @@ def test_eigenfunction_normalization_against_mpmath(d, n):
 
 
 # -- interior limits -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "interior",
+    [(Layer(1.0, 1.0, 1.0 + 0.5j),), (Layer(0.5, 1.0, 3.0), Layer(1.0, 1.0, 1.0))],
+    ids=["lossy", "layered"],
+)
+def test_interior_limit_needs_one_lossless_layer(interior):
+    assert mie.homogeneous_layer(interior) is None
+    with pytest.raises(UnsupportedConfigurationError, match="single lossless layer"):
+        interior_limit(CloakConfig(3, 1.0, 0.1, interior), 1.0)
+    # the one lossless layer comes back with a real density
+    lay = mie.homogeneous_layer((Layer(1.0, 1.5, 2.0 + 0j),))
+    assert lay == Layer(1.0, 1.5, 2.0) and type(lay.sigma) is float
 
 
 def test_interior_limit_nonresonant_passive_is_zero():
