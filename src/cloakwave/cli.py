@@ -150,6 +150,8 @@ def build_run_config(kv: dict[str, str]) -> RunConfig:
         return values[:dimension]
 
     dimension = _number(get("dimension"), int)
+    if dimension not in (2, 3):   # vector() reads it before CloakConfig checks it
+        raise ValidationError(f"dimension must be 2 or 3, got {dimension}")
     k = _number(get("k"))
     epsilon = _number(get("epsilon", "0.1"))
     radii = _floats(get("interior.radii", "1.0"))

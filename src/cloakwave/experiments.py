@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DegenerateDataError,
-    ResonantConfigError,
     SingularSystemError,
     ValidationError,
 )
@@ -28,6 +27,7 @@ from .fields import (
     eigenfunction_normalization,
     free_series,
     incident_coefficients,
+    interior_limit,
     mode_series,
     norm_annulus,
     outgoing_mode_norm,
@@ -35,7 +35,6 @@ from .fields import (
 )
 from .mie import (
     EPSILON_FLOOR,
-    RESONANCE_PROXIMITY,
     TUNING_FLOOR_3D,
     CloakConfig,
     Layer,
@@ -43,7 +42,6 @@ from .mie import (
     TunedSigma,
     alpha0_closed_form,
     first_resonance,
-    homogeneous_layer,
     interior_source_mode_solve,
     blown_up_medium,
     resonance_scan,
@@ -157,12 +155,12 @@ def convergence_sweep(
     config's frequency, truncated at auto_truncation; the visibility is the
     norm of (cloaked field - free-field pullback) over the probe annulus,
     which may reach into the shell (radius > 1), and the interior deviation
-    is the norm of the blown-up interior field over the unit ball: its
-    deviation from the limit, which is zero for every interior a sweep
-    accepts (fields.interior_limit).  A single lossless interior layer
-    (mie.homogeneous_layer) whose normalized resonance condition at k lies
-    below RESONANCE_PROXIMITY for some mode of the truncation raises
-    ResonantConfigError; layered and lossy interiors shield.  The rate fit
+    is the norm of the blown-up interior field over the unit ball minus its
+    limit, fields.interior_limit, built once per sweep: zero, or at a 3d
+    monopole resonance the leaked free-field value at the blown-up point.
+    Every other resonance of a single lossless interior layer raises
+    ResonantConfigError; layered and lossy interiors are not tested for
+    resonance and are measured against the zero limit.  The rate fit
     uses epsilon in 3d and 1/|ln eps| in 2d; a fit on data spanning less
     than a decade is reported as degenerate instead of failing the sweep.
     """
@@ -171,18 +169,9 @@ def convergence_sweep(
     if config.incident is None:
         raise ValidationError("convergence sweep needs an incident field")
     spec = config.incident
-    n_max = auto_truncation(spec, k, d)
-    lay = homogeneous_layer(config.interior)
-    if lay is not None:
-        kappa = k * math.sqrt(lay.sigma / lay.a)
-        margin = float(np.min(np.abs(resonance_scan(d, n_max, kappa, lay.a)[1])))
-        if margin < RESONANCE_PROXIMITY:
-            raise ResonantConfigError(
-                f"configuration is resonant (margin {margin:.3e}); use the "
-                "resonance experiments"
-            )
-    b = incident_coefficients(spec, k, n_max, d)
+    b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
     axis = None if spec.axis is None else tuple(spec.axis)
+    limit = interior_limit(config, b, axis)
     # the free field pulled back through the limit map
     pullback = replace(free_series(d, k, b, axis), epsilon=0.0)
 
@@ -194,7 +183,9 @@ def convergence_sweep(
             # with the inverse map on a probe reaching into the shell
             cloaked = replace(series, epsilon=e)
             vis_l2, vis_h1 = norm_annulus(cloaked, probe[0], probe[1], reference=pullback)
-            int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
+            int_l2, int_h1 = norm_annulus(
+                blown_up_interior_series(cfg, series), 0.0, 1.0, reference=limit
+            )
         except SingularSystemError as exc:
             return _singular_record(e, exc)
         return SweepRecord(e, vis_l2, vis_h1, int_l2, int_h1)

@@ -30,8 +30,8 @@ import numpy as np
 from . import specfun
 from .errors import (
     InterfaceEvaluationError,
+    ResonantConfigError,
     TruncationError,
-    UnsupportedConfigurationError,
     ValidationError,
 )
 from .mie import (
@@ -39,12 +39,11 @@ from .mie import (
     LayeredMedium,
     Layer,
     ModeSolution,
-    ParticularTerm,
     RESONANCE_PROXIMITY,
     ResonanceSpec,
     angular_eigenvalue,
     homogeneous_layer,
-    resonance_condition,
+    resonance_scan,
     solve_modes,
 )
 from .quadrature import integrate
@@ -700,64 +699,40 @@ def eigenfunction_normalization(spec: ResonanceSpec) -> float:
 
 
 def interior_limit(
-    config: CloakConfig,
-    u_at_origin: complex,
-    axis: tuple[float, ...] | None = None,
-    interior_source: tuple | None = None,
+    config: CloakConfig, b, axis: tuple[float, ...] | None = None
 ) -> FieldSeries | None:
     """Limit of the blown-up interior field as eps vanishes, as a series; None for zero.
 
-    Passive non-resonant interiors shield completely (None).  A mode is
-    resonant when its normalized resonance condition lies below
-    RESONANCE_PROXIMITY, the test with which the sweeps reject resonant
-    interiors, so a sweep never meets a nonzero limit.  A 3d
-    monopole resonance leaks the free field's value at the blown-up point:
-    u(0) j_0(kappa* r) / j_0(kappa*).  An interior source (spec, amplitude)
-    is supported for non-resonant 3d media, where the limit solves the
-    Neumann problem in closed form (mode 0's particular term plus the
-    regular part cancelling its flux at r = 1), and rejected at resonance,
-    where the source fails the orthogonality condition and no limit
-    exists.  The series lies on blown_up_interior_series' medium at
-    config.k, so norm_annulus(interior, 0, 1, reference=limit) subtracts it
-    on coefficients; axis is the interior series' axis.  The interior
-    must be a single lossless layer (mie.homogeneous_layer); others raise
-    UnsupportedConfigurationError.
+    b holds the incident coefficients of the solve, and its orders are
+    the ones tested.  Only a single lossless interior layer
+    (mie.homogeneous_layer) is tested for resonance; a layered or lossy
+    interior, like a non-resonant one, is taken to shield (None).  A mode
+    is resonant when its normalized resonance condition (one
+    resonance_scan over the orders of b) lies below RESONANCE_PROXIMITY.
+    A 3d monopole resonance alone leaks the free field's value at the
+    blown-up point: u(0) j_0(kappa* r) / j_0(kappa*), with u(0) = b[0].
+    Any other resonance raises ResonantConfigError.  The series lies on
+    blown_up_interior_series' medium at config.k, so
+    norm_annulus(interior, 0, 1, reference=limit) subtracts it on
+    coefficients; axis is the interior series' axis.
     """
-    d = config.dimension
     lay = homogeneous_layer(config.interior)
     if lay is None:
-        raise UnsupportedConfigurationError("interior limit needs a single lossless layer")
-    kap = config.k * math.sqrt(lay.sigma / lay.a)
-
-    def resonant(n: int) -> bool:
-        return abs(resonance_condition(d, n, kap, lay.a)[1]) < RESONANCE_PROXIMITY
-
-    part = None
-    if interior_source is not None:
-        spec, amp = interior_source
-        if resonant(spec.mode) and abs(kap - spec.kappa_star) <= 1e-9 * spec.kappa_star:
-            raise UnsupportedConfigurationError(
-                "interior source is a resonant eigenfunction: the orthogonality "
-                "condition fails and the interior energy blows up (no limit)"
-            )
-        if spec.mode != 0:
-            raise UnsupportedConfigurationError(
-                "active interior limits implemented for radial (mode 0) sources"
-            )
-        if d == 2:
-            raise UnsupportedConfigurationError(
-                "active 2d interior limits are non-local; not implemented"
-            )
-        q = amp * eigenfunction_normalization(spec) / lay.a
-        part = ParticularTerm.for_source(d, 0, kap, complex(spec.kappa_star), q)
-        # Neumann condition at the unit sphere fixes the homogeneous part
-        coef = -part.eval(1.0)[1] / (kap * specfun.bessel(3, "regular", 0, kap).derivative)
-    elif d == 3 and resonant(0):
-        coef = complex(u_at_origin) / specfun.bessel(3, "regular", 0, kap).value
-    else:   # passive non-resonant (2d or 3d) and passive higher-mode-resonant 3d
         return None
+    d = config.dimension
+    kap = config.k * math.sqrt(lay.sigma / lay.a)
+    margins = np.abs(resonance_scan(d, len(b) - 1, kap, lay.a)[1][:, 0])
+    resonant = np.flatnonzero(margins < RESONANCE_PROXIMITY).tolist()
+    if not resonant:
+        return None
+    if d == 2 or resonant != [0]:
+        raise ResonantConfigError(
+            f"configuration is resonant (margin {float(np.min(margins)):.3e}); use the "
+            "resonance experiments"
+        )
+    coef = complex(b[0]) / specfun.bessel(3, "regular", 0, kap).value
     mode0 = ModeSolution(n=0, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
-                         layer_coeffs=((complex(coef), 0.0 + 0.0j),), particular=part)
+                         layer_coeffs=((coef, 0.0 + 0.0j),))
     return FieldSeries(k=config.k, modes=(mode0,), medium=LayeredMedium(d, config.interior), axis=axis)
 
 

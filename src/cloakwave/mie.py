@@ -44,7 +44,8 @@ EPSILON_FLOOR = 1e-100
 TUNING_FLOOR_3D = 1e-6
 CONDITION_CAP = 1.0e12
 # a homogeneous interior whose normalized resonance condition (resonance_condition)
-# falls below this is resonant: sweeps reject it, and its interior limit leaks
+# falls below this is resonant: fields.interior_limit leaks a 3d monopole
+# resonance and rejects every other one
 RESONANCE_PROXIMITY = 1e-8
 MP_DIGITS = 60             # working precision of the tuning polish and tuned alpha0
 
@@ -130,7 +131,9 @@ class CloakConfig:
 def homogeneous_layer(interior: tuple[Layer, ...]) -> Layer | None:
     """The interior's layer, with a real density, if it is one lossless layer; else None.
 
-    Only such an interior resonates; layered and lossy interiors shield.
+    Resonance is tested for such an interior only: a layered interior has
+    resonances too (eigenvalues of the layered ball), which nothing here
+    detects, and a lossy one has a complex interior wavenumber.
     """
     if len(interior) == 1 and complex(interior[0].sigma).imag == 0:
         return replace(interior[0], sigma=complex(interior[0].sigma).real)
@@ -388,20 +391,16 @@ def _monopole_wronskian(ke, flux, exterior: tuple, t, interior: tuple):
     return ke * fp * r - flux * t * f * rp
 
 
-def alpha0_closed_form(d: int, k: float, eps: float, k_eps) -> complex:
+def alpha0_closed_form(d: int, k: float, eps: float, k_eps: float) -> complex:
     """Monopole scattering coefficient of the rescaled single inclusion.
 
-    k_eps is the interior Bessel argument at the unit interface; it may be
-    a float or an (hi, lo) pair representing a double-double value, in
-    which case the expression is evaluated in extended precision (needed
-    to resolve the tuned configuration at small eps, where the imaginary
-    part of the denominator has slope ~ 1/eps^2 in k_eps).
+    k_eps is the interior Bessel argument at the unit interface, in double
+    precision.  A tuned row's alpha0 needs extended precision, where the
+    imaginary part of the denominator has slope ~ 1/eps^2 in k_eps; tune_sigma
+    computes it (TunedSigma.alpha0).
     """
     if d not in (2, 3):
         raise ValidationError(f"dimension must be 2 or 3, got {d}")
-    if isinstance(k_eps, tuple):
-        with mp.workdps(MP_DIGITS):
-            return _alpha0_mp(d, mp.mpf(k_eps[0]) + mp.mpf(k_eps[1]), _mp_exterior(d, k, eps))
     ke = k * eps
     flux = 1.0 / eps if d == 3 else 1.0
     interior = specfun.bessel(d, "regular", 0, k_eps)
@@ -568,9 +567,9 @@ class TunedSigma:
 
     k_eps is the tuned interior Bessel argument; sigma follows in the two
     conventions (the density symbol of the tuning equations reads k_eps / k,
-    while the interior equation implies (k_eps / k)^2).  k_eps_lo is a
-    double-double correction used by the extended-precision alpha0 path,
-    and alpha0 (exact variant only) alpha0_closed_form at (k_eps, k_eps_lo),
+    while the interior equation implies (k_eps / k)^2).  k_eps_lo is the
+    double-double correction of the polished root, and alpha0 (exact variant
+    only) the monopole coefficient at k_eps + k_eps_lo in extended precision,
     computed with the polish's exterior Bessel values.
     """
 
@@ -582,10 +581,6 @@ class TunedSigma:
     k_eps_lo: float
     kappa_star: float
     alpha0: complex | None = None
-
-    @property
-    def k_eps_dd(self) -> tuple[float, float]:
-        return (self.k_eps, self.k_eps_lo)
 
     @property
     def sigma_paper(self) -> float:

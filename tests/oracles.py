@@ -179,6 +179,38 @@ def collocation_monopole_limit(kappa: float, u0: complex, n: int = 80):
     return r, v, resid
 
 
+def neumann_monopole_limit(kappa: float, kappa_star: float, r) -> np.ndarray:
+    """Closed-form 3d limit of the blown-up interior field under a radial source.
+
+    The interior (unit stiffness, wavenumber kappa) is driven by the radial
+    eigenfunction j_0(kappa_star r), j_0'(kappa_star) = 0, scaled to unit
+    L2 norm on the unit ball.  As eps vanishes the field tends to the
+    solution of the Neumann problem (Laplacian + kappa^2) U = q j_0(kappa_star r),
+    dU/dr = 0 at r = 1: U = c j_0(kappa_star r) + A j_0(kappa r), with
+    c = q / (kappa^2 - kappa_star^2) and A cancelling the flux of the first
+    term at r = 1.  Raises ValueError when j_0'(kappa) vanishes: the
+    Neumann problem is then singular, and the eigenfunction source of a
+    resonant interior fails its orthogonality condition, so the interior
+    energy blows up and there is no limit.
+
+    Returns U at the radii r.
+    """
+    def j0(x):
+        return np.sinc(np.asarray(x) / math.pi)
+
+    def j0p(x):
+        return (x * math.cos(x) - math.sin(x)) / (x * x)
+
+    if abs(j0p(kappa)) <= 1e-8 * (abs(j0(kappa)) + abs(j0p(kappa))):
+        raise ValueError("resonant interior: the Neumann problem has no solution")
+    # ||j_0(kappa_star r)||^2 over the unit ball
+    norm2 = 4.0 * math.pi / kappa_star**2 * (0.5 - math.sin(2.0 * kappa_star) / (4.0 * kappa_star))
+    c = 1.0 / math.sqrt(norm2) / (kappa * kappa - kappa_star * kappa_star)
+    amp = -c * kappa_star * j0p(kappa_star) / (kappa * j0p(kappa))
+    r = np.asarray(r, dtype=float)
+    return c * j0(kappa_star * r) + amp * j0(kappa * r)
+
+
 def fd_interior_source_solve(
     d: int,
     k: float,

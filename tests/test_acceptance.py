@@ -207,7 +207,7 @@ def _resonant_interior_solves():
     for eps in EPS_RATE:
         cfg = CloakConfig(3, 1.0, eps, cfg0.interior, incident=spec)
         ser = solve_series(virtual_medium(cfg), 1.0, b)
-        solves.append((blown_up_interior_series(cfg, ser), interior_limit(cfg, b[0])))
+        solves.append((blown_up_interior_series(cfg, ser), interior_limit(cfg, b)))
     return solves, cfg0, b
 
 
@@ -261,13 +261,15 @@ def test_criterion_5_interior_limit_convergence_and_collocation():
     decreasing = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
     bound_const = max(e / eps for e, eps in zip(errs, EPS_RATE))
     kap = first_resonance(3, 1.0).kappa_star
-    lim = interior_limit(cfg0, 1.0 + 0.0j)
+    lim = interior_limit(cfg0, np.array([1.0 + 0.0j]))
     r, v, resid = collocation_monopole_limit(kap, 1.0 + 0.0j, n=48)
     # the node r = 1 is the layer interface: read the limit just inside
     worst = max(
         abs(lim.radial_all(min(float(ri), 1.0 - 1e-11))[0][0] - vi) for ri, vi in zip(r, v)
     )
-    ok = decreasing and bound_const < 1.0 and resid < 1e-8 and worst < 1e-8
+    # the sweep at this config reports these deviations as its interior column
+    swept = [r.interior_l2 for r in ex.convergence_sweep(cfg0, EPS_RATE).records]
+    ok = decreasing and bound_const < 1.0 and resid < 1e-8 and worst < 1e-8 and swept == errs
     _report(
         5, "resonant interior limit (convergence + collocation)", ok,
         f"errors={tuple(f'{e:.2e}' for e in errs)} sup err/eps={bound_const:.3f} "
@@ -277,6 +279,7 @@ def test_criterion_5_interior_limit_convergence_and_collocation():
     assert bound_const < 1.0  # consistent with the O(eps) estimate
     assert resid < 1e-8
     assert worst < 1e-8
+    assert swept == errs
 
 
 def test_criterion_5_interior_limit_slope_window():
@@ -338,7 +341,7 @@ def test_criterion_5_deviation_converges_at_small_eps():
     for eps in (1e-3, 1e-4, 1e-5):
         cfg = CloakConfig(3, 1.0, eps, cfg0.interior, incident=spec)
         interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
-        l2 = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0]
+        l2 = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b))[0]
         assert abs(l2 / eps**2 - 1.58252) <= 1e-4, (eps, l2 / eps**2)
 
 

@@ -563,7 +563,9 @@ def test_norm_pairs_match_separate_values(d):
     spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
     interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 1.0, b))
-    lim = interior_limit(cfg, b[0])
+    # interior_limit rejects the 2d monopole resonance; there the deviation
+    # is taken from zero
+    lim = interior_limit(cfg, b) if d == 3 else None
 
     def deviation(r):
         vals, ders = interior.radial_all(r)

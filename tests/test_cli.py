@@ -217,6 +217,17 @@ def test_incident_vectors_need_dimension_components(kind, key):
     assert getattr(spec, key.split(".")[1]) == (3.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "experiment, dimension", [("scan-k", "4"), ("field", "0"), ("sweep", "1")]
+)
+def test_dimension_checked_before_it_is_used(experiment, dimension):
+    # scan-k reads no incident field, and a field's direction is cut to
+    # `dimension` components: both must report the dimension itself
+    kv = parse_config_text(_BASES[experiment]) | {"dimension": dimension}
+    with pytest.raises(ValidationError, match=f"^dimension must be 2 or 3, got {dimension}$"):
+        build_run_config(kv)
+
+
 def test_scan_points_cap_is_inclusive():
     cfg = build_run_config(parse_config_text(_BASES["scan-k"].replace("= 10", "= 1000000")))
     assert cfg.scan_k[2] == cli.SCAN_POINT_CAP == 1_000_000
@@ -361,6 +372,7 @@ GOLDEN_RUNS = [
     ("scank2d", "scan-k", ("summary.json",)),
     ("field2d", "field", ("field.csv", "summary.json")),
     ("modes3d", "modes", ("modes.csv", "summary.json")),
+    ("sweep3d_resonant", "sweep", ("results.csv", "summary.json")),
 ]
 
 

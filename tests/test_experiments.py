@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,22 +78,35 @@ def test_eps_one_reproduces_bare_inclusion():
 
 
 def test_resonant_config_rejected():
-    kap = first_resonance(3, 1.0)
-    with pytest.raises(ResonantConfigError):
-        ex.convergence_sweep(_cfg(3, sigma=kap.sigma0), EPS_LIST)
+    # every resonance but the 3d monopole's: the 2d monopole and the 3d dipole
+    for d, mode in ((2, 0), (3, 1)):
+        spec = first_resonance(d, 1.0, mode)
+        with pytest.raises(ResonantConfigError, match="configuration is resonant"):
+            ex.convergence_sweep(_cfg(d, sigma=spec.sigma0), EPS_LIST)
 
 
-def test_near_resonant_interior_gets_the_resonant_limit_and_is_rejected():
-    # mode 0's normalized condition is 3.0e-9, inside RESONANCE_PROXIMITY: the
-    # interior limit and the sweep call the interior resonant alike
-    kap = first_resonance(3, 1.0).kappa_star + 3e-9
+@pytest.mark.parametrize("offset", [0.0, 3e-9], ids=["resonant", "near-resonant"])
+def test_resonant_monopole_sweep_measures_the_interior_against_its_limit(offset):
+    # at 3e-9 off kappa*, mode 0's normalized condition is 3.0e-9, inside
+    # RESONANCE_PROXIMITY: the sweep runs and its interior columns are the
+    # deviation from the leaked limit u(0) j_0(kappa r) / j_0(kappa)
+    kap = first_resonance(3, 1.0).kappa_star + offset
     cfg = _cfg(3, sigma=kap**2)
-    assert resonance_condition(3, 0, kap)[1] == pytest.approx(3.0e-9, rel=0.01)
-    lim = interior_limit(cfg, 1.0)
-    assert lim is not None   # u(0) j_0(kappa r) / j_0(kappa), at r = 0
+    res = ex.convergence_sweep(cfg, EPS_LIST)
+    spec = cfg.incident
+    b = incident_coefficients(spec, cfg.k, auto_truncation(spec, cfg.k, 3), 3)
+    lim = interior_limit(cfg, b, tuple(spec.axis))
     assert lim.radial_all(0.0)[0][0] == pytest.approx(kap / math.sin(kap), rel=1e-12)
-    with pytest.raises(ResonantConfigError):
-        ex.convergence_sweep(cfg, EPS_LIST)
+    for rec in res.records:
+        e = replace(cfg, epsilon=rec.epsilon)
+        interior = blown_up_interior_series(
+            e, solve_series(virtual_medium(e), cfg.k, b, axis=tuple(spec.axis))
+        )
+        assert (rec.interior_l2, rec.interior_h1) == norm_annulus(
+            interior, 0.0, 1.0, reference=lim
+        )
+        # the interior field itself tends to the order-one limit, not to zero
+        assert rec.interior_l2 < 1e-2 * norm_annulus(interior, 0.0, 1.0)[0]
 
 
 def test_sweep_validation():

@@ -13,11 +13,11 @@ from hypothesis import given, settings, strategies as st
 from cloakwave import fields, mie
 from cloakwave.errors import (
     InterfaceEvaluationError,
+    ResonantConfigError,
     TruncationError,
-    UnsupportedConfigurationError,
     ValidationError,
 )
-from cloakwave.experiments import blowup_sweep, instability_sweep
+from cloakwave.experiments import blowup_sweep, eigenmode_series, instability_sweep
 from cloakwave.fields import (
     CANCELLATION_CAP,
     FieldSeries,
@@ -45,7 +45,7 @@ from cloakwave.mie import (
 )
 from cloakwave.transform import BlowupMap, radial_forward
 
-from oracles import collocation_monopole_limit
+from oracles import collocation_monopole_limit, neumann_monopole_limit
 
 KAPPA3 = 4.493409457909064
 
@@ -502,9 +502,9 @@ def test_eigenfunction_normalization_against_mpmath(d, n):
     ids=["lossy", "layered"],
 )
 def test_interior_limit_needs_one_lossless_layer(interior):
+    # only a single lossless layer is tested for resonance; others take the zero limit
     assert mie.homogeneous_layer(interior) is None
-    with pytest.raises(UnsupportedConfigurationError, match="single lossless layer"):
-        interior_limit(CloakConfig(3, 1.0, 0.1, interior), 1.0)
+    assert interior_limit(CloakConfig(3, 1.0, 0.1, interior), np.ones(3)) is None
     # the one lossless layer comes back with a real density
     lay = mie.homogeneous_layer((Layer(1.0, 1.5, 2.0 + 0j),))
     assert lay == Layer(1.0, 1.5, 2.0) and type(lay.sigma) is float
@@ -512,14 +512,14 @@ def test_interior_limit_needs_one_lossless_layer(interior):
 
 def test_interior_limit_nonresonant_passive_is_zero():
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, 1.0),))
-    assert interior_limit(cfg, 1.0) is None
+    assert interior_limit(cfg, np.ones(3)) is None
     cfg2 = CloakConfig(2, 1.0, 0.1, (Layer(1.0, 1.0, 1.0),))
-    assert interior_limit(cfg2, 1.0) is None
+    assert interior_limit(cfg2, np.ones(3)) is None
 
 
 def test_interior_limit_resonant_monopole_closed_form():
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, KAPPA3**2),))
-    lim = interior_limit(cfg, 1.0)
+    lim = interior_limit(cfg, np.ones(3))
     assert lim.truncation == 0 and lim.medium == LayeredMedium(3, cfg.interior)
     j0_at = math.sin(KAPPA3) / KAPPA3
     v0 = lim.radial_all(0.0)[0][0]
@@ -529,7 +529,7 @@ def test_interior_limit_resonant_monopole_closed_form():
 def test_interior_limit_matches_collocation_oracle():
     u0 = 1.0 + 0.0j
     cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, KAPPA3**2),))
-    lim = interior_limit(cfg, u0)
+    lim = interior_limit(cfg, np.array([u0]))
     r, v, resid = collocation_monopole_limit(KAPPA3, u0, n=48)
     assert resid < 1e-8
     for ri, vi in zip(r, v):
@@ -538,22 +538,40 @@ def test_interior_limit_matches_collocation_oracle():
         assert abs(mine - vi) < 1e-8
 
 
+@pytest.mark.parametrize("d, mode", [(2, 0), (2, 1), (3, 1), (3, 2)])
+def test_interior_limit_rejects_every_resonance_but_the_3d_monopole(d, mode):
+    spec = first_resonance(d, 1.0, mode)
+    cfg = CloakConfig(d, 1.0, 0.1, (Layer(1.0, 1.0, spec.sigma0),))
+    with pytest.raises(ResonantConfigError, match="configuration is resonant"):
+        interior_limit(cfg, np.ones(3))
+    if mode:   # only the orders of b are tested
+        assert interior_limit(cfg, np.ones(mode)) is None
+
+
 def test_interior_limit_active_resonant_rejected():
+    # the eigenfunction source of a resonant interior has no Neumann limit
     spec = first_resonance(3, 1.0)
-    cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, spec.sigma0),))
-    with pytest.raises(UnsupportedConfigurationError):
-        interior_limit(cfg, 1.0, interior_source=(spec, 1.0))
+    with pytest.raises(ValueError, match="no solution"):
+        neumann_monopole_limit(spec.kappa_star, spec.kappa_star, [0.5])
 
 
 def test_interior_limit_active_nonresonant_neumann():
+    # the paper's active limit: a detuned 3d interior driven by the radial
+    # eigenfunction tends to the Neumann solution, at rate eps in L2(B1)
     spec = first_resonance(3, 1.0)
-    sigma = spec.sigma0 + 3.0
-    cfg = CloakConfig(3, 1.0, 0.1, (Layer(1.0, 1.0, sigma),))
-    lim = interior_limit(cfg, 0.0, interior_source=(spec, 1.0))
-    assert lim.modes[0].particular is not None
-    # Neumann condition satisfied by construction; r = 1 is the layer interface
-    der = lim.radial_all(1.0 - 1e-11)[1][0]
-    assert abs(der) < 1e-10
+    detuned = replace(spec, sigma0=spec.sigma0 + 3.0)
+    x, w = np.polynomial.legendre.leggauss(60)
+    r, w = 0.5 * (x + 1.0), 0.5 * w
+    want = neumann_monopole_limit(math.sqrt(detuned.sigma0), spec.kappa_star, r)
+    eps = (1e-1, 1e-2, 1e-3, 1e-4)
+    devs = []
+    for e in eps:
+        vals, _ = eigenmode_series(detuned, 1.0, e).radial_many(r, derivatives=False)
+        devs.append(math.sqrt(mode_weight(3, 0) * np.sum(w * np.abs(vals[0] - want) ** 2 * r**2)))
+    ratios = [dv / e for dv, e in zip(devs, eps)]
+    slope = np.polyfit(np.log(eps), np.log(devs), 1)[0]
+    assert 0.95 <= slope <= 1.05
+    assert max(ratios) / min(ratios) - 1.0 < 0.1
 
 
 @pytest.mark.parametrize("k", [1.0, 0.8])
@@ -568,7 +586,7 @@ def test_deviation_from_the_limit_subtracts_on_coefficients(k, axis):
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
         cfg = CloakConfig(3, k, eps, (layer,))
         interior = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), k, b, axis=axis))
-        lim = interior_limit(cfg, b[0], axis)
+        lim = interior_limit(cfg, b, axis)
         m0 = interior.modes[0]
         (c0, s0), = m0.layer_coeffs
         lowered = replace(m0, layer_coeffs=((c0 - lim.modes[0].layer_coeffs[0][0], s0),))
@@ -585,7 +603,7 @@ def test_interior_convergence_nonresonant_rate():
         cfg = CloakConfig(3, 1.0, eps, (Layer(1.0, 1.0, 1.0),))
         ser = solve_series(virtual_medium(cfg), 1.0, b)
         interior = blown_up_interior_series(cfg, ser)
-        vals.append(norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0])
+        vals.append(norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b))[0])
     assert vals[0] / vals[1] == pytest.approx(10.0, rel=0.4)
     assert vals[1] / vals[2] == pytest.approx(10.0, rel=0.15)
 
@@ -598,7 +616,7 @@ def test_interior_convergence_resonant_to_closed_form():
         cfg = CloakConfig(3, 1.0, eps, (Layer(1.0, 1.0, KAPPA3**2),))
         ser = solve_series(virtual_medium(cfg), 1.0, b)
         interior = blown_up_interior_series(cfg, ser)
-        dev = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b[0]))[0]
+        dev = norm_annulus(interior, 0.0, 1.0, reference=interior_limit(cfg, b))[0]
         assert dev < prev
         prev = dev
     assert prev < 2e-6

@@ -218,8 +218,7 @@ def test_alpha0_tuned_is_minus_one():
     for d in (2, 3):
         spec = first_resonance(d, 1.0)
         tuned = tune_sigma(d, 1.0, 1e-2, spec, "exact")
-        cf = alpha0_closed_form(d, 1.0, 1e-2, tuned.k_eps_dd)
-        assert abs(cf + 1.0) < 1e-8
+        assert abs(tuned.alpha0 + 1.0) < 1e-8
         ms = _mode(blown_up_medium(tuned_inclusion_config(tuned)), 1.0, 0, 1.0)
         assert abs(ms.alpha_n + 1.0) < 1e-8
 
@@ -323,7 +322,6 @@ def test_exact_tuning_bits_pinned(d, k, eps, hi, lo, alpha):
     t = tune_sigma(d, k, eps, first_resonance(d, k), "exact")
     assert (t.k_eps, t.k_eps_lo) == (hi, lo)
     assert t.alpha0 == alpha
-    assert alpha0_closed_form(d, k, eps, t.k_eps_dd) == alpha
 
 
 def test_exact_tuning_row_evaluates_exterior_once(monkeypatch):
