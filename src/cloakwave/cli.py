@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -273,17 +273,6 @@ def _summary(config: RunConfig, extra: dict) -> str:
     return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
-def _ratefit_json(fit) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "model": fit.model,
-    }
-
-
 # ---------------------------------------------------------------------------
 # experiment runners
 
@@ -297,7 +286,7 @@ def _run_sweep(config: RunConfig, out_dir: str) -> None:
             config,
             {
                 "rows": len(res.records),
-                "rate_fit": _ratefit_json(res.fit),
+                "rate_fit": None if res.fit is None else asdict(res.fit),
                 "fit_flag": res.fit_flag,
             },
         ),
@@ -459,18 +448,6 @@ def _field_evaluator(config: RunConfig):
     return series.eval_many, n_max
 
 
-def _block_values(values, block: np.ndarray) -> np.ndarray:
-    """Values at a block of points; a block that fails is halved until the point is found."""
-    try:
-        return values(block)
-    except CloakwaveError:
-        if len(block) == 1:
-            # interface or map-branch hit: nudge deterministically outward
-            return values(block * (1.0 + 1e-9))
-    half = len(block) // 2
-    return np.concatenate([_block_values(values, b) for b in (block[:half], block[half:])])
-
-
 def _run_field(config: RunConfig, out_dir: str) -> None:
     blocks = _grid_blocks(config)
     values, n_max = _field_evaluator(config)
@@ -478,16 +455,22 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
     header = "x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"
     row = FIELD_ROW[d]
     path = os.path.join(out_dir, "field.csv")
-    # written under a temporary name, so field.csv only ever holds a whole dump
-    with open(path + ".part", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for block in blocks:
-            vals = _block_values(values, block)
-            fh.write("".join(
-                row % (*p, u.real, u.imag, abs(u))
-                for p, u in zip(block.tolist(), vals.tolist())
-            ))
-    os.replace(path + ".part", path)
+    part = path + ".part"
+    # written under a temporary name, so field.csv only ever holds a whole
+    # dump; a failed dump leaves neither file
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for block in blocks:
+                vals = values(block)
+                fh.write("".join(
+                    row % (*p, u.real, u.imag, abs(u))
+                    for p, u in zip(block.tolist(), vals.tolist())
+                ))
+        os.replace(part, path)
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
     _write(
         os.path.join(out_dir, "summary.json"),
         _summary(

@@ -44,10 +44,6 @@ class QuadratureError(ConvergenceError):
     """Adaptive quadrature failed to reach its tolerance."""
 
 
-class InterfaceEvaluationError(CloakwaveError):
-    """Field evaluation requested exactly on a material interface."""
-
-
 class UnsupportedConfigurationError(CloakwaveError):
     """Configuration outside the implemented closed-form cases."""
 

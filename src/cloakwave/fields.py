@@ -28,12 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import specfun
-from .errors import (
-    InterfaceEvaluationError,
-    ResonantConfigError,
-    TruncationError,
-    ValidationError,
-)
+from .errors import ResonantConfigError, TruncationError, ValidationError
 from .mie import (
     CloakConfig,
     LayeredMedium,
@@ -50,8 +45,6 @@ from .quadrature import integrate
 from .transform import BlowupMap, inverse_branch, map_inverse, radial_forward, radii
 
 TAIL_TOL = 1e-14
-# eval rejects points within this relative distance of an interface or map branch radius
-_INTERFACE_TOL = 1e-12
 
 POINT_SOURCE_RADIUS_RANGE = (2.5, 4.5)
 CANCELLATION_CAP = 100.0   # closed-form norm segments whose endpoint terms exceed this multiple integrate
@@ -238,11 +231,8 @@ class FieldSeries:
     # -- radial profiles ---------------------------------------------------
 
     def _layer_of(self, r: np.ndarray) -> np.ndarray:
-        """Layer index of each radius (len(layers) = exterior); rejects interfaces."""
-        for lay in self.medium.layers:
-            if np.any(np.abs(r - lay.radius) <= _INTERFACE_TOL * lay.radius):
-                raise InterfaceEvaluationError(f"evaluation at interface radius {lay.radius}")
-        return sum(r >= lay.radius for lay in self.medium.layers)   # radii increase
+        """Layer index of each radius (len(layers) = exterior); an interface is the inner layer's."""
+        return sum(r > lay.radius for lay in self.medium.layers)   # radii increase
 
     def _layer_basis(self, idx: int) -> tuple[complex, np.ndarray, np.ndarray, bool]:
         """(wavenumber, regular and singular coefficients, outgoing?) of a layer.
@@ -332,20 +322,8 @@ class FieldSeries:
     # -- point evaluation ----------------------------------------------------
 
     def _to_virtual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Virtual-domain images of the rows of x and their radii.
-
-        Rejects, with eval's errors, rows on a branch radius of the map
-        (physical domain); _layer_of rejects layer interfaces.
-        """
-        t = radii(x)
-        xv = x
-        if self.epsilon is not None:
-            for b in (1.0, 2.0):
-                if np.any(np.abs(t - b) <= _INTERFACE_TOL * b):
-                    raise InterfaceEvaluationError(
-                        f"physical evaluation on map branch radius {b}"
-                    )
-            xv = map_inverse(BlowupMap(self.epsilon, self.dimension), x)
+        """Virtual-domain images of the rows of x and their radii."""
+        xv = x if self.epsilon is None else map_inverse(BlowupMap(self.epsilon, self.dimension), x)
         return xv, radii(xv)
 
     def eval(self, x) -> complex:
@@ -388,8 +366,7 @@ class FieldSeries:
         and recurrence.  Other points, and every point of a series without
         a spec, sum all orders of radial_many (one array-argument chain per
         layer) times the angular factors of one recurrence.  A row's value
-        does not depend on the other rows.  A block holding a point eval
-        rejects raises eval's error.
+        does not depend on the other rows.
         """
         x = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         xv, r = self._to_virtual(x)

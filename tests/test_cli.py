@@ -595,8 +595,8 @@ grid.points = {points}
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_field_dump_at_tiny_epsilon_matches_point_by_point(tmp_path, d):
-    # the virtual inclusion has radius 1e-13: interface rejection is relative
-    # to it, so the points inside r = 1 evaluate on the blown-up interior
+    # the virtual inclusion has radius 1e-13: the points inside r = 1 map
+    # inside it and evaluate on the blown-up interior
     text = f"""
 experiment = field
 dimension = {d}
@@ -624,12 +624,19 @@ grid.points = 24
 @pytest.mark.parametrize("d", [2, 3])
 def test_field_block_hitting_branch_radii_matches_point_by_point(tmp_path, monkeypatch, d):
     # step 0.25 puts grid points on the map's branch radii 1 and 2; the dump
-    # must give every point what eval gives it, nudged outward where it fails
-    text = f"""
+    # gives every point what eval gives it there, in one eval_many call per
+    # block, and that is the value just inside the branch radius.  Near r = 1
+    # the shell maps a physical distance h to about 2h in the virtual domain,
+    # many inclusion radii once eps is small, so only the point itself will do
+    calls = []
+    eval_many = FieldSeries.eval_many
+    monkeypatch.setattr(FieldSeries, "eval_many", lambda s, x: calls.append(len(x)) or eval_many(s, x))
+    for eps in (0.05, 1e-6, 1e-9):
+        text = f"""
 experiment = field
 dimension = {d}
 k = 2.0
-epsilon = 0.05
+epsilon = {eps}
 interior.radii = 1.0
 interior.a = 1.0
 interior.sigma = 2.0
@@ -638,29 +645,54 @@ incident.direction = {"1, 0" if d == 2 else "0, 0, 1"}
 grid.extent = 3.0
 grid.points = 25
 """
-    cfg = _write_cfg(tmp_path, text)
-    out = str(tmp_path / "out")
+        cfg = _write_cfg(tmp_path, text)
+        out = str(tmp_path / f"out{eps}")
+        calls.clear()
+        assert cli.main(["field", "--config", cfg, "--out", out]) == 0
+        rows = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)
+        assert len(calls) == math.ceil(len(rows) / cli.FIELD_BLOCK)
+        pts, got = rows[:, :d], rows[:, d] + 1j * rows[:, d + 1]
+        series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
+        want = np.array([series.eval(p) for p in pts])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        r = np.linalg.norm(pts, axis=1)
+        for branch in (1.0, 2.0):
+            on = np.abs(r - branch) <= 1e-12 * branch
+            assert np.sum(on) >= 4
+            inner = series.eval_many((1.0 - 1e-13) * pts[on])
+            assert np.all(np.abs(got[on] - inner) <= 1e-11 * np.abs(inner))
+
+
+def test_failed_field_dump_leaves_no_file(tmp_path, monkeypatch):
+    # a numeric failure in the second of two blocks exits 3, after one
+    # attempt per block, and removes the partial dump
     calls = []
     eval_many = FieldSeries.eval_many
-    monkeypatch.setattr(FieldSeries, "eval_many", lambda s, x: calls.append(len(x)) or eval_many(s, x))
-    assert cli.main(["field", "--config", cfg, "--out", out]) == 0
-    rows = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)
-    series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
-    want, nudged = [], 0
-    for p in rows[:, :d]:
-        try:
-            want.append(series.eval(p))
-        except cli.CloakwaveError:
-            nudged += 1
-            want.append(series.eval(p * (1.0 + 1e-9)))
-    want = np.array(want)
-    assert nudged >= 8
-    # a failing block is halved, not redone point by point: each failing point
-    # costs at most two calls per halving plus its nudge
-    blocks = math.ceil(len(rows) / cli.FIELD_BLOCK)
-    assert len(calls) <= blocks + nudged * (2 * math.ceil(math.log2(cli.FIELD_BLOCK)) + 1)
-    got = rows[:, d] + 1j * rows[:, d + 1]
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def failing(series, x):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise BesselOverflowError("injected failure")
+        return eval_many(series, x)
+
+    monkeypatch.setattr(FieldSeries, "eval_many", failing)
+    cfg = _write_cfg(tmp_path, """
+experiment = field
+dimension = 2
+k = 2.0
+epsilon = 0.05
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+incident.kind = plane_wave
+incident.direction = 1, 0
+grid.extent = 3.0
+grid.points = 40
+""")
+    out = tmp_path / "out"
+    assert cli.main(["field", "--config", cfg, "--out", str(out)]) == 3
+    assert len(calls) == 2
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("d", [2, 3])

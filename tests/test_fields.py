@@ -11,12 +11,7 @@ import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 
 from cloakwave import fields, mie
-from cloakwave.errors import (
-    InterfaceEvaluationError,
-    ResonantConfigError,
-    TruncationError,
-    ValidationError,
-)
+from cloakwave.errors import ResonantConfigError, TruncationError, ValidationError
 from cloakwave.experiments import blowup_sweep, eigenmode_series, instability_sweep
 from cloakwave.fields import (
     CANCELLATION_CAP,
@@ -219,11 +214,16 @@ def test_scaled_monopole_field_shape():
         assert abs(scattered - alpha * shape) <= 1e-12 * max(abs(scattered), 1e-12)
 
 
-def test_interface_evaluation_rejected():
+def test_interface_evaluation_takes_the_inner_side():
     med = LayeredMedium(2, (Layer(1.0, 2.0, 1.0),))
     ser = solve_series(med, 1.0, np.array([1.0 + 0.0j]))
-    with pytest.raises(InterfaceEvaluationError):
-        ser.eval([1.0, 0.0])
+    at = np.array([1.0, 0.0])
+    inner = ser.eval((1.0 - 1e-15) * at)
+    block = ser.eval_many([[0.3, 0.4], at, [1.5, 0.2]])[1]
+    for got in (ser.eval(at), ser.eval_many([at])[0], block):
+        assert abs(got - inner) <= 1e-12 * abs(inner)
+    # the field is continuous there
+    assert abs(ser.eval((1.0 + 1e-15) * at) - inner) <= 1e-12 * abs(inner)
 
 
 # -- norms --------------------------------------------------------------------
