@@ -56,8 +56,10 @@ GRID_POINT_CAP = 1_000_000
 SCAN_POINT_CAP = 1_000_000
 GRID_RADIUS_CAP = 5.0
 FIELD_BLOCK = 1024         # points per field-dump evaluation block
-# field.csv rows by dimension: "%.17g" writes a float or nan as _fmt does
-FIELD_ROW = {d: ",".join(["%.17g"] * (d + 3)) + "\n" for d in (2, 3)}
+# a field.csv row: its grid axis values' text around the middle cell (3d: the
+# plane y = 0), then the value cells; "%.17g" writes a float or nan as _fmt does
+FIELD_MIDDLE = {2: ",", 3: ",0,"}
+FIELD_ROW = ",%.17g,%.17g,%.17g\n"
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +392,9 @@ def _run_scan(config: RunConfig, out_dir: str) -> None:
 def _grid_blocks(config: RunConfig):
     """The validated grid, first coordinate fastest, FIELD_BLOCK points at a time.
 
-    In 3d the grid is the plane y = 0, which contains the symmetry axis.
+    Each block is its (P, d) points and a generator of its rows' coordinate
+    text from the axis values formatted once.  In 3d the grid is the plane
+    y = 0, which contains the symmetry axis.
     """
     ext = config.grid_extent
     n = config.grid_points
@@ -404,11 +408,15 @@ def _grid_blocks(config: RunConfig):
     if count > GRID_POINT_CAP:
         raise ValidationError(f"grid of {count} points exceeds cap {GRID_POINT_CAP}")
     axis_pts = np.linspace(-ext, ext, n)
+    axis_text = ["%.17g" % v for v in axis_pts.tolist()]
+    middle = FIELD_MIDDLE[d]
 
-    def block(start: int) -> np.ndarray:
-        flat = np.arange(start, min(start + FIELD_BLOCK, count))
+    def block(start: int):
+        stop = min(start + FIELD_BLOCK, count)
+        flat = np.arange(start, stop)
         x1, x2 = axis_pts[flat % n], axis_pts[flat // n]
-        return np.column_stack((x1, x2) if d == 2 else (x1, np.zeros_like(x1), x2))
+        pts = np.column_stack((x1, x2) if d == 2 else (x1, np.zeros_like(x1), x2))
+        return pts, (axis_text[i % n] + middle + axis_text[i // n] for i in range(start, stop))
 
     return (block(start) for start in range(0, count, FIELD_BLOCK))
 
@@ -453,7 +461,6 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
     values, n_max = _field_evaluator(config)
     d = config.cloak.dimension
     header = "x,y,re_u,im_u,abs_u" if d == 2 else "x,y,z,re_u,im_u,abs_u"
-    row = FIELD_ROW[d]
     path = os.path.join(out_dir, "field.csv")
     part = path + ".part"
     # written under a temporary name, so field.csv only ever holds a whole
@@ -461,12 +468,13 @@ def _run_field(config: RunConfig, out_dir: str) -> None:
     try:
         with open(part, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for block in blocks:
-                vals = values(block)
-                fh.write("".join(
-                    row % (*p, u.real, u.imag, abs(u))
-                    for p, u in zip(block.tolist(), vals.tolist())
-                ))
+            for pts, prefixes in blocks:
+                vals = values(pts)
+                # Python's abs, not np.abs, whose last bit differs on some values;
+                # one statement, so that no value list outlives the block's rows
+                fh.write("".join(map(str.__add__, prefixes, map(
+                    FIELD_ROW.__mod__, zip(vals.real.tolist(), vals.imag.tolist(), map(abs, vals.tolist()))
+                ))))
         os.replace(part, path)
     finally:
         if os.path.exists(part):

@@ -6,8 +6,9 @@ through angular orthogonality (Parseval), and point evaluation to a sum of
 radial profiles times Legendre polynomials (3d) or cosines (2d).  The
 radial integrals are closed forms (Lommel's integral and Green's first
 identity) wherever the profiles are Bessel combinations at one real
-wavenumber, and adaptive quadrature elsewhere: the physical shell, an
-inner layer with a particular term, a lossy layer.  Outside
+wavenumber, the blown-up interior's kappa-derivative particular term
+included, and adaptive quadrature elsewhere: the physical shell, an inner
+layer with an off-resonance particular term, a lossy layer.  Outside
 the medium, block evaluation of a series that carries its incident spec
 takes the incident field in closed form plus the few nonzero outgoing
 terms (FieldSeries.eval_many).  Physical domain fields are the virtual
@@ -518,33 +519,49 @@ def _profiles(series: FieldSeries, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _bessel_segment(series: FieldSeries, lo: float, hi: float):
-    """(wavenumber, J and Y coefficients) on a _split_points segment, or None.
+    """(wavenumber, J, Y and kappa-derivative coefficients) on a _split_points segment, or None.
 
     None unless every profile there is a Bessel combination at one real
-    wavenumber: a lossless layer without a particular term, on a branch of
-    the inverse map without offset (the virtual domain; radius 2 outward
-    and the blown-up ball, at the slope times the layer's wavenumber).
+    wavenumber kap, plus in the inner layer a particular term q_n r
+    R_n'(kap r) at that wavenumber: a lossless layer without an
+    off-resonance particular term, on a branch of the inverse map without
+    offset (the virtual domain; radius 2 outward and the blown-up ball, at
+    the slope times the layer's wavenumber).
     """
     slope, offset, mid = 1.0, 0.0, 0.5 * (lo + hi)
     if series.epsilon is not None:
         slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon, series.dimension), mid))
     idx = bisect.bisect([lay.radius for lay in series.medium.layers], slope * mid)
-    kap, co, cs, outgoing = series._layer_basis(idx)
-    kap = slope * complex(kap)
-    if offset != 0.0 or kap.imag != 0.0 or (idx == 0 and any(m.particular for m in series.modes)):
+    layer_kap, co, cs, outgoing = series._layer_basis(idx)
+    kap = slope * complex(layer_kap)
+    if offset != 0.0 or kap.imag != 0.0:
         return None
-    return kap.real, (co + cs if outgoing else co), (1j * cs if outgoing else cs)   # H = J + iY
+    q = np.zeros(len(co), dtype=complex)
+    for p in (m.particular for m in series.modes if idx == 0 and m.particular is not None):
+        if p.kind != "kappa_derivative" or p.kappa != layer_kap:
+            return None
+        q[p.order] = slope * p.coefficient   # q (slope r) R_n'(kap r)
+    return kap.real, (co + cs if outgoing else co), (1j * cs if outgoing else cs), q   # H = J + iY
 
 
-def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, r: float):
-    """Per-mode antiderivatives (F, G) at r > 0 of u_n = co_n R_n(kap r) + cs_n Y_n(kap r).
+def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, q: np.ndarray, r: float):
+    """Per-mode antiderivatives (F, G) at r > 0 of u_n = co_n R_n(kap r) + cs_n Y_n(kap r) + q_n r R_n'(kap r).
 
-    F = r^d / 2 (|u_n|^2 - Re u_(n-1) conj u_(n+1)) integrates the L2
-    density r^(d-1) |u_n|^2 (Lommel, DLMF 10.22.5), and G + kap^2 F the
+    F integrates the L2 density r^(d-1) |u_n|^2, and G + kap^2 F the
     gradient density r^(d-1) (|u_n'|^2 + nu_n |u_n|^2 / r^2) (Green's first
-    identity), G = r^(d-1) Re conj(u_n) u_n'.  u_(n+j) puts mode n's
-    coefficients on the orders n + j; order -1 is -f_1 in 2d, j_(-1) =
-    cos z / z and y_(-1) = j_0 in 3d.  One scalar chain.
+    identity), G = r^(d-1) Re conj(u_n) u_n' plus a source term.  Without
+    q, F = r^d / 2 (|u_n|^2 - Re u_(n-1) conj u_(n+1)) (Lommel, DLMF
+    10.22.5); u_(n+j) puts mode n's coefficients on the orders n + j; order
+    -1 is -f_1 in 2d, j_(-1) = cos z / z and y_(-1) = j_0 in 3d.  The
+    kappa-derivative q_n r R_n'(kap r) (where cs_n = 0) solves the equation
+    with source -2 kap q_n R_n(kap r); G gains 2 kap Re q_n (conj(co_n) L +
+    conj(q_n) M) and F the cross and square terms, with L, M and A the
+    antiderivatives of r^(d-1) R_n^2 (Lommel's), r^d R_n R_n' (by parts) and
+    r^(d+1) R_n'^2: 6 kap^(d+2) A = E1 + (d + 2) E2 + d nu_n kap^d L, where
+    E1 = z^(d+2) (R_n'^2 + (1 - nu_n / z^2) R_n^2) and E2 = z^(d+1) R_n R_n'
+    - z^d R_n^2 + (d - nu_n) kap^d L differentiate, by Bessel's equation
+    (DLMF 10.22(ii)), to combinations of z^(d+1) R_n'^2 and z^(d+1) R_n^2.
+    One scalar chain.
     """
     z = kap * r
     m = int(np.flatnonzero(cs).max(initial=-1))   # last singular order in use
@@ -558,35 +575,52 @@ def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, r: float):
         ext = np.concatenate(([f_below], f[:, 0]))
         return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d - 2.0)[:, 0]])
 
-    u = co * rows(reg, below[0])
+    bessel = rows(reg, below[0])
+    u = co * bessel
     if sing is not None:
         u[:, : m + 1] += cs[: m + 1] * rows(sing, below[1])
     lower, u_n, upper, du = u
     f = 0.5 * r**d * (np.abs(u_n) ** 2 - (lower * upper.conj()).real)
-    return f, r ** (d - 1) * kap * (u_n.conj() * du).real
+    g = 0.0
+    if q.any():
+        r_lo, r_n, r_hi, der = bessel.real
+        nu = np.array([angular_eigenvalue(d, n) for n in range(len(co))])
+        rd, k2 = r**d, kap * kap
+        lom = 0.5 * rd * (r_n * r_n - r_lo * r_hi)
+        mom = (rd * r_n * r_n - d * lom) / (2.0 * kap)
+        sq = (r * r * rd * (der * der + r_n * r_n) + (d + 2) * r * rd * r_n * der / kap
+              - (nu + d + 2) * rd * r_n * r_n / k2 + (d * (d + 2) - 2.0 * nu) * lom / k2) / 6.0
+        f = f + 2.0 * (co * q.conj()).real * mom + np.abs(q) ** 2 * sq
+        g = 2.0 * kap * (q * (co.conj() * lom + q.conj() * mom)).real
+        u_n = u_n + q * r * der
+        du = du + q * ((2 - d) * der - (z - nu / z) * r_n) / kap   # (r R_n')' / kap
+    return f, g + r ** (d - 1) * kap * (u_n.conj() * du).real
 
 
 def _closed_segment(series: FieldSeries, reference: FieldSeries | None, lo: float, hi: float):
     """(L2^2, H1^2) of series - reference on a _split_points segment in closed form, or None.
 
     None, so that the segment is integrated, where _bessel_segment finds no
-    closed form for a series or their wavenumbers differ, where kap lo lies
-    in (0, SMALL_ARG), and where the endpoint terms exceed CANCELLATION_CAP
+    closed form for a series or their wavenumbers differ, where a mode
+    holds both a singular and a kappa-derivative part, where kap lo lies in
+    (0, SMALL_ARG), and where the endpoint terms exceed CANCELLATION_CAP
     times their difference (short segments; slowly varying fields, whose
     small gradient is G + kap^2 F).  A reference is subtracted on
-    coefficients, zero-padded to the longer series.
+    coefficients, the kappa-derivative ones included, zero-padded to the
+    longer series.
     """
     segs = [_bessel_segment(s, lo, hi) for s in (series, reference) if s is not None]
     if None in segs or len({seg[0] for seg in segs}) > 1 or 0.0 < segs[0][0] * lo < specfun.SMALL_ARG:
         return None
-    kap, co, cs = segs[0]
+    kap, co, cs, q = segs[0]
     if reference is not None:
-        _, rco, rcs = segs[1]
-        n = max(len(co), len(rco))
-        co, cs, rco, rcs = (np.pad(c, (0, n - len(c))) for c in (co, cs, rco, rcs))
-        co, cs = co - rco, cs - rcs
+        n = max(len(co), len(segs[1][1]))
+        co, cs, q, rco, rcs, rq = (np.pad(c, (0, n - len(c))) for c in segs[0][1:] + segs[1][1:])
+        co, cs, q = co - rco, cs - rcs, q - rq
+    if np.any((q != 0) & (cs != 0)):
+        return None
     (fa, ga), (fb, gb) = (
-        _lommel_green(series.dimension, kap, co, cs, r) if r > 0.0 else (0.0, 0.0) for r in (lo, hi)
+        _lommel_green(series.dimension, kap, co, cs, q, r) if r > 0.0 else (0.0, 0.0) for r in (lo, hi)
     )
     w = np.array([mode_weight(series.dimension, n) for n in range(len(co))])
     scale, ends = 1.0 + kap * kap, np.abs(fa) + np.abs(fb)
@@ -602,11 +636,12 @@ def norm_annulus(
 
     r_in = 0 gives the ball.  Angular Parseval reduces both norms to the
     mode profiles' radial integrals, cut at every layer radius and map
-    branch radius.  A segment of Bessel profiles at one real wavenumber
-    takes them in closed form (_closed_segment); one two-component radial
-    quadrature runs on the others: the physical shell 1 < r < 2, an inner
-    layer with a particular term, a lossy layer, and segments whose closed
-    form would cancel digits.  The reference shares the series' dimension
+    branch radius.  A segment of Bessel profiles at one real wavenumber,
+    with or without a kappa-derivative particular term (the blow-up rows'
+    interior), takes them in closed form (_closed_segment); one
+    two-component radial quadrature runs on the others: the physical shell
+    1 < r < 2, an inner layer with an off-resonance particular term, a
+    lossy layer, and segments whose closed form would cancel digits.  The reference shares the series' dimension
     and axis; where one has more modes than the other, the extra modes
     count in full.  The scattered part is series.scattered(), the
     free-field pullback free_series on the limit map (epsilon 0).

@@ -373,6 +373,7 @@ GOLDEN_RUNS = [
     ("field2d", "field", ("field.csv", "summary.json")),
     ("modes3d", "modes", ("modes.csv", "summary.json")),
     ("sweep3d_resonant", "sweep", ("results.csv", "summary.json")),
+    ("blowup2d", "blowup", ("results.csv", "summary.json")),
 ]
 
 
@@ -803,13 +804,17 @@ def test_field_row_template_writes_cells_as_fmt(d):
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -3.0, 0.1]
     want = ["nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308", "-3", "0.10000000000000001"]
     assert [cli._fmt(v) for v in values] == want
-    width = d + 3
+
+    def line(x1, x2, *cells):   # the grid axis values' text, the middle cell, then the value cells
+        return cli._fmt(x1) + cli.FIELD_MIDDLE[d] + cli._fmt(x2) + cli.FIELD_ROW % cells
+
+    middle = [0.0] if d == 3 else []   # 3d: the plane y = 0
     # every value in every column, and rows mixing them
     for v in values:
-        assert cli.FIELD_ROW[d] % ((v,) * width) == ",".join([cli._fmt(v)] * width) + "\n"
+        assert line(*[v] * 5) == ",".join(cli._fmt(c) for c in [v] + middle + [v] * 4) + "\n"
     for s in range(len(values)):
-        row = [values[(s + i) % len(values)] for i in range(width)]
-        assert cli.FIELD_ROW[d] % tuple(row) == ",".join(cli._fmt(v) for v in row) + "\n"
+        row = [values[(s + i) % len(values)] for i in range(5)]
+        assert line(*row) == ",".join(cli._fmt(c) for c in row[:1] + middle + row[1:]) + "\n"
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -842,6 +847,41 @@ grid.points = 15
         lines.append(",".join(cli._fmt(c) for c in [*p, u.real, u.imag, abs(u)]))
     with open(os.path.join(out, "field.csv"), "rb") as fh:
         assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_field_csv_bytes_equal_the_per_point_formatter(tmp_path, d):
+    # the axis text formatted once and the per-row value cells write what
+    # one "%.17g" template per point wrote, on grids with negative
+    # coordinates, with (odd points) and without a zero on the axes
+    per_point = ",".join(["%.17g"] * (d + 3)) + "\n"
+    for extent, points in ((0.7, 81), (3.3, 16), (2.5, 5)):
+        text = f"""
+experiment = field
+dimension = {d}
+k = 10.0
+epsilon = 0.01
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 2.0
+incident.kind = plane_wave
+incident.direction = {"1, 0" if d == 2 else "0, 0, 1"}
+grid.extent = {extent}
+grid.points = {points}
+"""
+        cfg = _write_cfg(tmp_path, text)
+        out = str(tmp_path / f"out{points}")
+        assert cli.main(["field", "--config", cfg, "--out", out]) == 0
+        axis = np.linspace(-extent, extent, points)
+        assert (0.0 in axis) == (points % 2 == 1)
+        x1, x2 = np.tile(axis, points), np.repeat(axis, points)
+        pts = np.column_stack((x1, x2) if d == 2 else (x1, np.zeros_like(x1), x2))
+        series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
+        rows = "".join(
+            per_point % (*p, u.real, u.imag, abs(u)) for p, u in zip(pts.tolist(), series.eval_many(pts).tolist())
+        )
+        with open(os.path.join(out, "field.csv"), "rb") as fh:
+            assert fh.read() == (("x,y,re_u,im_u,abs_u\n" if d == 2 else "x,y,z,re_u,im_u,abs_u\n") + rows).encode()
 
 
 _TINY = "interior.radii = 1.0\ninterior.a = 1.0\ninterior.sigma = 2.0\n"

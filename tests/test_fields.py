@@ -7,11 +7,12 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate as si
 import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 
 from cloakwave import fields, mie
-from cloakwave.errors import ResonantConfigError, TruncationError, ValidationError
+from cloakwave.errors import ResonantConfigError, SingularSystemError, TruncationError, ValidationError
 from cloakwave.experiments import blowup_sweep, eigenmode_series, instability_sweep
 from cloakwave.fields import (
     CANCELLATION_CAP,
@@ -35,6 +36,7 @@ from cloakwave.mie import (
     Layer,
     LayeredMedium,
     ModeSolution,
+    angular_eigenvalue,
     first_resonance,
     virtual_medium,
 )
@@ -450,10 +452,6 @@ def test_only_segments_without_closed_form_integrate(d, monkeypatch):
     # scattered norm on the probe, interior deviation, reference norm
     instability_sweep(d, 1.0, (1e-1, 3e-2, 1e-2))
     assert calls == []
-    # the blown-up interior of each row, whose one layer holds the particular term
-    blowup_sweep(d, 1.0, (1e-1, 3e-2, 1e-2))
-    assert calls == [(0.0, 1.0)] * 3
-    calls.clear()
     # a lossy layer, and the physical shell segment of a probe across radius 2
     spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
     cfg = CloakConfig(d, 2.0, 0.1, (Layer(0.5, 1.3, 2.0 + 0.3j), Layer(1.0, 0.8, 1.5)), spec)
@@ -464,6 +462,127 @@ def test_only_segments_without_closed_form_integrate(d, monkeypatch):
     # the shell is also cut at the image of the virtual radius eps (1 + 2^4)
     cut = radial_forward(BlowupMap(0.1, d), 0.1 * (1.0 + 2.0**4))
     assert calls == [(0.0, 0.05), (1.5, cut), (cut, 2.0)]
+
+
+def _no_quadrature(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a norm segment was integrated")
+
+    monkeypatch.setattr(fields, "integrate", fail)
+
+
+def _blowup_interior(d, k, mode, eps):
+    """The blown-up interior under its eigenfunction source: u = c R_n(kap r) + q r R_n'(kap r)."""
+    series = eigenmode_series(first_resonance(d, k, mode), k, eps)
+    m = series.modes[mode]
+    assert m.particular.kind == "kappa_derivative" and m.layer_coeffs[0][1] == 0.0
+    return series, m
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [0, 1, 2, 3])
+def test_kappa_derivative_closed_form_against_scipy_quad(d, mode, monkeypatch):
+    # norm_annulus's closed form against scipy's quad of radial_many's
+    # density, which holds the particular term; k jittered about 1
+    k = 1.0 + np.random.default_rng(10 * d + mode).uniform(-0.05, 0.05)
+    w, nu = mode_weight(d, mode), angular_eigenvalue(d, mode)
+    _no_quadrature(monkeypatch)
+    solved = 0
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        try:
+            series, _ = _blowup_interior(d, k, mode, eps)
+        except SingularSystemError:   # the interface system of 2d modes 2 and 3 at eps = 1e-6
+            assert (d, eps) == (2, 1e-6) and mode >= 2
+            continue
+        solved += 1
+
+        def density(r, gradient):
+            vals, ders = series.radial_many(r)
+            u, du = vals[mode, 0], ders[mode, 0]
+            dens = abs(du) ** 2 + nu * abs(u / r) ** 2 if gradient else abs(u) ** 2
+            return w * r ** (d - 1) * dens
+
+        l2, grad = (si.quad(density, 0.0, 1.0, args=(g,), epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                    for g in (False, True))
+        assert norm_annulus(series, 0.0, 1.0) == pytest.approx((math.sqrt(l2), math.sqrt(l2 + grad)), rel=1e-13)
+    assert solved >= 4
+
+
+@pytest.mark.parametrize("d, mode, eps", [(2, 1, 1e-3), (3, 0, 1e-4)])
+def test_kappa_derivative_closed_form_against_mpmath(d, mode, eps):
+    series, m = _blowup_interior(d, 1.0, mode, eps)
+    w, nu = mode_weight(d, mode), angular_eigenvalue(d, mode)
+    with mpmath.workdps(30):
+        c, q, kap = (mpmath.mpmathify(v) for v in (m.layer_coeffs[0][0], m.particular.coefficient,
+                                                     m.particular.kappa.real))
+
+        def bessel(z):   # (R_n, R_n') at z
+            if d == 2:
+                return mpmath.besselj(mode, z), mpmath.besselj(mode, z, 1)
+            s, j, dj = mpmath.sqrt(mpmath.pi / (2 * z)), mpmath.besselj(mode + 0.5, z), mpmath.besselj(mode + 0.5, z, 1)
+            return s * j, s * (dj - j / (2 * z))
+
+        def profile(r):   # (u, u') with R'' from Bessel's equation
+            z = kap * r
+            val, der = bessel(z)
+            der2 = -(d - 1) / z * der - (1 - nu / z**2) * val
+            return c * val + q * r * der, c * kap * der + q * (der + z * der2)
+
+        def density(r, gradient):
+            u, du = profile(r)
+            return w * r ** (d - 1) * (abs(du) ** 2 + nu * abs(u / r) ** 2 if gradient else abs(u) ** 2)
+
+        l2 = mpmath.quad(lambda r: density(r, False), [0, 1])
+        h1 = l2 + mpmath.quad(lambda r: density(r, True), [0, 1])
+        want = (float(mpmath.sqrt(l2)), float(mpmath.sqrt(h1)))
+    assert norm_annulus(series, 0.0, 1.0) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d, mode", [(2, 1), (3, 0), (3, 2)])
+def test_kappa_derivative_closed_form_on_annuli_and_through_the_map(d, mode, monkeypatch):
+    # a segment ending inside the ball, and the physical domain of an
+    # epsilon, whose blown-up ball scales the particular term by the slope
+    series, _ = _blowup_interior(d, 1.0, mode, 1e-3)
+    cases = [(series, 0.3, 0.8), (replace(series, epsilon=0.5), 0.1, 0.4), (replace(series, epsilon=0.05), 0.0, 0.9)]
+    want = [_quadrature_only(norm_annulus, *case) for case in cases]
+    _no_quadrature(monkeypatch)
+    for case, norms in zip(cases, want):
+        assert norm_annulus(*case) == pytest.approx(norms, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blowup_sweep_runs_without_quadrature(d, monkeypatch):
+    eps = (1e-2, 1e-3, 1e-4)
+    for mode in (0, 1):
+        want = _quadrature_only(blowup_sweep, d, 1.0, eps, mode=mode)
+        with monkeypatch.context() as mp:
+            _no_quadrature(mp)
+            got = blowup_sweep(d, 1.0, eps, mode=mode)
+        for g, w in zip(got, want):
+            assert g.flags == w.flags == ""
+            assert (g.interior_l2, g.interior_h1) == pytest.approx((w.interior_l2, w.interior_h1), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lossy_and_off_resonance_interiors_integrate(d, monkeypatch):
+    # neither has a closed form yet: each integrates its segment and keeps
+    # the norms it had when the blown-up interior integrated too
+    cfg = CloakConfig(d, 2.0, 0.1, (Layer(0.5, 1.3, 2.0 + 0.3j), Layer(1.0, 0.8, 1.5)))
+    spec = IncidentSpec("plane_wave", direction=(1.0, 0.0, 0.0)[:d])
+    b = incident_coefficients(spec, 2.0, auto_truncation(spec, 2.0, d), d)
+    lossy = blown_up_interior_series(cfg, solve_series(virtual_medium(cfg), 2.0, b))
+    res = first_resonance(d, 1.0, 1)
+    off = eigenmode_series(replace(res, sigma0=1.3 * res.sigma0), 1.0, 0.01)
+    assert off.modes[1].particular.kind == "off_resonance"
+    want = {
+        2: [(1.8709540426852849, 4.267951194466848), (0.576070097660655, 1.2598490943982072)],
+        3: [(0.19161453211593243, 0.48329413937117566), (0.8157740484680202, 1.8839251411637166)],
+    }[d]
+    calls = _counting_integrate(monkeypatch)
+    for series, segment, norms in zip((lossy, off), ((0.0, 0.5), (0.0, 1.0)), want):
+        calls.clear()
+        assert norm_annulus(series, 0.0, 1.0) == pytest.approx(norms, rel=1e-12)
+        assert calls == [segment]
 
 
 @pytest.mark.parametrize("r_out, integrated", [(1.0095, True), (1.0105, False)])
