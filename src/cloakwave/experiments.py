@@ -273,7 +273,7 @@ def eigenmode_series(spec: ResonanceSpec, k: float, eps: float) -> FieldSeries:
     d = spec.dimension
     med = blown_up_medium(CloakConfig(d, k, eps, (Layer(1.0, spec.a, spec.sigma0),)))
     amplitude = eps ** (2 - d) * eigenfunction_normalization(spec)
-    return mode_series(med, k, interior_source_mode_solve(med, k, spec, amplitude))
+    return mode_series(med, k, interior_source_mode_solve(med, k, spec.mode, amplitude))
 
 
 def blowup_sweep(

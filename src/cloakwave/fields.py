@@ -6,17 +6,16 @@ through angular orthogonality (Parseval), and point evaluation to a sum of
 radial profiles times Legendre polynomials (3d) or cosines (2d).  The
 radial integrals are closed forms (Lommel's integral and Green's first
 identity) wherever the profiles are Bessel combinations at one real
-wavenumber, the blown-up interior's kappa-derivative particular term
-included, and adaptive quadrature elsewhere: the physical shell, an inner
-layer with an off-resonance particular term, a lossy layer.  Outside
-the medium, block evaluation of a series that carries its incident spec
-takes the incident field in closed form plus the few nonzero outgoing
-terms (FieldSeries.eval_many).  Physical domain fields are the virtual
-series composed with the inverse blow-up map, and agree with it
-identically outside radius 2.  Every L2/H1 norm is norm_annulus of a
-series, alone or against a reference series: scattered parts, the
-free-field pullback, single outgoing modes, eigenfunction sources and
-interior limits are each built as a series first.
+wavenumber, the blown-up interior's particular term q r R_n'(kappa r)
+included, and adaptive quadrature elsewhere: the physical shell and a
+lossy layer.  Outside the medium, block evaluation of a series that
+carries its incident spec takes the incident field in closed form plus the
+few nonzero outgoing terms (FieldSeries.eval_many).  Physical domain
+fields are the virtual series composed with the inverse blow-up map, and
+agree with it identically outside radius 2.  Every L2/H1 norm is
+norm_annulus of a series, alone or against a reference series: scattered
+parts, the free-field pullback, single outgoing modes, eigenfunction
+sources and interior limits are each built as a series first.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .mie import (
     ResonanceSpec,
     angular_eigenvalue,
     homogeneous_layer,
+    particular_profile,
     resonance_scan,
     solve_modes,
 )
@@ -124,7 +124,8 @@ def incident_coefficients(
     at radii below the source radius; their tail criterion is therefore
     checked at radius 2 (covering the scatterer and the shell) rather
     than the default probe radius 4.  Raises TruncationError when the
-    tail at r_eval is not negligible.
+    tail at r_eval is not negligible; a single mode is exact and has no
+    tail.
     """
     d = dimension
     if r_eval is None:
@@ -151,7 +152,8 @@ def incident_coefficients(
                 f"requested single mode {spec.mode} above truncation {n_max}"
             )
         b[spec.mode] = amp
-    _check_incident_tail(b, d, k, r_eval)
+    if spec.kind != "mode":
+        _check_incident_tail(b, d, k, r_eval)
     return b
 
 
@@ -235,18 +237,20 @@ class FieldSeries:
         """Layer index of each radius (len(layers) = exterior); an interface is the inner layer's."""
         return sum(r > lay.radius for lay in self.medium.layers)   # radii increase
 
-    def _layer_basis(self, idx: int) -> tuple[complex, np.ndarray, np.ndarray, bool]:
-        """(wavenumber, regular and singular coefficients, outgoing?) of a layer.
+    def _layer_basis(self, idx: int) -> tuple[complex, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(wavenumber, regular, singular and particular coefficients, outgoing?) of a layer.
 
         Index len(layers) is the exterior, whose singular basis is outgoing.
+        Only the innermost layer holds particular terms (ModeSolution.particular).
         """
+        q = np.array([m.particular if idx == 0 else 0.0 for m in self.modes], dtype=complex)
         if idx == len(self.medium.layers):
             co = np.array([m.b_n for m in self.modes])
             cs = np.array([m.alpha_n for m in self.modes])
-            return self.medium.exterior_wavenumber(self.k), co, cs, True
+            return self.medium.exterior_wavenumber(self.k), co, cs, q, True
         co = np.array([m.layer_coeffs[idx][0] for m in self.modes])
         cs = np.array([m.layer_coeffs[idx][1] for m in self.modes])
-        return self.medium.wavenumber(self.k, idx), co, cs, False
+        return self.medium.wavenumber(self.k, idx), co, cs, q, False
 
     def radial_many(self, rs, derivatives: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
         """(values, derivatives) of every mode's radial profile at each radius.
@@ -256,7 +260,7 @@ class FieldSeries:
         costs one array-argument chain, so a radius's profile does not
         depend on the other radii; a scalar rs runs the scalar chains
         instead (see specfun.chain).  At r = 0 only the monopole's regular
-        part and a particular term survive.
+        part survives, and the derivatives are left zero.
         """
         n_max = self.truncation
         one = np.ndim(rs) == 0
@@ -268,51 +272,53 @@ class FieldSeries:
             sel = np.flatnonzero(layer == idx)
             if not sel.size:
                 continue
-            kap, co, cs, outgoing = self._layer_basis(idx)
+            kap, co, cs, q, outgoing = self._layer_basis(idx)
             vals[0, sel[rs[sel] == 0.0]] = co[0]   # regular basis: R_n(0) = [n == 0]
             sel = sel[rs[sel] > 0.0]
             if not sel.size:
                 continue
-            z = kap * rs[sel]
-            vals[:, sel], dv = self._combine(z[0] if one else z, co, cs, outgoing, derivatives)
+            r = rs[sel]
+            vals[:, sel], dv = self._combine(kap, r[0] if one else r, co, cs, q, outgoing, derivatives)
             if derivatives:
-                ders[:, sel] = kap * dv
-        inner = np.flatnonzero(layer == 0)
-        for m in self.modes:
-            if m.particular is not None and inner.size:
-                pv, pd = m.particular.eval(rs[0] if one else rs[inner])
-                vals[m.n, inner] += pv
-                if derivatives:
-                    ders[m.n, inner] += pd
+                ders[:, sel] = dv
         return vals, ders
 
-    def _combine(self, z, co, cs, outgoing: bool, derivatives: bool):
-        """co_n R_n(z) + cs_n S_n(z) for n < len(co), and its z-derivative or None.
+    def _combine(self, kap, r, co, cs, q, outgoing: bool, derivatives: bool):
+        """co_n R_n + cs_n S_n + q_n r R_n' at z = kap r for n < len(co), and its r-derivative or None.
 
         One chain call; S is the outgoing H = J + iY if outgoing, else the
         singular family, which runs only up to the last nonzero cs_n (one
         order more for derivatives): the orders above it scatter nothing
-        and may overflow.  The values are weighted in place, so that the
-        call holds no arrays beyond its chains.
+        and may overflow.  A particular term (q_n != 0) takes R_n and R_n'
+        from the same chain (mie.particular_profile).  The values are
+        weighted in place, so that the call holds no arrays beyond its
+        chains.
         """
-        n_max = len(co) - 1
+        d, n_max, z = self.dimension, len(co) - 1, kap * r
         m = int(np.flatnonzero(cs).max(initial=-1))   # last singular order in use
-        top = n_max + 1 if derivatives else n_max   # f'_n needs f_(n+1)
-        reg, sing = specfun.chain(
-            self.dimension, top, z, m >= 0, singular_nmax=m + 1 if derivatives else m
-        )
+        p = np.flatnonzero(q)   # orders with a particular term
+        top = n_max + 1 if derivatives or p.size else n_max   # f'_n needs f_(n+1)
+        reg, sing = specfun.chain(d, top, z, m >= 0, singular_nmax=m + 1 if derivatives else m)
         if sing is not None and outgoing:
             sing *= 1j
             sing += reg[: len(sing)]   # H = J + iY
+        rd = specfun.chain_derivative(reg, z, d) if top > n_max else None
+        if p.size:
+            nu = np.array([angular_eigenvalue(d, n) for n in p.tolist()])[:, None]
+            pv, pd = particular_profile(d, nu, kap, r, reg[p], rd[p])
         dv = None
         if derivatives:
-            shift = 1.0 if self.dimension == 3 else 0.0
-            dv = co[:, None] * specfun.chain_derivative(reg, z, shift)
+            dv = co[:, None] * rd
             if sing is not None:
-                dv[: m + 1] += cs[: m + 1, None] * specfun.chain_derivative(sing, z, shift)
+                dv[: m + 1] += cs[: m + 1, None] * specfun.chain_derivative(sing, z, d)
+            dv *= kap
         v = np.multiply(co[:, None], reg[: n_max + 1], out=reg[: n_max + 1])
         if sing is not None:
             v[: m + 1] += np.multiply(cs[: m + 1, None], sing[: m + 1], out=sing[: m + 1])
+        if p.size:
+            v[p] += q[p, None] * pv
+            if derivatives:
+                dv[p] += q[p, None] * pd
         return v, dv
 
     def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
@@ -397,11 +403,11 @@ class FieldSeries:
         Those are alpha_n H_n up to the last nonzero alpha_n, and for a mode
         incidence its b_n J_n term: an array of (m + 1, r.size).
         """
-        kap, co, cs, _ = self._layer_basis(len(self.medium.layers))
+        kap, co, cs, q, _ = self._layer_basis(len(self.medium.layers))
         if self.incident.kind != "mode":
             co = np.zeros_like(co)
         m = int(np.flatnonzero((co != 0) | (cs != 0)).max(initial=0))
-        return self._combine(kap * r, co[: m + 1], cs[: m + 1], True, False)[0]
+        return self._combine(kap, r, co[: m + 1], cs[: m + 1], q[: m + 1], True, False)[0]
 
     def _incident_many(self, xv: np.ndarray):
         """Closed form of the incident series at virtual points (0 for a mode).
@@ -523,25 +529,21 @@ def _bessel_segment(series: FieldSeries, lo: float, hi: float):
 
     None unless every profile there is a Bessel combination at one real
     wavenumber kap, plus in the inner layer a particular term q_n r
-    R_n'(kap r) at that wavenumber: a lossless layer without an
-    off-resonance particular term, on a branch of the inverse map without
+    R_n'(kap r): a lossless layer on a branch of the inverse map without
     offset (the virtual domain; radius 2 outward and the blown-up ball, at
-    the slope times the layer's wavenumber).
+    the slope times the layer's wavenumber, where the particular term's
+    q_n takes the slope too).
     """
     slope, offset, mid = 1.0, 0.0, 0.5 * (lo + hi)
     if series.epsilon is not None:
         slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon, series.dimension), mid))
     idx = bisect.bisect([lay.radius for lay in series.medium.layers], slope * mid)
-    layer_kap, co, cs, outgoing = series._layer_basis(idx)
+    layer_kap, co, cs, q, outgoing = series._layer_basis(idx)
     kap = slope * complex(layer_kap)
     if offset != 0.0 or kap.imag != 0.0:
         return None
-    q = np.zeros(len(co), dtype=complex)
-    for p in (m.particular for m in series.modes if idx == 0 and m.particular is not None):
-        if p.kind != "kappa_derivative" or p.kappa != layer_kap:
-            return None
-        q[p.order] = slope * p.coefficient   # q (slope r) R_n'(kap r)
-    return kap.real, (co + cs if outgoing else co), (1j * cs if outgoing else cs), q   # H = J + iY
+    # H = J + iY; q (slope r) R_n'(layer_kap slope r) = (slope q) r R_n'(kap r)
+    return kap.real, (co + cs if outgoing else co), (1j * cs if outgoing else cs), slope * q
 
 
 def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, q: np.ndarray, r: float):
@@ -573,7 +575,7 @@ def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, q: np.ndar
 
     def rows(f, f_below):   # orders n - 1, n, n + 1 and the z-derivative of the modes n
         ext = np.concatenate(([f_below], f[:, 0]))
-        return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d - 2.0)[:, 0]])
+        return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d)[:, 0]])
 
     bessel = rows(reg, below[0])
     u = co * bessel
@@ -592,8 +594,9 @@ def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, q: np.ndar
               - (nu + d + 2) * rd * r_n * r_n / k2 + (d * (d + 2) - 2.0 * nu) * lom / k2) / 6.0
         f = f + 2.0 * (co * q.conj()).real * mom + np.abs(q) ** 2 * sq
         g = 2.0 * kap * (q * (co.conj() * lom + q.conj() * mom)).real
-        u_n = u_n + q * r * der
-        du = du + q * ((2 - d) * der - (z - nu / z) * r_n) / kap   # (r R_n')' / kap
+        pv, pd = particular_profile(d, nu, kap, r, r_n, der)
+        u_n = u_n + q * pv
+        du = du + q * pd / kap
     return f, g + r ** (d - 1) * kap * (u_n.conj() * du).real
 
 
@@ -640,11 +643,11 @@ def norm_annulus(
     with or without a kappa-derivative particular term (the blow-up rows'
     interior), takes them in closed form (_closed_segment); one
     two-component radial quadrature runs on the others: the physical shell
-    1 < r < 2, an inner layer with an off-resonance particular term, a
-    lossy layer, and segments whose closed form would cancel digits.  The reference shares the series' dimension
-    and axis; where one has more modes than the other, the extra modes
-    count in full.  The scattered part is series.scattered(), the
-    free-field pullback free_series on the limit map (epsilon 0).
+    1 < r < 2, a lossy layer, and segments whose closed form would cancel
+    digits.  The reference shares the series' dimension and axis; where
+    one has more modes than the other, the extra modes count in full.  The
+    scattered part is series.scattered(), the free-field pullback
+    free_series on the limit map (epsilon 0).
     """
     if not 0.0 <= r_in < r_out:
         raise ValidationError(f"bad annulus [{r_in}, {r_out}]")

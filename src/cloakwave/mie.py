@@ -212,60 +212,34 @@ def _condition_message(context: str, cond: float) -> str:
 # mode solutions
 
 
-@dataclass(frozen=True)
-class ParticularTerm:
-    """Analytic particular solution for a single-mode interior source.
+def particular_profile(d: int, nu, kappa: complex, r, value, derivative):
+    """(r R_n'(kappa r), d/dr [r R_n'(kappa r)]) from R_n and R_n' at z = kappa r != 0.
 
-    The profile is q * r * R_n'(kappa r) with q = coefficient when the
-    source oscillates at the layer wavenumber (derivative-in-wavenumber
-    identity), or q * R_n(kappa_source r) off resonance.
+    r R_n'(kappa r) is the kappa-derivative of R_n(kappa r), so q times it
+    solves (Laplacian + kappa^2) u = -2 kappa q R_n(kappa r): the particular
+    solution of an interior driven by its own eigenfunction
+    (ModeSolution.particular).  R_n'' comes from Bessel's equation (DLMF
+    10.22(ii)) with the angular eigenvalue nu.  Scalars or arrays alike.
     """
-
-    kind: str
-    coefficient: complex
-    kappa: complex
-    kappa_source: complex
-    order: int
-    dimension: int
-
-    @classmethod
-    def for_source(
-        cls, d: int, n: int, kappa: complex, kappa_source: complex, q: complex
-    ) -> "ParticularTerm":
-        """Particular solution for the source q R_n(kappa_source r) at layer wavenumber kappa."""
-        if abs(kappa - kappa_source) <= 1e-9 * abs(kappa_source):
-            return cls("kappa_derivative", -q / (2.0 * kappa), kappa, kappa_source, n, d)
-        return cls(
-            "off_resonance", q / (kappa * kappa - kappa_source * kappa_source),
-            kappa, kappa_source, n, d,
-        )
-
-    def eval(self, r) -> tuple[np.ndarray, np.ndarray]:
-        """(value, derivative) of the profile at r, a radius or an array of radii."""
-        d, n, q = self.dimension, self.order, self.coefficient
-        r = np.asarray(r, dtype=float)
-        kap = self.kappa if self.kind == "kappa_derivative" else self.kappa_source
-        z = kap * r
-        vals, ders = specfun.regular_array(d, n, z)
-        val, der = vals[n].reshape(r.shape), ders[n].reshape(r.shape)
-        if self.kind != "kappa_derivative":
-            return q * val, q * kap * der
-        nu = angular_eigenvalue(d, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = -(d - 1.0) / z * der - (1.0 - nu / (z * z)) * val
-        deriv = np.where(r == 0.0, q * der, q * (der + kap * r * d2))
-        return q * r * der, deriv
+    z = kappa * r
+    d2 = -(d - 1.0) / z * derivative - (1.0 - nu / (z * z)) * value
+    return r * derivative, derivative + kappa * r * d2
 
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Coefficients of one angular mode of a transmission solve."""
+    """Coefficients of one angular mode of a transmission solve.
+
+    particular is the coefficient q of the innermost layer's particular
+    term q r R_n'(kappa r) at that layer's wavenumber kappa (see
+    particular_profile); 0 means no term.
+    """
 
     n: int
     b_n: complex
     alpha_n: complex
     layer_coeffs: tuple[tuple[complex, complex], ...]
-    particular: ParticularTerm | None = None
+    particular: complex = 0.0 + 0.0j
 
 
 def _interface_side(
@@ -283,9 +257,8 @@ def _interface_side(
     last = len(sing) - 2          # f'_n needs f_(n+1)
     if last < 0:                  # the singular chain ends below order 1: none is solvable
         return np.empty((0, 2, 2), dtype=complex)
-    shift = 1.0 if d == 3 else 0.0
-    rd = specfun.chain_derivative(reg[: last + 2, 0], z, shift)
-    sd = specfun.chain_derivative(sing[:, 0], z, shift)
+    rd = specfun.chain_derivative(reg[: last + 2, 0], z, d)
+    sd = specfun.chain_derivative(sing[:, 0], z, d)
     sv = sing[: last + 1, 0]
     if outgoing:
         # H = J + iY, value and derivative assembled from the components
@@ -497,7 +470,7 @@ def resonance_scan(d: int, modes: int, kappa, a: float = 1.0) -> tuple[np.ndarra
     kappa = np.asarray(kappa, dtype=float)
     reg = specfun.chain(d, modes + 1, kappa, singular=False)[0]
     z = kappa.ravel()
-    der = specfun.chain_derivative(reg, z, 1.0 if d == 3 else 0.0)
+    der = specfun.chain_derivative(reg, z, d)
     raw = np.empty((modes + 1, z.size))
     normed = np.empty_like(raw)
     for n in range(modes + 1):
@@ -689,16 +662,16 @@ def tuned_inclusion_config(tuned: TunedSigma) -> CloakConfig:
 
 
 def interior_source_mode_solve(
-    medium: LayeredMedium, k: float, spec: ResonanceSpec, amplitude: float
+    medium: LayeredMedium, k: float, n: int, amplitude: float
 ) -> ModeSolution:
-    """Transmission solve with a radial eigenfunction as interior source.
+    """Transmission solve of mode n with the layer's own eigenfunction as interior source.
 
-    The right-hand side is amplitude * R_n(kappa* r) in the (single) inner
-    layer, n = spec.mode and kappa* = spec.kappa_star, and the incident
-    field is zero.  The particular solution comes from the derivative-in-
-    wavenumber identity when the source oscillates at the layer wavenumber,
-    and from the resolvent quotient otherwise; the interface system is
-    solve_modes' (_interface_side rows at r = 1).
+    The right-hand side is amplitude * R_n(kappa r) in the (single) inner
+    layer of stiffness a and wavenumber kappa, and the incident field is
+    zero.  The source oscillates at the layer wavenumber, so the particular
+    solution is q r R_n'(kappa r), q = -(amplitude / a) / (2 kappa)
+    (particular_profile), from R_n and R_n' at r = 1; the interface system
+    is solve_modes' (_interface_side rows at r = 1).
     """
     if len(medium.layers) != 1:
         raise UnsupportedConfigurationError(
@@ -707,20 +680,17 @@ def interior_source_mode_solve(
     lay = medium.layers[0]
     if abs(lay.radius - 1.0) > 1e-12:
         raise UnsupportedConfigurationError("inner layer radius must be 1")
-    d, n = medium.dimension, spec.mode
+    d = medium.dimension
     kap = medium.wavenumber(k, 0)
-    if amplitude == 0.0:
-        part = None
-        pv, pd = 0.0 + 0.0j, 0.0 + 0.0j
-    else:
-        part = ParticularTerm.for_source(d, n, kap, complex(spec.kappa_star), amplitude / lay.a)
-        pv, pd = part.eval(1.0)
+    q = -(amplitude / lay.a) / (2.0 * kap)
+    reg = specfun.bessel(d, "regular", n, kap)
+    pv, pd = particular_profile(d, angular_eigenvalue(d, n), kap, 1.0, reg.value, reg.derivative)
     inner = _interface_side(d, n, lay.a, kap, 1.0, False)
     outer = _interface_side(d, n, 1.0, medium.exterior_wavenumber(k), 1.0, True)
     if min(len(inner), len(outer)) <= n:
         raise BesselOverflowError(f"singular basis of order {n + 1} overflows at the interface")
     m = np.stack([inner[n, :, 0], -outer[n, :, 1]], axis=1)   # regular inside, outgoing outside
-    rhs = np.array([-pv, -lay.a * pd], dtype=complex)
+    rhs = np.array([-(q * pv), -lay.a * (q * pd)], dtype=complex)
     y, cond = _solve_stack(m[None], rhs[None])
     if not cond[0] < CONDITION_CAP:
         raise SingularSystemError(_condition_message(f"interior-source mode {n}", cond[0]))
@@ -730,5 +700,5 @@ def interior_source_mode_solve(
         b_n=0.0 + 0.0j,
         alpha_n=complex(alpha),
         layer_coeffs=((complex(c), 0.0 + 0.0j),),
-        particular=part,
+        particular=q,
     )

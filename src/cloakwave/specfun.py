@@ -8,14 +8,14 @@ that kills the classical power series past |z| ~ 10, and higher orders of
 the singular family follow by upward recurrence (stable: Y is dominant).
 
 The public surface: chain (all orders at a scalar z or over an array of
-z), its array kernel array_chain, chain_derivative, regular_array (values
-and derivatives, z = 0 included), bessel (one order of the regular,
-singular or outgoing family with its derivative, for closed forms and
-root-finder targets) and find_root (ITP: superlinear on smooth roots, at
-most one step beyond bisection's worst case).  The derivative rule f'_n =
-f_(n-1) - (n + s)/z f_n is written twice: for all orders in
-chain_derivative, and for one order in scalar arithmetic in bessel, where
-a numpy call would cost several times the scalar chain itself.
+z), its array kernel array_chain, chain_derivative, bessel (one order of
+the regular, singular or outgoing family with its derivative, for closed
+forms, the interior-source solve and root-finder targets) and find_root
+(ITP: superlinear on smooth roots, at most one step beyond bisection's
+worst case).  The derivative rule f'_n = f_(n-1) - (n + d - 2)/z f_n is
+written twice: for all orders in chain_derivative, and for one order in
+scalar arithmetic in bessel, where a numpy call would cost several times
+the scalar chain itself.
 
 Validated envelope: order <= 200, |z| <= 1e4, and down to the smallest
 nonzero |z|: below SMALL_ARG = 1e-20 the regular family is its leading
@@ -33,12 +33,12 @@ array_chain runs the same chains over a 1-D array of arguments at once.
 It is the kernel of every array-argument evaluation, whatever the array's
 length: field points in blocks (FieldSeries.eval_many: all orders inside
 the medium, the few outgoing orders and the 2d point source's H_0 outside
-it), the nodes of one quadrature refinement level (FieldSeries.radial_many,
-regular_array) and resonance scan grids.  The scalar chains stay the
-kernel of scalar-argument calls: the all-orders transfer solve (one partial
-chain per interface side), the ends of closed-form norm segments, bessel,
-incident coefficients and FieldSeries.eval; for one argument an array pass
-costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
+it), the nodes of one quadrature refinement level (FieldSeries.radial_many)
+and resonance scan grids.  The scalar chains stay the kernel of
+scalar-argument calls: the all-orders transfer solve (one partial chain
+per interface side), the ends of closed-form norm segments, bessel,
+incident coefficients and FieldSeries.eval; for one argument an array
+pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
 |f_n| + |f_(n+1)|, and raise the same errors where either overflows.
 
@@ -423,40 +423,19 @@ def chain(
     reg, sing = _scalar_chain(d, nmax, z, singular, partial, singular_nmax)
     return reg[:, None], None if sing is None else sing[:, None]
 
-def chain_derivative(f: np.ndarray, z, shift: float) -> np.ndarray:
-    """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1).
 
-    f'_n = f_(n-1) - (n + shift)/z f_n, with shift 0 (cylindrical) or 1
-    (spherical), and f'_0 = -f_1.  f may be a 1-D chain at one z or an
+def chain_derivative(f: np.ndarray, z, d: int) -> np.ndarray:
+    """Argument-derivatives of orders 0..N from a chain f_0..f_(N+1) of dimension d.
+
+    f'_n = f_(n-1) - (n + s)/z f_n, with s = d - 2 (0 cylindrical, 1
+    spherical), and f'_0 = -f_1.  f may be a 1-D chain at one z or an
     (N + 2, P) chain over an array of P arguments.
     """
-    ns = (np.arange(1, len(f) - 1) + shift).reshape((-1,) + (1,) * (f.ndim - 1))
+    ns = (np.arange(1, len(f) - 1) + (d - 2.0)).reshape((-1,) + (1,) * (f.ndim - 1))
     der = np.empty(f[:-1].shape, dtype=complex)
     der[0] = -f[1]
     der[1:] = f[:-2] - (ns / z) * f[1:-1]
     return der
-
-
-def regular_array(d: int, nmax: int, z) -> tuple[np.ndarray, np.ndarray]:
-    """Regular family of orders 0..nmax and its argument-derivatives at z.
-
-    Returns (values, derivatives) of shape (nmax + 1, z.size) from one
-    chain call, whose kernel follows z's type (see chain); z = 0 takes the
-    limits of _regular_at_zero.
-    """
-    z = np.asarray(z)
-    flat = z.ravel()
-    vals = np.zeros((nmax + 1, flat.size), dtype=complex)
-    ders = np.zeros_like(vals)
-    nz = flat != 0
-    for n in range(min(nmax, 1) + 1):
-        at0 = _regular_at_zero(n, spherical=d == 3)
-        vals[n, ~nz], ders[n, ~nz] = at0.value, at0.derivative
-    if nz.any():
-        reg = chain(d, nmax + 1, z if z.ndim == 0 else flat[nz], singular=False)[0]
-        vals[:, nz] = reg[:-1]
-        ders[:, nz] = chain_derivative(reg, flat[nz], 1.0 if d == 3 else 0.0)
-    return vals, ders
 
 
 def _regular_at_zero(n: int, spherical: bool) -> BesselEval:

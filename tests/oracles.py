@@ -211,6 +211,55 @@ def neumann_monopole_limit(kappa: float, kappa_star: float, r) -> np.ndarray:
     return c * j0(kappa_star * r) + amp * j0(kappa * r)
 
 
+def detuned_source_monopole(
+    d: int,
+    k: float,
+    eps: float,
+    a_in: float,
+    sigma_in: float,
+    kappa_source: float,
+    source_amp: float,
+    r,
+) -> np.ndarray:
+    """Closed form of fd_interior_source_solve's radial monopole problem, from scipy.
+
+    Inside the unit ball, a (U'' + (d-1) U'/r) + k^2 sigma U = source_amp *
+    R_0(kappa_source r) at the layer wavenumber kappa = k sqrt(sigma / a) !=
+    kappa_source: U = c R_0(kappa_source r) + A R_0(kappa r) with c =
+    (source_amp / a) / (kappa^2 - kappa_source^2).  Outside, U = alpha
+    H_0(eps k r).  A and alpha match the value and the flux (weights
+    eps^(2-d) a | 1) at r = 1.
+
+    Returns U at the radii r.
+    """
+    from scipy import special
+
+    def regular(z):   # (R_0, R_0')
+        if d == 3:
+            return special.spherical_jn(0, z), special.spherical_jn(0, z, derivative=True)
+        return special.j0(z), -special.j1(z)
+
+    def outgoing(z):   # (H_0, H_0')
+        if d == 3:
+            return (special.spherical_jn(0, z) + 1j * special.spherical_yn(0, z),
+                    special.spherical_jn(0, z, True) + 1j * special.spherical_yn(0, z, True))
+        return special.hankel1(0, z), -special.hankel1(1, z)
+
+    kappa, ke, w = k * math.sqrt(sigma_in / a_in), eps * k, eps ** (2 - d) * a_in
+    c = source_amp / a_in / (kappa * kappa - kappa_source * kappa_source)
+    (s, sp), (f, fp), (h, hp) = regular(kappa_source), regular(kappa), outgoing(ke)
+    amp, alpha = np.linalg.solve(
+        np.array([[f, -h], [w * kappa * fp, -ke * hp]], dtype=complex),
+        np.array([-c * s, -w * c * kappa_source * sp], dtype=complex),
+    )
+    r = np.asarray(r, dtype=float)
+    out = np.empty(r.shape, dtype=complex)
+    inside = r <= 1.0
+    out[inside] = c * regular(kappa_source * r[inside])[0] + amp * regular(kappa * r[inside])[0]
+    out[~inside] = alpha * outgoing(ke * r[~inside])[0]
+    return out
+
+
 def fd_interior_source_solve(
     d: int,
     k: float,
@@ -373,6 +422,24 @@ def mode_solve_dense(medium, k: float, n: int, b_n: complex):
     )
 
 
+def particular_profile(d: int, n: int, kappa: complex, q: complex, r: float):
+    """(value, r-derivative) of q r R_n'(kappa r) from scipy.
+
+    R_n'' comes from differentiating R_n' = (n / z) R_n - R_(n+1) in 3d,
+    and from scipy's second derivative in 2d; neither uses Bessel's
+    equation.
+    """
+    from scipy import special
+
+    z = complex(kappa * r)
+    if d == 3:
+        val, der = special.spherical_jn(n, z), special.spherical_jn(n, z, derivative=True)
+        der2 = n / z * der - n / (z * z) * val - special.spherical_jn(n + 1, z, derivative=True)
+    else:
+        der, der2 = special.jvp(n, z), special.jvp(n, z, 2)
+    return q * r * der, q * (der + kappa * r * der2)
+
+
 def continuity_residual(medium, k: float, sol) -> float:
     """Worst relative interface mismatch of field and flux of a mode solution."""
     d, n = medium.dimension, sol.n
@@ -380,8 +447,8 @@ def continuity_residual(medium, k: float, sol) -> float:
     for i, lay in enumerate(medium.layers):
         left = _interface_matrix(d, n, lay.a, medium.wavenumber(k, i), lay.radius, False)
         lval = left @ np.array(sol.layer_coeffs[i])
-        if sol.particular is not None and i == 0:
-            pv, pd = sol.particular.eval(lay.radius)
+        if sol.particular and i == 0:
+            pv, pd = particular_profile(d, n, medium.wavenumber(k, 0), sol.particular, lay.radius)
             lval = lval + np.array([pv, lay.a * pd])
         if i == len(medium.layers) - 1:
             right = _interface_matrix(

@@ -219,7 +219,7 @@ def _mode_deviation(interior: FieldSeries, limit, n: int) -> float:
     """
     zero = tuple((0j, 0j) for _ in interior.medium.layers)
     modes = tuple(
-        m if m.n == n else dataclasses.replace(m, layer_coeffs=zero, particular=None)
+        m if m.n == n else dataclasses.replace(m, layer_coeffs=zero, particular=0j)
         for m in interior.modes
     )
     return norm_annulus(
@@ -384,7 +384,7 @@ def test_criterion_6_oracle_equivalences():
         cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, spec.sigma0),))
         med = blown_up_medium(cfg)
         c_e = eigenfunction_normalization(spec)
-        sol = interior_source_mode_solve(med, k, spec, eps ** (2 - d) * c_e)
+        sol = interior_source_mode_solve(med, k, spec.mode, eps ** (2 - d) * c_e)
         grid, u_fd = fd_interior_source_solve(
             d, k, eps, 1.0, spec.sigma0, spec.kappa_star, c_e, npts=10000
         )

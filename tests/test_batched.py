@@ -33,7 +33,6 @@ from cloakwave.fields import (
 from cloakwave.mie import (
     CloakConfig,
     Layer,
-    ParticularTerm,
     angular_eigenvalue,
     detect_resonances,
     first_resonance,
@@ -401,18 +400,20 @@ def _one(d):
     return functools.partial(specfun.bessel, d), ("regular", "singular", "outgoing")
 
 
-def _particular_scalar(p: ParticularTerm, r: float):
-    """The particular profile from one scalar Bessel evaluation (Bessel's equation for R'')."""
-    one, (reg, _, _) = _one(p.dimension)
-    n, q = p.order, p.coefficient
-    if p.kind == "kappa_derivative":
-        z = p.kappa * r
-        e = one(reg, n, z)
-        nu = angular_eigenvalue(p.dimension, n)
-        d2 = -(p.dimension - 1.0) / z * e.derivative - (1.0 - nu / (z * z)) * e.value
-        return q * r * e.derivative, q * (e.derivative + p.kappa * r * d2)
-    e = one(reg, n, p.kappa_source * r)
-    return q * e.value, q * p.kappa_source * e.derivative
+def _particular_scalar(d: int, n: int, kap: complex, q: complex, r: float):
+    """q r R_n'(kap r) and its r-derivative from one scalar Bessel evaluation.
+
+    R_n'' from differentiating R_n' = R_(n-1) - (n + d - 2) / z R_n, with
+    R_(n-1)' (order 0: R_0'' = -R_1') from a second evaluation.
+    """
+    z = kap * r
+    e = specfun.bessel(d, "regular", n, z)
+    if n == 0:
+        d2 = -specfun.bessel(d, "regular", 1, z).derivative
+    else:
+        s = n + d - 2.0
+        d2 = specfun.bessel(d, "regular", n - 1, z).derivative + s / (z * z) * e.value - s / z * e.derivative
+    return q * r * e.derivative, q * (e.derivative + kap * r * d2)
 
 
 def _scalar_profiles(ser, r: float):
@@ -436,8 +437,8 @@ def _scalar_profiles(ser, r: float):
         val = sum(a * e.value for a, e in terms)
         der = kap * sum(a * e.derivative for a, e in terms)
         size = sum(abs(a) * (abs(e.value) + abs(kap * e.derivative)) for a, e in terms)
-        if idx == 0 and m.particular is not None:
-            pv, pd = _particular_scalar(m.particular, r)
+        if idx == 0 and m.particular:
+            pv, pd = _particular_scalar(ser.dimension, m.n, kap, m.particular, r)
             val, der, size = val + pv, der + pd, size + abs(pv) + abs(pd)
         rows.append((val, der, size))
     return np.array(rows).T
@@ -457,12 +458,6 @@ def _layered_series(d):
     return virt, blown_up_interior_series(cfg, virt)
 
 
-def _source_series(d, detune):
-    """Eigenfunction-driven mode 1: a particular term of either kind in layer 0."""
-    spec = first_resonance(d, 1.0, 1)
-    return eigenmode_series(replace(spec, sigma0=spec.sigma0 * detune), 1.0, 0.01)
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_radial_many_matches_scalar_profiles(d):
     virt, blown = _layered_series(d)
@@ -471,10 +466,9 @@ def test_radial_many_matches_scalar_profiles(d):
         (virt, spans((0.001, 0.049), (0.051, 0.099), (0.11, 4.0))),
         (blown, spans((0.01, 0.49), (0.51, 0.99), (1.01, 3.0))),
     ]
-    for detune, kind in ((1.0, "kappa_derivative"), (1.3, "off_resonance")):
-        ser = _source_series(d, detune)
-        assert {m.particular.kind for m in ser.modes if m.particular is not None} == {kind}
-        cases.append((ser, spans((0.02, 0.98), (1.1, 3.9))))
+    ser = _eigen_series(d)
+    assert [m.n for m in ser.modes if m.particular] == [1]
+    cases.append((ser, spans((0.02, 0.98), (1.1, 3.9))))
     for ser, rs in cases:
         vals, ders = ser.radial_many(rs)
         assert vals.shape == ders.shape == (ser.truncation + 1, len(rs))

@@ -353,6 +353,30 @@ grid.points = 13
     assert worst <= 10.0 * vis
 
 
+@pytest.mark.parametrize("experiment, mode", [("modes", 21), ("modes", 30), ("sweep", 30), ("field", 40)])
+def test_single_mode_incidence_above_default_truncation(tmp_path, experiment, mode):
+    # the default truncation at k = 1 is 21; a single mode is exact, so its
+    # one nonzero b_n, the last entry of b, is not taken for a tail
+    cfg = _write_cfg(tmp_path, f"""
+experiment = {experiment}
+dimension = 3
+k = 1.0
+epsilon = 0.1
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 1.0
+incident.kind = mode
+incident.mode = {mode}
+grid.points = 11
+""")
+    out = str(tmp_path / "out")
+    assert cli.main([experiment, "--config", cfg, "--out", out]) == 0
+    if experiment == "modes":
+        rows = open(os.path.join(out, "modes.csv")).read().splitlines()[1:]
+        assert len(rows) == mode + 1
+        assert [row.split(",")[1] for row in rows] == ["0"] * mode + ["1"]
+
+
 def test_parse_errors():
     with pytest.raises(Exception):
         parse_config_text("novalue\n")
@@ -374,6 +398,7 @@ GOLDEN_RUNS = [
     ("modes3d", "modes", ("modes.csv", "summary.json")),
     ("sweep3d_resonant", "sweep", ("results.csv", "summary.json")),
     ("blowup2d", "blowup", ("results.csv", "summary.json")),
+    ("field2d_eigenmode", "field", ("field.csv", "summary.json")),
 ]
 
 

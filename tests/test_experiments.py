@@ -201,11 +201,11 @@ def test_blowup_singular_row_is_flagged(monkeypatch):
     real = mod.interior_source_mode_solve
     calls = {"n": 0}
 
-    def flaky(med, k, spec, normalization, **kw):
+    def flaky(med, k, n, amplitude):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SingularSystemError("injected resonance hit")
-        return real(med, k, spec, normalization, **kw)
+        return real(med, k, n, amplitude)
 
     monkeypatch.setattr(mod, "interior_source_mode_solve", flaky)
     recs = ex.blowup_sweep(3, 1.0, (1e-2, 1e-3, 1e-4))

@@ -189,7 +189,7 @@ def _envelope_arguments(draw):
     _envelope_arguments(),
 )
 def test_bessel_matches_chain_row(d, kind, n, z):
-    shift = 1.0 if d == 3 else 0.0
+    shift = d - 2.0
     fams = [specfun.chain(d, n + 1, z, singular=False)[0][:, 0]]
     if kind != "regular":
         try:
@@ -201,7 +201,7 @@ def test_bessel_matches_chain_row(d, kind, n, z):
     # each family's row n as chain and chain_derivative give it, and the
     # size of the terms of the derivative rule
     vals = [f[n] for f in fams]
-    ders = [specfun.chain_derivative(f, z, shift)[n] for f in fams]
+    ders = [specfun.chain_derivative(f, z, d)[n] for f in fams]
     sizes = [abs(f[1]) if n == 0 else abs(f[n - 1]) + abs((n + shift) / z * f[n]) for f in fams]
     ev = bessel(d, kind, n, z)
     if kind == "outgoing":
