@@ -428,7 +428,7 @@ def _field_evaluator(config: RunConfig):
     corner = config.grid_extent * math.sqrt(2.0)
     if config.field_kind == "eigenmode":
         series = eigenmode_series(first_resonance(d, k, config.blowup_mode), k, eps)
-        m = BlowupMap(eps, d)
+        m = BlowupMap(eps)
 
         def values(pts: np.ndarray) -> np.ndarray:
             # u_c(y) = U(F^{-1}(y) / eps): blown-up field at the rescaled preimage
@@ -450,7 +450,7 @@ def _field_evaluator(config: RunConfig):
         k,
         b,
         epsilon=eps,
-        axis=None if spec.axis is None else tuple(spec.axis),
+        axis=spec.axis,
         incident=spec,
     )
     return series.eval_many, n_max

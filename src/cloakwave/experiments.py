@@ -170,7 +170,7 @@ def convergence_sweep(
         raise ValidationError("convergence sweep needs an incident field")
     spec = config.incident
     b = incident_coefficients(spec, k, auto_truncation(spec, k, d), d)
-    axis = None if spec.axis is None else tuple(spec.axis)
+    axis = spec.axis
     limit = interior_limit(config, b, axis)
     # the free field pulled back through the limit map
     pullback = replace(free_series(d, k, b, axis), epsilon=0.0)

@@ -3,19 +3,20 @@
 A field is a truncated sum over angular modes; for concentric media the
 modes never couple, so every norm reduces to per-mode radial integrals
 through angular orthogonality (Parseval), and point evaluation to a sum of
-radial profiles times Legendre polynomials (3d) or cosines (2d).  The
-radial integrals are closed forms (Lommel's integral and Green's first
-identity) wherever the profiles are Bessel combinations at one real
-wavenumber, the blown-up interior's particular term q r R_n'(kappa r)
-included, and adaptive quadrature elsewhere: the physical shell and a
-lossy layer.  Outside the medium, block evaluation of a series that
-carries its incident spec takes the incident field in closed form plus the
-few nonzero outgoing terms (FieldSeries.eval_many).  Physical domain
-fields are the virtual series composed with the inverse blow-up map, and
-agree with it identically outside radius 2.  Every L2/H1 norm is
-norm_annulus of a series, alone or against a reference series: scattered
-parts, the free-field pullback, single outgoing modes, eigenfunction
-sources and interior limits are each built as a series first.
+radial profiles times Legendre polynomials (3d) or cosines (2d), over
+blocks of points in one path (FieldSeries.eval_many).  The radial
+integrals are closed forms (Lommel's integral and Green's first identity)
+wherever the profiles are Bessel combinations at one real wavenumber, the
+blown-up interior's particular term q r R_n'(kappa r) included, and
+adaptive quadrature elsewhere: the physical shell and a lossy layer.
+Outside the medium, a series that carries its incident spec takes the
+incident field in closed form plus the few nonzero outgoing terms.
+Physical domain fields are the virtual series composed with the inverse
+blow-up map, and agree with it identically outside radius 2.  Every L2/H1
+norm is norm_annulus of a series, alone or against a reference series:
+scattered parts, the free-field pullback, single outgoing modes,
+eigenfunction sources and interior limits are each built as a series
+first.
 """
 
 from __future__ import annotations
@@ -103,15 +104,12 @@ class IncidentSpec:
             raise ValidationError("mode index must be nonnegative")
 
     @property
-    def axis(self) -> np.ndarray:
-        """Symmetry axis of the incident field (unit vector)."""
-        if self.kind == "plane_wave":
-            v = np.asarray(self.direction, dtype=float)
-        elif self.kind == "point_source":
-            v = np.asarray(self.location, dtype=float)
-        else:
+    def axis(self) -> tuple[float, ...] | None:
+        """Symmetry axis of the incident field (unit vector); None for a mode."""
+        if self.kind == "mode":
             return None
-        return v / np.linalg.norm(v)
+        v = np.asarray(self.direction if self.kind == "plane_wave" else self.location, dtype=float)
+        return tuple((v / np.linalg.norm(v)).tolist())
 
 
 def incident_coefficients(
@@ -141,7 +139,7 @@ def incident_coefficients(
     elif spec.kind == "point_source":
         r0 = float(np.linalg.norm(spec.location))
         reg, sing = specfun.chain(d, n_max, k * r0)
-        h = reg[:, 0] + 1j * sing[:, 0]
+        h = reg + 1j * sing
         if d == 3:
             b[:] = amp * (1j * k / (4.0 * math.pi)) * (2 * ns + 1) * h
         else:
@@ -159,7 +157,7 @@ def incident_coefficients(
 
 def _check_incident_tail(b: np.ndarray, d: int, k: float, r_eval: float) -> None:
     n_max = len(b) - 1
-    reg = specfun.chain(d, n_max, k * r_eval, singular=False)[0][:, 0]
+    reg = specfun.chain(d, n_max, k * r_eval, singular=False)[0]
     mags = np.abs(b * reg)
     top = float(np.max(mags))
     if top > 0 and mags[-1] > TAIL_TOL * top:
@@ -258,12 +256,11 @@ class FieldSeries:
         Returns arrays of shape (truncation + 1, rs.size), the derivatives
         None unless asked for.  Radii are grouped by layer, and each group
         costs one array-argument chain, so a radius's profile does not
-        depend on the other radii; a scalar rs runs the scalar chains
-        instead (see specfun.chain).  At r = 0 only the monopole's regular
-        part survives, and the derivatives are left zero.
+        depend on the other radii.  At r = 0 only the monopole's regular
+        part survives, and only mode 1 has a slope: (kappa co_1 + q_1)
+        R_1'(0), from its regular and particular terms.
         """
         n_max = self.truncation
-        one = np.ndim(rs) == 0
         rs = np.asarray(rs, dtype=float).ravel()
         layer = self._layer_of(rs)
         vals = np.zeros((n_max + 1, rs.size), dtype=complex)
@@ -273,12 +270,16 @@ class FieldSeries:
             if not sel.size:
                 continue
             kap, co, cs, q, outgoing = self._layer_basis(idx)
-            vals[0, sel[rs[sel] == 0.0]] = co[0]   # regular basis: R_n(0) = [n == 0]
+            origin = sel[rs[sel] == 0.0]
+            vals[0, origin] = co[0]   # regular basis: R_n(0) = [n == 0]
+            if derivatives and origin.size and n_max >= 1:   # R_1'(0): 1/2 in 2d, 1/3 in 3d
+                slope = specfun.bessel(self.dimension, "regular", 1, 0.0).derivative
+                ders[1, origin] = (kap * co[1] + q[1]) * slope
             sel = sel[rs[sel] > 0.0]
             if not sel.size:
                 continue
             r = rs[sel]
-            vals[:, sel], dv = self._combine(kap, r[0] if one else r, co, cs, q, outgoing, derivatives)
+            vals[:, sel], dv = self._combine(kap, r, co, cs, q, outgoing, derivatives)
             if derivatives:
                 ders[:, sel] = dv
         return vals, ders
@@ -321,27 +322,12 @@ class FieldSeries:
                 dv[p] += q[p, None] * pd
         return v, dv
 
-    def radial_all(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """(values, derivatives) of every mode's radial profile at radius r."""
-        vals, ders = self.radial_many(float(r))
-        return vals[:, 0], ders[:, 0]
-
     # -- point evaluation ----------------------------------------------------
 
     def _to_virtual(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Virtual-domain images of the rows of x and their radii."""
-        xv = x if self.epsilon is None else map_inverse(BlowupMap(self.epsilon, self.dimension), x)
+        xv = x if self.epsilon is None else map_inverse(BlowupMap(self.epsilon), x)
         return xv, radii(xv)
-
-    def eval(self, x) -> complex:
-        """Field value at a point from every order (an epsilon composes with the inverse map)."""
-        xv, r = self._to_virtual(np.asarray(x, dtype=float)[None])
-        r = float(r[0])
-        vals, _ = self.radial_all(r)
-        if r == 0.0:
-            return complex(vals[0])
-        cosg = min(1.0, max(-1.0, float(np.dot(xv[0] / r, self._axis()))))
-        return complex(np.sum(vals * self._angular(cosg, self.truncation)))
 
     def _angular(self, c, n_max: int):
         """Angular factor of modes 0..n_max, by rows, at c = cos(angle to the axis).
@@ -364,7 +350,7 @@ class FieldSeries:
         return ang
 
     def eval_many(self, points) -> np.ndarray:
-        """Field values at the rows of a (P, d) array, within about 1e-13 max|u| of eval's.
+        """Field values at the rows of a (P, d) array: the one point-evaluation path.
 
         Points are mapped to the virtual domain.  With an incident spec,
         points beyond the medium's outer radius take the incident field in
@@ -502,7 +488,7 @@ def _split_points(series: FieldSeries, r_in: float, r_out: float, reference=None
         if eps > 0.0:
             dyadic = (eps * (1.0 + 2.0**j) for j in range(int(math.log2(2.0 / eps)) + 1))
             kinks += [r for r in dyadic if r < 2.0]
-        m = BlowupMap(eps, series.dimension)
+        m = BlowupMap(eps)
         kinks = [radial_forward(m, r) for r in kinks] + [1.0, 2.0]
     cuts = {r_in, r_out} | {r for r in kinks if r_in < r < r_out}
     if reference is not None:
@@ -518,7 +504,7 @@ def _profiles(series: FieldSeries, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """
     if series.epsilon is None:
         return series.radial_many(r)
-    slope, offset = inverse_branch(BlowupMap(series.epsilon, series.dimension), r[0])
+    slope, offset = inverse_branch(BlowupMap(series.epsilon), r[0])
     vals, ders = series.radial_many(slope * r + offset)
     ders *= slope
     return vals, ders
@@ -536,7 +522,7 @@ def _bessel_segment(series: FieldSeries, lo: float, hi: float):
     """
     slope, offset, mid = 1.0, 0.0, 0.5 * (lo + hi)
     if series.epsilon is not None:
-        slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon, series.dimension), mid))
+        slope, offset = map(float, inverse_branch(BlowupMap(series.epsilon), mid))
     idx = bisect.bisect([lay.radius for lay in series.medium.layers], slope * mid)
     layer_kap, co, cs, q, outgoing = series._layer_basis(idx)
     kap = slope * complex(layer_kap)
@@ -569,13 +555,13 @@ def _lommel_green(d: int, kap: float, co: np.ndarray, cs: np.ndarray, q: np.ndar
     m = int(np.flatnonzero(cs).max(initial=-1))   # last singular order in use
     reg, sing = specfun.chain(d, len(co), z, m >= 0, singular_nmax=m + 1)
     if d == 2:
-        below = -reg[1, 0], None if sing is None else -sing[1, 0]
+        below = -reg[1], None if sing is None else -sing[1]
     else:   # the recurrence would cancel y's orders 0 and 1 at small z
-        below = cmath.cos(z) / z, reg[0, 0]
+        below = cmath.cos(z) / z, reg[0]
 
     def rows(f, f_below):   # orders n - 1, n, n + 1 and the z-derivative of the modes n
-        ext = np.concatenate(([f_below], f[:, 0]))
-        return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d)[:, 0]])
+        ext = np.concatenate(([f_below], f))
+        return np.stack([ext[:-2], ext[1:-1], ext[2:], specfun.chain_derivative(f, z, d)])
 
     bessel = rows(reg, below[0])
     u = co * bessel

@@ -257,14 +257,14 @@ def _interface_side(
     last = len(sing) - 2          # f'_n needs f_(n+1)
     if last < 0:                  # the singular chain ends below order 1: none is solvable
         return np.empty((0, 2, 2), dtype=complex)
-    rd = specfun.chain_derivative(reg[: last + 2, 0], z, d)
-    sd = specfun.chain_derivative(sing[:, 0], z, d)
-    sv = sing[: last + 1, 0]
+    rd = specfun.chain_derivative(reg[: last + 2], z, d)
+    sd = specfun.chain_derivative(sing, z, d)
+    sv = sing[: last + 1]
     if outgoing:
         # H = J + iY, value and derivative assembled from the components
-        sv, sd = reg[: last + 1, 0] + 1j * sv, rd + 1j * sd
+        sv, sd = reg[: last + 1] + 1j * sv, rd + 1j * sd
     m = np.empty((last + 1, 2, 2), dtype=complex)
-    m[:, 0, 0] = reg[: last + 1, 0]
+    m[:, 0, 0] = reg[: last + 1]
     m[:, 0, 1] = sv
     m[:, 1, 0] = a * kappa * rd
     m[:, 1, 1] = a * kappa * sd

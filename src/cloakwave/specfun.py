@@ -35,12 +35,13 @@ length: field points in blocks (FieldSeries.eval_many: all orders inside
 the medium, the few outgoing orders and the 2d point source's H_0 outside
 it), the nodes of one quadrature refinement level (FieldSeries.radial_many)
 and resonance scan grids.  The scalar chains stay the kernel of
-scalar-argument calls: the all-orders transfer solve (one partial chain
-per interface side), the ends of closed-form norm segments, bessel,
-incident coefficients and FieldSeries.eval; for one argument an array
-pass costs 7-35x more.  Over orders 0..200, 1e-3 <= |z| <= 1e3 and
-0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z) of the local size
-|f_n| + |f_(n+1)|, and raise the same errors where either overflows.
+scalar-argument calls, and give 1-D arrays of orders: the all-orders
+transfer solve (one partial chain per interface side), the ends of
+closed-form norm segments, bessel and incident coefficients; for one
+argument an array pass costs 7-35x more.  Over orders 0..200,
+1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
+of the local size |f_n| + |f_(n+1)|, and raise the same errors where
+either overflows.
 
 An array_chain step writes into preallocated buffers, never a product over
 an operand (a *= b can round a complex product differently from a * b).
@@ -411,7 +412,7 @@ def chain(
 
     The kernel follows the argument's type, not its length: a scalar runs
     the scalar chains, which cost 7-35x less for one argument, and gives
-    (nmax + 1, 1) columns; an array runs array_chain whatever its length,
+    1-D arrays of orders; an array runs array_chain whatever its length,
     so a value does not depend on the batch it came in.  singular_nmax
     (default nmax) ends the singular family there, so the orders above it
     cannot overflow.  partial (scalar z only) ends the singular chain at its
@@ -420,8 +421,7 @@ def chain(
     """
     if np.ndim(z) > 0:
         return array_chain(d, nmax, z, singular, singular_nmax)
-    reg, sing = _scalar_chain(d, nmax, z, singular, partial, singular_nmax)
-    return reg[:, None], None if sing is None else sing[:, None]
+    return _scalar_chain(d, nmax, z, singular, partial, singular_nmax)
 
 
 def chain_derivative(f: np.ndarray, z, d: int) -> np.ndarray:

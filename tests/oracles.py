@@ -2,15 +2,22 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 power series, plain bisection, Chebyshev collocation, banded finite
-differences and a dense per-mode interface assembly over scipy's Bessel
-functions provide expected values computed on a different route.
+differences, a dense per-mode interface assembly and a point-by-point
+series sum over scipy's Bessel functions provide expected values computed
+on a different route.  The change-of-variables section builds what the
+program never evaluates, the push-forward shell tensors of the blow-up
+map, to check that a composed field solves the transformed equation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from cloakwave.errors import ValidationError
+from cloakwave.transform import OUTER_RADIUS, BlowupMap, radial_forward
 
 
 def j1_series(x: float, nterms: int = 60) -> float:
@@ -463,4 +470,211 @@ def continuity_residual(medium, k: float, sol) -> float:
         rval = right @ rvec
         scale = max(np.max(np.abs(lval)), np.max(np.abs(rval)), 1e-300)
         worst = max(worst, float(np.max(np.abs(lval - rval)) / scale))
+    return worst
+
+
+# -- point values of a field series ---------------------------------------------
+
+
+def series_values(series, points) -> np.ndarray:
+    """Values of a FieldSeries at the rows of a (P, d) array, point by point from scipy.
+
+    A physical-domain series maps each point to the virtual domain here (the
+    radial inverse of the blow-up map); a point on a layer interface takes
+    the inner layer.  Each mode sums co R_n + cs S_n + q r R_n' at its
+    layer's wavenumber, S the outgoing H = J + iY outside the medium, with
+    singular terms only where cs != 0, times Legendre polynomials (3d) or
+    the doubled Chebyshev cosines T_n (2d) of the angle to the series axis.
+    """
+    from scipy import special
+
+    d, eps, modes = series.dimension, series.epsilon, series.modes
+    if d == 3:
+        reg, sing = special.spherical_jn, special.spherical_yn
+        reg_der = lambda n, z: special.spherical_jn(n, z, derivative=True)
+    else:
+        reg, sing, reg_der = special.jv, special.yv, special.jvp
+    ns = np.arange(len(modes))
+    angular = np.where(ns == 0, 1.0, 2.0)   # 2d: both signs of n
+    axis = np.zeros(d)
+    axis[0] = 1.0
+    if series.axis is not None:
+        axis = np.asarray(series.axis, dtype=float)
+    radii = [lay.radius for lay in series.medium.layers]
+    x = np.asarray(points, dtype=float).reshape(-1, d)
+    out = np.empty(len(x), dtype=complex)
+    for i, y in enumerate(x):
+        t = math.sqrt(float(np.sum(y * y)))
+        r = t
+        if eps is not None and t < OUTER_RADIUS:
+            r = eps * t if t <= 1.0 else (2.0 - eps) * t - (2.0 - 2.0 * eps)
+        idx = sum(r > rad for rad in radii)
+        if idx == len(radii):
+            kap = series.medium.exterior_wavenumber(series.k)
+            co, cs = (np.array([m.b_n for m in modes]), np.array([m.alpha_n for m in modes]))
+        else:
+            kap = series.medium.wavenumber(series.k, idx)
+            co, cs = np.array([m.layer_coeffs[idx] for m in modes]).T
+        z = kap * r
+        prof = co * reg(ns, z)
+        use = np.flatnonzero(cs)
+        if use.size:
+            s_n = sing(use, z)
+            prof[use] += cs[use] * (s_n if idx < len(radii) else reg(use, z) + 1j * s_n)
+        q = np.array([m.particular for m in modes]) if idx == 0 else np.zeros(len(modes))
+        if np.any(q):
+            prof += q * r * reg_der(ns, z)
+        c = 1.0 if t == 0.0 else min(1.0, max(-1.0, float(y @ axis) / t))
+        ang = special.eval_legendre(ns, c) if d == 3 else angular * special.eval_chebyt(ns, c)
+        out[i] = np.sum(prof * ang)
+    return out
+
+
+# -- change of variables: push-forward shell tensors -----------------------------
+
+
+@dataclass(frozen=True)
+class ShellTensors:
+    """Eigenvalues of the push-forward stiffness and the scalar density."""
+
+    radial_a: float
+    tangential_a: float
+    sigma_c: float
+
+
+def map_forward(m: BlowupMap, x) -> np.ndarray:
+    """Apply the map to a point of the virtual domain."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        if m.epsilon == 0.0:
+            raise ValidationError("the limit map is undefined at the origin")
+        return x.copy()
+    return x * (radial_forward(m, r) / r)
+
+
+def map_jacobian(m: BlowupMap, x) -> np.ndarray:
+    """Dense Jacobian DF at a virtual-domain point (off the interface set)."""
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    r = float(np.linalg.norm(x))
+    eps = m.epsilon
+    if r == 0.0 or r == eps or r == OUTER_RADIUS:
+        raise ValidationError("Jacobian requested on an interface or at the origin")
+    if r > OUTER_RADIUS:
+        return np.eye(d)
+    if eps == 0.0:
+        drho, rho = 0.5, 1.0 + 0.5 * r
+    elif r < eps:
+        drho, rho = 1.0 / eps, r / eps
+    else:
+        drho = 1.0 / (2.0 - eps)
+        rho = (2.0 - 2.0 * eps) / (2.0 - eps) + r / (2.0 - eps)
+    xhat = x / r
+    proj = np.outer(xhat, xhat)
+    return drho * proj + (rho / r) * (np.eye(d) - proj)
+
+
+def jacobian_determinant(m: BlowupMap, d: int, r: float) -> float:
+    """det DF in dimension d as a function of the virtual radius (radial closed form)."""
+    eps = m.epsilon
+    if r > OUTER_RADIUS:
+        return 1.0
+    if eps == 0.0:
+        return 0.5 * ((1.0 + 0.5 * r) / r) ** (d - 1)
+    if r < eps:
+        return eps ** (-d)
+    drho = 1.0 / (2.0 - eps)
+    rho = (2.0 - 2.0 * eps) / (2.0 - eps) + r / (2.0 - eps)
+    return drho * (rho / r) ** (d - 1)
+
+
+def shell_tensors(m: BlowupMap, d: int, physical_radius: float) -> ShellTensors:
+    """Push-forward stiffness eigenvalues and density inside the cloak shell, dimension d.
+
+    Valid strictly inside the shell (1 < radius < 2) and only for eps > 0;
+    the limit-map tensors are singular and deliberately unsupported.
+    """
+    if m.epsilon == 0.0:
+        raise ValidationError("shell tensors are singular for the limit map")
+    t = float(physical_radius)
+    if not 1.0 < t < OUTER_RADIUS:
+        raise ValidationError(f"physical radius {t} outside the shell (1, 2)")
+    eps = m.epsilon
+    r = (2.0 - eps) * t - (2.0 - 2.0 * eps)
+    drho = 1.0 / (2.0 - eps)
+    ratio = r / t
+    radial = drho * ratio ** (d - 1)
+    tangential = (1.0 / ratio) ** (3 - d) / drho
+    sigma = ratio ** (d - 1) / drho
+    return ShellTensors(radial_a=radial, tangential_a=tangential, sigma_c=sigma)
+
+
+def shell_stiffness_matrix(m: BlowupMap, y) -> np.ndarray:
+    """Cartesian matrix of the shell stiffness at a physical point."""
+    y = np.asarray(y, dtype=float)
+    d = len(y)
+    t = float(np.linalg.norm(y))
+    ten = shell_tensors(m, d, t)
+    yhat = y / t
+    proj = np.outer(yhat, yhat)
+    return ten.radial_a * proj + ten.tangential_a * (np.eye(d) - proj)
+
+
+def _residual_at(m: BlowupMap, y: np.ndarray, u: np.ndarray, h: float, k: float) -> tuple[float, float]:
+    """(|div(A grad u) + k^2 Sigma u|, local scale) at one shell point.
+
+    u[a, b] is the field at y + s_a + s_b, with the steps s = (0, h e_1,
+    ..., h e_d, -h e_1, ..., -h e_d).
+    """
+    d = len(y)
+    eye = np.eye(d)
+
+    def grad_u(a: int) -> np.ndarray:
+        return np.array([(u[a, 1 + i] - u[a, 1 + d + i]) / (2.0 * h) for i in range(d)])
+
+    div = 0.0 + 0.0j
+    umax = abs(u[0, 0])
+    for i in range(d):
+        yp = y + h * eye[i]
+        ym = y - h * eye[i]
+        gp = shell_stiffness_matrix(m, yp) @ grad_u(1 + i)
+        gm = shell_stiffness_matrix(m, ym) @ grad_u(1 + d + i)
+        div += (gp[i] - gm[i]) / (2.0 * h)
+        umax = max(umax, abs(u[1 + i, 0]), abs(u[1 + d + i, 0]))
+    sig = shell_tensors(m, d, float(np.linalg.norm(y))).sigma_c
+    res = abs(div + k * k * sig * u[0, 0])
+    # scaled by the local field magnitude: a constant field then reports
+    # its genuine residual k^2 Sigma_c, while a true solution reports pure
+    # discretization error
+    return res, max(umax, 1e-300)
+
+
+def pde_residual(field, m: BlowupMap, sample_points, h: float) -> float:
+    """Maximum scaled residual of the transformed Helmholtz equation.
+
+    Central finite differences of the composed physical field approximate
+    div(A_c grad u_c) + k^2 Sigma_c u_c at each sample point; the result is
+    the worst |residual| / (k^2 Sigma_c max|u| near the point).  For a true
+    solution it is pure discretization error, which a caller can confirm by
+    comparing two step sizes (quadratic shrink).  The whole stencil of every
+    point is one field.eval_many call.
+    """
+    if not 1e-4 <= h <= 1e-2:
+        raise ValidationError(f"step h = {h} outside [1e-4, 1e-2]")
+    pts = np.array([np.asarray(p, dtype=float) for p in sample_points])
+    for p in pts:
+        t = float(np.linalg.norm(p))
+        if not (1.0 + 3.0 * h) < t < (OUTER_RADIUS - 3.0 * h):
+            raise ValidationError(
+                f"sample point at radius {t:.6g} closer than 3h to an interface"
+            )
+    d = pts.shape[1]
+    steps = np.vstack([np.zeros(d), h * np.eye(d), -h * np.eye(d)])
+    stencil = pts[:, None, None, :] + steps[None, :, None, :] + steps[None, None, :, :]
+    u = np.asarray(field.eval_many(stencil.reshape(-1, d))).reshape(stencil.shape[:3])
+    worst = 0.0
+    for p, up in zip(pts, u):
+        res, scale = _residual_at(m, p, up, h, field.k)
+        worst = max(worst, res / scale)
     return worst

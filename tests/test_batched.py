@@ -2,8 +2,9 @@
 
 Block point evaluation (FieldSeries.eval_many), radial profiles over the
 nodes of a quadrature level (FieldSeries.radial_many), vector-valued
-quadrature, the (L2, H1) norm pairs and resonance scans, each against the
-per-point or per-radius scalar path.
+quadrature, the (L2, H1) norm pairs and resonance scans, each against
+point-by-point scipy sums (oracles.series_values) or per-radius scalar
+Bessel evaluations.
 """
 
 import functools
@@ -42,9 +43,7 @@ from cloakwave.mie import (
 )
 from cloakwave.quadrature import integrate
 
-
-def _scalar_chain(d, nmax, z):
-    return tuple(f[:, 0] for f in specfun.chain(d, nmax, z))
+from oracles import series_values
 
 
 def _outcome(fn):
@@ -75,7 +74,7 @@ def _arguments(draw):
 
 
 def _check_chain(d, nmax, z):
-    want, want_err = _outcome(lambda: _scalar_chain(d, nmax, z))
+    want, want_err = _outcome(lambda: specfun.chain(d, nmax, z))
     got, got_err = _outcome(lambda: specfun.array_chain(d, nmax, [z]))
     assert got_err is want_err
     if want_err is None:
@@ -106,7 +105,7 @@ def test_array_chain_envelope_edges(d, nmax, mag, im):
 @pytest.mark.parametrize("d", [2, 3])
 def test_array_chain_overflow_raises_like_scalar(d):
     with pytest.raises(BesselOverflowError):
-        _scalar_chain(d, specfun.ORDER_CAP, 1e-3)
+        specfun.chain(d, specfun.ORDER_CAP, 1e-3)
     with pytest.raises(BesselOverflowError):
         specfun.array_chain(d, specfun.ORDER_CAP, [1.0, 1e-3, 5.0])
     # the regular family alone stays representable (it underflows to zero)
@@ -230,7 +229,7 @@ def _cloak_series(d):
     n = auto_truncation(spec, k, d, r_eval=4.3)
     b = incident_coefficients(spec, k, n, d, r_eval=4.3)
     return solve_series(virtual_medium(cfg), k, b, epsilon=eps,
-                        axis=tuple(spec.axis), incident=spec)
+                        axis=spec.axis, incident=spec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,13 +251,13 @@ REGIONS = {"ball": (0.0, 1.0), "shell": (1.0, 2.0), "exterior": (2.0, 4.3)}
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1),
        st.sampled_from(sorted(REGIONS)))
-def test_eval_many_matches_eval_by_region(d, seed, region):
+def test_eval_many_matches_scipy_by_region(d, seed, region):
     ser = _cloak_series(d)
     lo, hi = REGIONS[region]
     rng = np.random.default_rng(seed)
     pts = np.vstack([np.zeros((1, d)), _points(d, rng.uniform(lo, hi, 40)[1:], seed)])
     got = ser.eval_many(pts)
-    want = np.array([ser.eval(p) for p in pts])
+    want = series_values(ser, pts)
     assert got[0] == want[0]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -268,7 +267,7 @@ def test_eval_many_with_particular_term(d):
     ser = _eigen_series(d)
     pts = _points(d, np.linspace(0.02, 3.9, 77), seed=d)
     got = ser.eval_many(pts)
-    want = np.array([ser.eval(p) for p in pts])
+    want = series_values(ser, pts)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -335,7 +334,7 @@ def test_exterior_closed_form_matches_full_series(d, k, eps, layers, kind, seed)
     n = auto_truncation(spec, k, d, r_eval=r_max)
     b = incident_coefficients(spec, k, n, d, r_eval=r_max)
     ser = solve_series(virtual_medium(cfg), k, b, epsilon=eps,
-                       axis=None if spec.axis is None else tuple(spec.axis), incident=spec)
+                       axis=spec.axis, incident=spec)
     # the shell (1, 2) and the exterior beyond r = 2
     r_pts = np.concatenate([rng.uniform(1.001, 1.999, 20), rng.uniform(2.001, r_max, 20)])
     pts = _points(d, r_pts, seed)
@@ -356,7 +355,7 @@ def test_exterior_closed_form_just_outside_the_cloaked_ball(d):
     n = auto_truncation(spec, k, d)
     b = incident_coefficients(spec, k, n, d)
     ser = solve_series(virtual_medium(cfg), k, b, epsilon=eps,
-                       axis=tuple(spec.axis), incident=spec)
+                       axis=spec.axis, incident=spec)
     alphas = [m.alpha_n for m in ser.modes]
     last = max(i for i, a in enumerate(alphas) if a != 0)
     assert 0 < last < n and not any(alphas[last + 1:])
@@ -368,7 +367,7 @@ def test_exterior_closed_form_just_outside_the_cloaked_ball(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_eval_many_takes_the_inner_side_like_eval(d):
+def test_eval_many_takes_the_inner_side_like_scipy(d):
     # a point on a map branch radius or a layer interface takes the limit
     # from inside, here the value 1e-15 inside it (a few ulps)
     phys = _cloak_series(d)
@@ -387,7 +386,7 @@ def test_eval_many_takes_the_inner_side_like_eval(d):
     for ser, at in cases:
         inner = ser.eval_many([(1.0 - 1e-15) * at])[0]
         block = ser.eval_many(np.vstack([good[:2], at, good[2:]]))[2]
-        for got in (ser.eval(at), ser.eval_many([at])[0], block):
+        for got in (series_values(ser, [at])[0], ser.eval_many([at])[0], block):
             assert abs(got - inner) <= 1e-12 * abs(inner)
 
 
@@ -478,6 +477,20 @@ def test_radial_many_matches_scalar_profiles(d):
             assert np.all(np.abs(ders[:, i] - want_d) <= 1e-13 * size.real)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_many_slope_at_the_origin(d):
+    # only mode 1 has a slope at r = 0: (kappa c_1 + q_1) R_1'(0), with
+    # R_1'(0) = 1/2 in 2d and 1/3 in 3d; the eigenmode series has both terms
+    ser = _eigen_series(d)
+    mode = ser.modes[1]
+    assert mode.particular and mode.layer_coeffs[0][0]
+    kap = ser.medium.wavenumber(ser.k, 0)
+    want = (kap * mode.layer_coeffs[0][0] + mode.particular) * (0.5 if d == 2 else 1.0 / 3.0)
+    ders = ser.radial_many([0.0, 1e-9])[1]
+    assert ders[1, 0] == pytest.approx(want, rel=1e-15)
+    assert np.all(np.abs(ders[:, 0] - ders[:, 1]) <= 1e-8 * abs(want))
+
+
 # ---------------------------------------------------------------------------
 # vector-valued quadrature and the (L2, H1) pairs
 
@@ -537,7 +550,7 @@ def _node_density(d, vals, ders, r, first=0):
 @pytest.mark.parametrize("d", [2, 3])
 def test_norm_pairs_match_separate_values(d):
     virt, _ = _layered_series(d)
-    want = _separate_norms(lambda r: _node_density(d, *virt.radial_all(r), r),
+    want = _separate_norms(lambda r: _node_density(d, *(f[:, 0] for f in virt.radial_many(r)), r),
                            _split_points(virt, 0.07, 3.0))
     assert norm_annulus(virt, 0.07, 3.0) == pytest.approx(want, rel=1e-10)
 
@@ -551,12 +564,12 @@ def test_norm_pairs_match_separate_values(d):
     lim = interior_limit(cfg, b) if d == 3 else None
 
     def deviation(r):
-        vals, ders = interior.radial_all(r)
+        vals, ders = interior.radial_many(r)
         if lim is not None:
-            lv, ld = lim.radial_all(r)
+            lv, ld = lim.radial_many(r)
             vals[0] -= lv[0]
             ders[0] -= ld[0]
-        return _node_density(d, vals, ders, r)
+        return _node_density(d, vals[:, 0], ders[:, 0], r)
 
     want = _separate_norms(deviation, [0.0, 1.0])
     assert norm_annulus(interior, 0.0, 1.0, reference=lim) == pytest.approx(want, rel=1e-10)

@@ -24,6 +24,8 @@ from cloakwave.fields import (
 from cloakwave.mie import virtual_medium
 from cloakwave.transform import BlowupMap, radial_forward
 
+from oracles import series_values
+
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
 
@@ -399,7 +401,20 @@ GOLDEN_RUNS = [
     ("sweep3d_resonant", "sweep", ("results.csv", "summary.json")),
     ("blowup2d", "blowup", ("results.csv", "summary.json")),
     ("field2d_eigenmode", "field", ("field.csv", "summary.json")),
+    ("field3d", "field", ("field.csv", "summary.json")),
 ]
+
+
+def test_every_golden_config_is_reproduced():
+    # CI runs every config to exit 0; only a GOLDEN_RUNS entry compares its
+    # outputs with the committed ones
+    cfg_dir = os.path.join(GOLDEN, "configs")
+    configs = {
+        name[: -len(".cfg")]: parse_config_text(open(os.path.join(cfg_dir, name)).read())["experiment"]
+        for name in os.listdir(cfg_dir)
+        if name.endswith(".cfg")
+    }
+    assert configs == {name: experiment for name, experiment, _ in GOLDEN_RUNS}
 
 
 def _compare_numeric_text(got: str, want: str, rel: float) -> None:
@@ -642,7 +657,7 @@ grid.points = 24
     rows = np.loadtxt(os.path.join(out, "field.csv"), delimiter=",", skiprows=1)
     assert np.sum(np.linalg.norm(rows[:, :d], axis=1) < 1.0) >= 100
     series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
-    want = np.array([series.eval(p) for p in rows[:, :d]])
+    want = series_values(series, rows[:, :d])
     got = rows[:, d] + 1j * rows[:, d + 1]
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -650,7 +665,7 @@ grid.points = 24
 @pytest.mark.parametrize("d", [2, 3])
 def test_field_block_hitting_branch_radii_matches_point_by_point(tmp_path, monkeypatch, d):
     # step 0.25 puts grid points on the map's branch radii 1 and 2; the dump
-    # gives every point what eval gives it there, in one eval_many call per
+    # gives every point the series' value there, in one eval_many call per
     # block, and that is the value just inside the branch radius.  Near r = 1
     # the shell maps a physical distance h to about 2h in the virtual domain,
     # many inclusion radii once eps is small, so only the point itself will do
@@ -679,7 +694,7 @@ grid.points = 25
         assert len(calls) == math.ceil(len(rows) / cli.FIELD_BLOCK)
         pts, got = rows[:, :d], rows[:, d] + 1j * rows[:, d + 1]
         series = cli._field_evaluator(build_run_config(parse_config_text(text)))[0].__self__
-        want = np.array([series.eval(p) for p in pts])
+        want = series_values(series, pts)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         r = np.linalg.norm(pts, axis=1)
         for branch in (1.0, 2.0):
@@ -726,8 +741,8 @@ def test_field_dump_just_outside_the_cloak_at_high_order(tmp_path, d):
     # the grid point (1.0005, 0, ...) maps to virtual radius 0.0635, where
     # Y_154 (y_153) of the truncation N = 155 overflows, although alpha_n is
     # zero from order 11 (10) on; the dump's exterior runs only the outgoing
-    # orders, eval the singular family up to the last nonzero alpha_n, and
-    # both write every point
+    # orders, the scipy oracle takes singular terms only where alpha_n != 0,
+    # and both give every point
     text = f"""
 experiment = field
 dimension = {d}
@@ -751,7 +766,7 @@ grid.points = 29
     r_v = series._to_virtual(np.array([[1.0005] + [0.0] * (d - 1)]))[1][0]
     with pytest.raises(BesselOverflowError):
         specfun.chain(d, series.truncation, series.k_exterior * r_v)
-    want = np.array([series.eval(p) for p in rows[:, :d]])
+    want = series_values(series, rows[:, :d])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -811,12 +826,12 @@ def test_sweep_probe_just_above_radius_one(tmp_path, d):
     cloak = build_run_config(parse_config_text(text)).cloak
     spec = cloak.incident
     b = incident_coefficients(spec, 1.0, auto_truncation(spec, 1.0, d), d)
-    axis = tuple(spec.axis)
+    axis = spec.axis
     pullback = replace(free_series(d, 1.0, b, axis), epsilon=0.0)
     for eps, vis_l2, vis_h1 in rows:
         series = solve_series(virtual_medium(replace(cloak, epsilon=eps)), 1.0, b, axis=axis)
         cloaked = replace(series, epsilon=eps)
-        m = BlowupMap(eps, d)
+        m = BlowupMap(eps)
         dense = [radial_forward(m, eps * (1.0 + 2.0 ** (j / 2))) for j in range(40)]
         cuts = [1.0001] + [c for c in dense if 1.0001 < c < 2.0] + [2.0, 2.5]
         parts = [norm_annulus(cloaked, lo, hi, reference=pullback) for lo, hi in zip(cuts, cuts[1:])]

@@ -190,10 +190,10 @@ def _envelope_arguments(draw):
 )
 def test_bessel_matches_chain_row(d, kind, n, z):
     shift = d - 2.0
-    fams = [specfun.chain(d, n + 1, z, singular=False)[0][:, 0]]
+    fams = [specfun.chain(d, n + 1, z, singular=False)[0]]
     if kind != "regular":
         try:
-            fams.append(specfun.chain(d, n + 1, z)[1][:, 0])
+            fams.append(specfun.chain(d, n + 1, z)[1])
         except BesselOverflowError:
             with pytest.raises(BesselOverflowError):
                 bessel(d, kind, n, z)
@@ -366,6 +366,19 @@ def test_find_root_exact_tuning_budget(monkeypatch, d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
+def test_scalar_chain_gives_one_dimensional_orders(d):
+    # a scalar z gives the scalar kernel's own 1-D arrays of orders, bit for
+    # bit; an array of z gives (orders, len(z)) columns
+    for z in (1.7, 0.3 + 0.2j, 25.0, 1e-25):
+        got = chain(d, 6, z)
+        want = specfun._scalar_chain(d, 6, z, True)
+        for g, w in zip(got, want):
+            assert g.shape == (7,) and g.tobytes() == w.tobytes()
+        assert chain(d, 6, z, singular=False)[0].tobytes() == want[0].tobytes()
+        assert chain(d, 6, [z])[0].shape == (7, 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
 def test_partial_chain_ends_at_last_representable_order(d):
     from cloakwave.specfun import chain
 
@@ -393,7 +406,7 @@ def test_small_argument_regular_family_matches_mpmath(d):
     # below |z| = 1e-20 the leading term; 3d below |z| = 1 normalizes against j_0
     orders = (0, 1, 2, 3, 7, 20, 50, 100, 200)
     for z in np.geomspace(1e-8, 1e-300, 120):
-        scalar = chain(d, 200, z, singular=False)[0][:, 0]
+        scalar = chain(d, 200, z, singular=False)[0]
         block = specfun.array_chain(d, 200, [z, 1.5, 1j * z], singular=False)[0][:, 0]
         for n in orders:
             want = _mp_regular(d, n, z)
@@ -408,7 +421,7 @@ def test_small_argument_singular_family(d):
     # y_1 = y_0 / z in 3d below 1e-20 (z^2 underflows from ~1e-162); an order
     # past the overflow limit raises or ends a partial chain
     for z in (1e-25, 1e-100, 1e-139):
-        sing = chain(d, 1, z)[1][:, 0]
+        sing = chain(d, 1, z)[1]
         for n in (0, 1):
             if d == 2:
                 want = mp.bessely(n, z)
