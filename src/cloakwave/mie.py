@@ -393,19 +393,38 @@ def _mp_regular(d: int, z) -> tuple:
     return mp.besselj(0, z), -mp.besselj(1, z)
 
 
+def _mp_y0_series(z, j0, j0p) -> tuple:
+    """(Y_0(z), Y_0'(z)) by DLMF 10.8.2, given J_0(z) and J_0'(z), at the working precision.
+
+    Y_0 = (2/pi) [(ln(z/2) + gamma) J_0 + q sum_n H_n u_n], u_n = (-1)^(n+1) q^(n-1) / (n!)^2,
+    q = z^2/4, and Y_0' term by term; the sums run in integers scaled by 2^prec, ten guard digits.
+    """
+    with mp.workdps(mp.mp.dps + 10):          # terms reach 1e6 times the sum at k eps <= 15
+        prec, q = mp.mp.prec, z * z / 4
+        one, qf, n = 1 << prec, int(mp.ldexp(q, prec)), 1
+        u = h = s = ds = one                  # u_1, H_1 and both sums at n = 1
+        while u:                              # until u_n falls below 2^-prec
+            n += 1
+            u = -((u * qf) >> prec) // (n * n)
+            h += one // n
+            t = (h * u) >> prec
+            s, ds = s + t, ds + n * t
+        s, ds, log = q * mp.ldexp(s, -prec), q * mp.ldexp(ds, -prec), mp.log(z / 2) + mp.euler
+        y0, y0p = 2 / mp.pi * (log * j0 + s), 2 / mp.pi * (j0 / z + log * j0p + 2 * ds / z)
+    return +y0, +y0p
+
+
 def _mp_exterior(d: int, k: float, eps: float) -> tuple:
     """(k eps, flux factor, (J_0, J_0'), (Y_0, Y_0')), or j_0 and y_0 in 3d, at k eps in mpmath.
 
     The exterior side of alpha0, evaluated once per tuned row for both the
-    polish and alpha0 (inside mp.workdps(MP_DIGITS)).
+    polish and alpha0 (inside mp.workdps(MP_DIGITS)); Y_0, Y_0' by _mp_y0_series.
     """
     ke = mp.mpf(k) * mp.mpf(eps)
-    flux = 1 / mp.mpf(eps) if d == 3 else mp.mpf(1)
+    reg = _mp_regular(d, ke)
     if d == 3:
-        sing = -mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2
-    else:
-        sing = mp.bessely(0, ke), -mp.bessely(1, ke)
-    return ke, flux, _mp_regular(d, ke), sing
+        return ke, 1 / mp.mpf(eps), reg, (-mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2)
+    return ke, mp.mpf(1), reg, _mp_y0_series(ke, *reg)
 
 
 def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
@@ -585,11 +604,11 @@ def _refine_root_mp(d: int, t0: float, exterior: tuple):
     """Polish the exact tuning root t0 to the mpmath working precision.
 
     Newton on the tuning condition g(t) = c1 R_0(t) - c2 t R_0'(t), the
-    monopole Wronskian of the singular exterior basis (c1 = k eps Y_0',
-    c2 = flux Y_0 from _mp_exterior), with g' from the Bessel equation:
-    c1 J_0' + c2 t J_0 (2d) or c1 j_0' + c2 (j_0' + t j_0) (3d).  The root
-    is simple, so three steps from the double root (error ~1e-14) converge
-    quadratically to 60 digits.
+    monopole Wronskian of the singular exterior basis (c1 = k eps Y_0', c2 =
+    flux Y_0 from _mp_exterior: the DLMF 10.8.2 series at the working
+    precision in 2d), with g' from the Bessel equation:
+    c1 J_0' + c2 t J_0 (2d) or c1 j_0' + c2 (j_0' + t j_0) (3d).  The root is
+    simple, so three steps from the double root (error ~1e-14) converge to 60 digits.
     """
     ke, flux, _, sing = exterior
     c1, c2 = ke * sing[1], flux * sing[0]

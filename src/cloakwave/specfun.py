@@ -108,20 +108,21 @@ def _miller_j_chain(nmax: int, z: complex, spherical: bool) -> np.ndarray:
     m_start = int(nmax + 1.9 * az + 36)
     if m_start % 2:
         m_start += 1
-    out = np.zeros(m_start + 1, dtype=complex)
     prev = 0.0 + 0.0j
     cur = 1.0e-280 + 0.0j
-    out[m_start] = cur
+    out = [cur]                      # orders m_start down to 0
     half = 0.5 if spherical else 0.0
+    lim, nlim = _RESCALE_LIMIT, -_RESCALE_LIMIT   # a NaN leaves the fast range test but never rescales
     for m in range(m_start, 0, -1):
         nxt = (2.0 * (m + half) / z) * cur - prev
         prev, cur = cur, nxt
-        out[m - 1] = cur
-        if abs(cur.real) > _RESCALE_LIMIT or abs(cur.imag) > _RESCALE_LIMIT:
-            out *= 1.0e-250
+        out.append(cur)
+        if not (nlim <= cur.real <= lim and nlim <= cur.imag <= lim) and (
+                cur.real > lim or cur.real < nlim or cur.imag > lim or cur.imag < nlim):
+            out = list(np.array(out) * 1.0e-250)   # numpy's product, signed zeros and all
             prev *= 1.0e-250
             cur *= 1.0e-250
-    return out
+    return np.array(out[::-1])
 
 
 def _cyl_j_chain_full(nmax: int, z: complex) -> np.ndarray:

@@ -678,3 +678,29 @@ def pde_residual(field, m: BlowupMap, sample_points, h: float) -> float:
         res, scale = _residual_at(m, p, up, h, field.k)
         worst = max(worst, res / scale)
     return worst
+
+
+def miller_j_chain_loop(nmax: int, z: complex, spherical: bool) -> np.ndarray:
+    """specfun._miller_j_chain as a plain loop, the reference for its bits.
+
+    Each order is stored into the array as it is made and each step tests
+    the components with abs(); the arithmetic and rescale points are the same.
+    """
+    az = abs(z)
+    m_start = int(nmax + 1.9 * az + 36)
+    if m_start % 2:
+        m_start += 1
+    out = np.zeros(m_start + 1, dtype=complex)
+    prev = 0.0 + 0.0j
+    cur = 1.0e-280 + 0.0j
+    out[m_start] = cur
+    half = 0.5 if spherical else 0.0
+    for m in range(m_start, 0, -1):
+        nxt = (2.0 * (m + half) / z) * cur - prev
+        prev, cur = cur, nxt
+        out[m - 1] = cur
+        if abs(cur.real) > 1.0e250 or abs(cur.imag) > 1.0e250:
+            out *= 1.0e-250
+            prev *= 1.0e-250
+            cur *= 1.0e-250
+    return out

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -972,3 +974,19 @@ def test_tiny_bessel_arguments_run_or_fail_cleanly(tmp_path, capsys, experiment,
         for row in (out / "results.csv").read_text().splitlines()[1:]:
             eps, vis, _, int_l2 = (float(v) for v in row.split(",")[:4])
             assert vis == 0.0 and 3.0 < int_l2 / eps < 3.2
+
+
+def test_cli_import_loads_only_numpy_and_mpmath():
+    # what importing the program adds to a fresh interpreter, beyond the
+    # standard library: the tests import scipy for their oracles, so only a
+    # new process shows this (it bounds the start-up cost of every run)
+    code = (
+        "import sys; before = set(sys.modules); import cloakwave.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {"cloakwave", "numpy", "mpmath"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"cloakwave", "numpy", "mpmath"} == set()

@@ -299,6 +299,30 @@ def test_exact_tuning_polish_matches_mpmath_findroot(d):
             assert err <= 1e-30, (k, eps, err)
 
 
+@pytest.mark.parametrize("k, eps", [(50.0, 0.3), (9.619302230783092, 0.25)])
+def test_exact_tuning_polish_at_envelope_edge_2d(k, eps):
+    # k eps = 15 (FREQUENCY_CAP times the tuning bound on eps) and the first
+    # zero of J_0, past the small arguments above: the exterior series' terms
+    # cancel hardest here; the oracle keeps mpmath's own bessely
+    t = tune_sigma(2, k, eps, first_resonance(2, 1.0), "exact")
+    ref = _tuning_root_mp(2, k, eps, t.k_eps)
+    with mp.workdps(80):
+        err = abs(mp.mpf(t.k_eps) + mp.mpf(t.k_eps_lo) - ref) / ref
+    assert err <= 1e-30, (k, eps, err)
+    assert abs(t.alpha0 + 1) <= 1e-30, t.alpha0
+
+
+@pytest.mark.parametrize("z", [
+    "1e-100", "1e-9", "1e-5", "1e-2", "0.5", "2.404825557695773", "3.0", "12.5", "15.0",
+])
+def test_y0_series_matches_mpmath_bessely(z):
+    with mp.workdps(80):
+        z = mp.mpf(z)
+        y0, y0p = mie._mp_y0_series(z, mp.besselj(0, z), -mp.besselj(1, z))
+        assert abs(y0 - mp.bessely(0, z)) <= 1e-50 * abs(mp.bessely(0, z))
+        assert abs(y0p + mp.bessely(1, z)) <= 1e-50 * abs(mp.bessely(1, z))
+
+
 # (d, k, eps, k_eps, k_eps_lo, alpha0) from six central-difference Newton steps
 # and a 50-digit alpha0, which the exact-derivative polish reproduces bit for
 # bit; k = 9.619302230783092 puts k eps exactly at 2.404825557695773, the
@@ -325,25 +349,30 @@ def test_exact_tuning_bits_pinned(d, k, eps, hi, lo, alpha):
 
 
 def test_exact_tuning_row_evaluates_exterior_once(monkeypatch):
-    # Y_0 and Y_1 at k eps once per row, shared by the polish and alpha0;
-    # a repeated row makes the same calls again, so no cache outlives one
+    # one Y_0 series per row at k eps, shared by the polish and alpha0; a
+    # repeated row evaluates it again, so no cache outlives one; mpmath's
+    # integer-order bessely is never called
     calls = []
-    real = mp.bessely
+    real = mie._mp_y0_series
 
-    def counting(n, z):
-        calls.append(n)
-        return real(n, z)
+    def counting(z, j0, j0p):
+        calls.append(z)
+        return real(z, j0, j0p)
 
-    monkeypatch.setattr(mp, "bessely", counting)
+    def forbidden(n, z):
+        raise AssertionError("mp.bessely called")
+
+    monkeypatch.setattr(mie, "_mp_y0_series", counting)
+    monkeypatch.setattr(mp, "bessely", forbidden)
     spec = first_resonance(2, 1.0)
     for _ in range(2):
         calls.clear()
         res = instability_sweep(2, 1.0, [1e-2, 1e-3, 1e-4])
         assert [r.alpha0 for r in res.records] == [t.alpha0 for t in res.tuned]
-        assert sorted(calls) == [0, 0, 0, 1, 1, 1]   # two per row
+        assert len(calls) == 3   # one per row
         calls.clear()
         assert tune_sigma(2, 1.0, 1e-3, spec, "exact").alpha0 is not None
-        assert sorted(calls) == [0, 1]
+        assert len(calls) == 1
 
 
 def test_tune_sigma_validation():

@@ -18,7 +18,7 @@ from cloakwave.errors import (
 )
 from cloakwave.specfun import bessel, chain, find_root
 
-from oracles import bisect, first_j1_zero, first_tan_fixed_point, j1_series
+from oracles import bisect, first_j1_zero, first_tan_fixed_point, j1_series, miller_j_chain_loop
 
 
 # frozen from the independent series/bisection oracles below
@@ -434,3 +434,23 @@ def test_small_argument_singular_family(d):
         sing = chain(d, 5, z, partial=True)[1]
         assert len(sing) < 6 and np.all(np.isfinite(sing))
         assert np.all(np.isfinite(chain(d, 5, z, singular=False)[0]))
+
+
+def test_miller_chain_keeps_the_loop_reference_bits():
+    # random orders and arguments, real and complex, both families; the
+    # explicit small arguments at high order span thousands of decades, so
+    # the chain rescales several times on the way down
+    rng = np.random.default_rng(7)
+    cases = [(200, 1e-12, False), (200, 1e-40j, True), (150, -3e-15 + 1e-15j, False), (200, 1e-30, True)]
+    for _ in range(400):
+        z = 10.0 ** rng.uniform(-15, math.log10(3e3))
+        if rng.random() < 0.5:
+            z *= cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        elif rng.random() < 0.5:
+            z = -z
+        cases.append((int(rng.integers(0, 201)), z, bool(rng.integers(0, 2))))
+    for nmax, z, spherical in cases:
+        got = specfun._miller_j_chain(nmax, complex(z), spherical)
+        want = miller_j_chain_loop(nmax, complex(z), spherical)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (nmax, z, spherical)
