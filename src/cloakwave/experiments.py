@@ -40,7 +40,6 @@ from .mie import (
     Layer,
     ResonanceSpec,
     TunedSigma,
-    alpha0_closed_form,
     first_resonance,
     interior_source_mode_solve,
     blown_up_medium,
@@ -215,14 +214,14 @@ def instability_sweep(
 
     For each epsilon the interior density is tuned near the first monopole
     resonance so the scattering coefficient is driven to -1; the record
-    reports the tuned density (tuning-equation convention) and the
-    closed-form alpha0.  The incident field is the unit monopole, so each
-    row solves that one order: the scattered norm over the probe annulus
-    is the solve's |alpha_0| times the unit-coefficient outgoing norm, the
-    reference against which the tuned rows read order one, and the
-    interior norm is the blown-up interior series' over the unit ball.  A
-    3d sweep below TUNING_FLOOR_3D is rejected: the double-precision solve
-    no longer reaches alpha0 = -1 there.
+    reports the tuned density (tuning-equation convention) and its alpha0
+    at 60 digits (TunedSigma.alpha0).  The incident field is the unit
+    monopole, so each row solves that one order: the scattered norm over
+    the probe annulus is the solve's |alpha_0| times the unit-coefficient
+    outgoing norm, the reference against which the tuned rows read order
+    one, and the interior norm is the blown-up interior series' over the
+    unit ball.  A 3d sweep below TUNING_FLOOR_3D is rejected: the
+    double-precision solve no longer reaches alpha0 = -1 there.
     """
     eps = _check_eps_list(eps_list)
     if d == 3 and eps[-1] < TUNING_FLOOR_3D:
@@ -234,7 +233,6 @@ def instability_sweep(
         try:
             tuned = tune_sigma(d, k, e, spec0, variant)
             cfg = tuned_inclusion_config(tuned)
-            alpha = tuned.alpha0 if variant == "exact" else alpha0_closed_form(d, k, e, tuned.k_eps)
             series = solve_series(virtual_medium(cfg), k, np.ones(1))
             int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
         except SingularSystemError as exc:
@@ -242,7 +240,7 @@ def instability_sweep(
         amp_out = abs(series.modes[0].alpha_n)
         rec = SweepRecord(
             e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1,
-            sigma_eps=tuned.sigma_paper, alpha0=alpha,
+            sigma_eps=tuned.sigma_paper, alpha0=tuned.alpha0,
         )
         return rec, tuned
 

@@ -273,8 +273,7 @@ class FieldSeries:
             origin = sel[rs[sel] == 0.0]
             vals[0, origin] = co[0]   # regular basis: R_n(0) = [n == 0]
             if derivatives and origin.size and n_max >= 1:   # R_1'(0): 1/2 in 2d, 1/3 in 3d
-                slope = specfun.bessel(self.dimension, "regular", 1, 0.0).derivative
-                ders[1, origin] = (kap * co[1] + q[1]) * slope
+                ders[1, origin] = (kap * co[1] + q[1]) * (0.5 if self.dimension == 2 else 1.0 / 3.0)
             sel = sel[rs[sel] > 0.0]
             if not sel.size:
                 continue
@@ -731,7 +730,7 @@ def interior_limit(
             f"configuration is resonant (margin {float(np.min(margins)):.3e}); use the "
             "resonance experiments"
         )
-    coef = complex(b[0]) / specfun.bessel(3, "regular", 0, kap).value
+    coef = complex(b[0]) / specfun.bessel(3, 0, kap)[0]
     mode0 = ModeSolution(n=0, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
                          layer_coeffs=((coef, 0.0 + 0.0j),))
     return FieldSeries(k=config.k, modes=(mode0,), medium=LayeredMedium(d, config.interior), axis=axis)

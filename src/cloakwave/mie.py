@@ -9,10 +9,12 @@ solved as arrays.  A dense per-mode assembly lives with the tests as their
 oracle.
 
 Also here: the small-inclusion (virtual) media obtained by pulling the
-cloak problem back through the blow-up map, the closed-form monopole
-scattering coefficient for a single inclusion, the resonant-density tuning
-used by the instability experiment, resonance detection, and the
-interior-eigenfunction-source solve that drives the blow-up experiment.
+cloak problem back through the blow-up map, the resonant-density tuning
+used by the instability experiment with its monopole scattering
+coefficient alpha0 (both tuning variants evaluate alpha0 at MP_DIGITS
+digits, from one extended-precision monopole basis), resonance detection,
+and the interior-eigenfunction-source solve that drives the blow-up
+experiment.
 """
 
 from __future__ import annotations
@@ -347,7 +349,7 @@ def solve_modes(medium: LayeredMedium, k: float, b) -> tuple[ModeSolution, ...]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form monopole coefficient and tuning
+# monopole coefficient and tuning
 
 
 def _monopole_wronskian(ke, flux, exterior: tuple, t, interior: tuple):
@@ -362,28 +364,6 @@ def _monopole_wronskian(ke, flux, exterior: tuple, t, interior: tuple):
     f, fp = exterior
     r, rp = interior
     return ke * fp * r - flux * t * f * rp
-
-
-def alpha0_closed_form(d: int, k: float, eps: float, k_eps: float) -> complex:
-    """Monopole scattering coefficient of the rescaled single inclusion.
-
-    k_eps is the interior Bessel argument at the unit interface, in double
-    precision.  A tuned row's alpha0 needs extended precision, where the
-    imaginary part of the denominator has slope ~ 1/eps^2 in k_eps; tune_sigma
-    computes it (TunedSigma.alpha0).
-    """
-    if d not in (2, 3):
-        raise ValidationError(f"dimension must be 2 or 3, got {d}")
-    ke = k * eps
-    flux = 1.0 / eps if d == 3 else 1.0
-    interior = specfun.bessel(d, "regular", 0, k_eps)
-    num, den = (
-        _monopole_wronskian(ke, flux, ev, k_eps, interior)
-        for ev in (specfun.bessel(d, "regular", 0, ke), specfun.bessel(d, "outgoing", 0, ke))
-    )
-    if abs(den) <= 1e-280 * max(1.0, abs(num)):
-        raise SingularSystemError("alpha0 denominator vanished to machine precision")
-    return complex(-num / den)
 
 
 def _mp_regular(d: int, z) -> tuple:
@@ -417,8 +397,9 @@ def _mp_y0_series(z, j0, j0p) -> tuple:
 def _mp_exterior(d: int, k: float, eps: float) -> tuple:
     """(k eps, flux factor, (J_0, J_0'), (Y_0, Y_0')), or j_0 and y_0 in 3d, at k eps in mpmath.
 
-    The exterior side of alpha0, evaluated once per tuned row for both the
-    polish and alpha0 (inside mp.workdps(MP_DIGITS)); Y_0, Y_0' by _mp_y0_series.
+    The exterior side of alpha0, evaluated once per tuned row for alpha0
+    and, on an exact row, the polish (inside mp.workdps(MP_DIGITS)); Y_0,
+    Y_0' by _mp_y0_series.
     """
     ke = mp.mpf(k) * mp.mpf(eps)
     reg = _mp_regular(d, ke)
@@ -428,11 +409,17 @@ def _mp_exterior(d: int, k: float, eps: float) -> tuple:
 
 
 def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
-    """alpha0 at the mpmath interior argument t, from _mp_exterior's tuple."""
+    """alpha0 at the mpmath interior argument t, from _mp_exterior's tuple.
+
+    Raises SingularSystemError if the denominator vanishes at the working
+    precision, relative to the numerator (a lossless row has |alpha0| <= 1).
+    """
     ke, flux, (j, jp), (y, yp) = exterior
     interior = _mp_regular(d, t)
     num = _monopole_wronskian(ke, flux, (j, jp), t, interior)
     den = _monopole_wronskian(ke, flux, (j + 1j * y, jp + 1j * yp), t, interior)
+    if abs(den) <= mp.eps * abs(num):
+        raise SingularSystemError("alpha0 denominator vanished at the working precision")
     return complex(-num / den)
 
 
@@ -475,7 +462,7 @@ def _condition(d: int, n: int, kappa, value, derivative, a: float):
 
 def resonance_condition(d: int, n: int, kappa: float, a: float = 1.0) -> tuple[float, float]:
     """(raw, normalized) modal resonance condition at interior argument kappa (see _condition)."""
-    raw, normed = _condition(d, n, kappa, *specfun.bessel(d, "regular", n, kappa), a)
+    raw, normed = _condition(d, n, kappa, *specfun.bessel(d, n, kappa), a)
     return float(raw), float(normed)
 
 
@@ -512,13 +499,21 @@ def _grid_roots(grid: np.ndarray, vals: np.ndarray, fun):
 
 
 def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
-    """First resonant density of the given mode at frequency k, unit stiffness."""
+    """First resonant density of the given mode at frequency k, unit stiffness.
+
+    Scans 2400 points of [0.3, 12] in blocks of 256 that share their end
+    points, and stops at the first block holding a root: the low modes'
+    roots lie in the first blocks, and each point's value does not depend
+    on its block (specfun.chain).
+    """
     grid = np.linspace(0.3, 12.0, 2400)
-    vals = resonance_scan(d, mode, grid)[0][mode]
-    kap = next(_grid_roots(grid, vals, lambda x: resonance_condition(d, mode, x)[0]), None)
-    if kap is None:
-        raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
-    return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
+    fun = lambda x: resonance_condition(d, mode, x)[0]
+    for start in range(0, grid.size - 1, 255):
+        block = grid[start:start + 256]
+        kap = next(_grid_roots(block, resonance_scan(d, mode, block)[0][mode], fun), None)
+        if kap is not None:
+            return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
+    raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
 
 
 def detect_resonances(
@@ -560,9 +555,10 @@ class TunedSigma:
     k_eps is the tuned interior Bessel argument; sigma follows in the two
     conventions (the density symbol of the tuning equations reads k_eps / k,
     while the interior equation implies (k_eps / k)^2).  k_eps_lo is the
-    double-double correction of the polished root, and alpha0 (exact variant
-    only) the monopole coefficient at k_eps + k_eps_lo in extended precision,
-    computed with the polish's exterior Bessel values.
+    double-double correction of the polished root (0 for the "paper"
+    variant, whose double root is not polished), and alpha0 the monopole
+    coefficient at k_eps + k_eps_lo at MP_DIGITS digits, for both variants,
+    from the exterior Bessel values the polish uses.
     """
 
     dimension: int
@@ -572,7 +568,7 @@ class TunedSigma:
     k_eps: float
     k_eps_lo: float
     kappa_star: float
-    alpha0: complex | None = None
+    alpha0: complex
 
     @property
     def sigma_paper(self) -> float:
@@ -592,12 +588,12 @@ class TunedSigma:
 
 
 def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
-    reg = specfun.bessel(d, "regular", 0, t)
+    val, der = specfun.bessel(d, 0, t)
     if d == 3:
         rhs = -eps - k * eps * eps * math.tan(k * eps)
-        return (reg.derivative / reg.value).real - rhs
+        return (der / val).real - rhs
     rhs = 1.0 / math.log(k * eps / 2.0)
-    return (t * reg.derivative / reg.value).real - rhs
+    return (t * der / val).real - rhs
 
 
 def _refine_root_mp(d: int, t0: float, exterior: tuple):
@@ -630,7 +626,9 @@ def tune_sigma(
     the leading-order balance instead (small-argument Y_0 without the
     Euler-Mascheroni constant in 2d, and a plain logarithmic-derivative
     match in 3d that omits the k_eps weight of the exact condition), so it
-    detunes at the same rate but does not reach alpha0 = -1.
+    detunes at the same rate but does not reach alpha0 = -1.  The exact root
+    is polished at MP_DIGITS digits, the paper root kept as found; either
+    row's alpha0 is evaluated at MP_DIGITS digits (_alpha0_mp).
     """
     if variant not in ("exact", "paper"):
         raise ValidationError(f"unknown tuning variant {variant!r}")
@@ -643,10 +641,11 @@ def tune_sigma(
     if variant == "exact":
         # Im of alpha0's denominator; the exterior factor is fixed over the search
         ke, flux = k * eps, (1.0 / eps if d == 3 else 1.0)
-        sing = specfun.bessel(d, "singular", 0, ke)
+        y = specfun.chain(d, 1, ke)[1]
+        sing = (complex(y[0]), complex(specfun.chain_derivative(y, ke, d)[0]))
 
         def fun(t: float) -> float:
-            return _monopole_wronskian(ke, flux, sing, t, specfun.bessel(d, "regular", 0, t)).real
+            return _monopole_wronskian(ke, flux, sing, t, specfun.bessel(d, 0, t)).real
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
     try:
@@ -655,11 +654,9 @@ def tune_sigma(
         raise BracketError(
             f"tuning bracket around kappa* = {kap:.6f} failed: {exc}"
         ) from exc
-    if variant == "paper":
-        return TunedSigma(d, k, eps, variant, root, 0.0, kap)
     with mp.workdps(MP_DIGITS):
         exterior = _mp_exterior(d, k, eps)
-        t = _refine_root_mp(d, root, exterior)
+        t = mp.mpf(root) if variant == "paper" else _refine_root_mp(d, root, exterior)
         hi = float(t)
         lo = float(t - hi)
         alpha0 = _alpha0_mp(d, mp.mpf(hi) + mp.mpf(lo), exterior)
@@ -702,8 +699,7 @@ def interior_source_mode_solve(
     d = medium.dimension
     kap = medium.wavenumber(k, 0)
     q = -(amplitude / lay.a) / (2.0 * kap)
-    reg = specfun.bessel(d, "regular", n, kap)
-    pv, pd = particular_profile(d, angular_eigenvalue(d, n), kap, 1.0, reg.value, reg.derivative)
+    pv, pd = particular_profile(d, angular_eigenvalue(d, n), kap, 1.0, *specfun.bessel(d, n, kap))
     inner = _interface_side(d, n, lay.a, kap, 1.0, False)
     outer = _interface_side(d, n, 1.0, medium.exterior_wavenumber(k), 1.0, True)
     if min(len(inner), len(outer)) <= n:

@@ -1,18 +1,19 @@
 """Complex-argument Bessel kernel and a bracketing scalar root finder.
 
-Cylindrical J_n, Y_n, H_n^(1) and spherical j_n, y_n, h_n^(1) for integer
-order, with derivatives taken with respect to the argument.  The regular
-family is generated by downward (Miller) recurrence; Y_0 and Y_1 come from
-Neumann-type expansions over the same J chain, which avoids the cancellation
-that kills the classical power series past |z| ~ 10, and higher orders of
-the singular family follow by upward recurrence (stable: Y is dominant).
+Cylindrical J_n, Y_n and spherical j_n, y_n for integer order, with
+derivatives taken with respect to the argument (callers assemble the
+outgoing H = J + iY from the two).  The regular family is generated by
+downward (Miller) recurrence; Y_0 and Y_1 come from Neumann-type
+expansions over the same J chain, which avoids the cancellation that kills
+the classical power series past |z| ~ 10, and higher orders of the
+singular family follow by upward recurrence (stable: Y is dominant).
 
 The public surface: chain (all orders at a scalar z or over an array of
 z), its array kernel array_chain, chain_derivative, bessel (one order of
-the regular, singular or outgoing family with its derivative, for closed
-forms, the interior-source solve and root-finder targets) and find_root
-(ITP: superlinear on smooth roots, at most one step beyond bisection's
-worst case).  The derivative rule f'_n = f_(n-1) - (n + d - 2)/z f_n is
+the regular family with its derivative, for the interior-source solve,
+the 3d monopole leak of a resonant interior and root-finder targets) and
+find_root (ITP: superlinear on smooth roots, at most one step beyond
+bisection's worst case).  The derivative rule f'_n = f_(n-1) - (n + d - 2)/z f_n is
 written twice: for all orders in chain_derivative, and for one order in
 scalar arithmetic in bessel, where a numpy call would cost several times
 the scalar chain itself.
@@ -37,11 +38,11 @@ it), the nodes of one quadrature refinement level (FieldSeries.radial_many)
 and resonance scan grids.  The scalar chains stay the kernel of
 scalar-argument calls, and give 1-D arrays of orders: the all-orders
 transfer solve (one partial chain per interface side), the ends of
-closed-form norm segments, bessel and incident coefficients; for one
-argument an array pass costs 7-35x more.  Over orders 0..200,
-1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree to 1e-13 exp(2 Im z)
-of the local size |f_n| + |f_(n+1)|, and raise the same errors where
-either overflows.
+closed-form norm segments, bessel, the exact tuning's Y_0 at k eps and
+incident coefficients; for one argument an array pass costs 7-35x more.
+Over orders 0..200, 1e-3 <= |z| <= 1e3 and 0 < Im z <= 10 the two agree
+to 1e-13 exp(2 Im z) of the local size |f_n| + |f_(n+1)|, and raise the
+same errors where either overflows.
 
 An array_chain step writes into preallocated buffers, never a product over
 an operand (a *= b can round a complex product differently from a * b).
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,17 +76,9 @@ _RESCALE_LIMIT = 1.0e250
 _OVERFLOW_LIMIT = 1.0e280
 
 
-class BesselEval(NamedTuple):
-    """Value and argument-derivative of one Bessel-family function, a (value, derivative) pair."""
-
-    value: complex
-    derivative: complex
-
-
-def _check_order_arg(
-    n: int, z: complex, singular: bool, cap: int = ORDER_CAP + 1
-) -> complex:
-    # chains run one order past the public cap to supply derivatives
+def _check_order_arg(n: int, z: complex, cap: int = ORDER_CAP + 1) -> complex:
+    # chains run one order past the public cap to supply derivatives; z = 0
+    # is outside every checked call (the singular family, bessel's derivative)
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise BesselDomainError(f"order must be a nonnegative integer, got {n!r}")
     if n > cap:
@@ -93,8 +86,8 @@ def _check_order_arg(
     z = complex(z)
     if abs(z) > ARG_CAP:
         raise BesselDomainError(f"|z| = {abs(z):.3g} exceeds cap {ARG_CAP:.0e}")
-    if singular and z == 0:
-        raise BesselDomainError("singular kind is undefined at z = 0")
+    if z == 0:
+        raise BesselDomainError("Bessel argument z = 0 is outside the domain")
     return z
 
 
@@ -237,7 +230,7 @@ def _scalar_chain(
     is y_0 / z: z^2 underflows from about 1e-162, and the dropped
     -sin z / z is below 1e-40 of it.
     """
-    z = _check_order_arg(nmax, z, singular=True) if singular else complex(z)
+    z = _check_order_arg(nmax, z) if singular else complex(z)
     tiny = abs(z) < SMALL_ARG
     top = nmax if singular_nmax is None else min(nmax, singular_nmax)
     if d == 3:
@@ -332,7 +325,7 @@ def array_chain(
     z = np.asarray(z, dtype=complex).ravel()
     mag = np.abs(z)
     for w in (z[np.argmax(mag)], z[np.argmin(mag)]):
-        _check_order_arg(nmax, w, singular=True)
+        _check_order_arg(nmax, w)
     ns = nmax if singular_nmax is None else min(nmax, singular_nmax)
     tiny = mag < SMALL_ARG
     if tiny.any():
@@ -439,49 +432,20 @@ def chain_derivative(f: np.ndarray, z, d: int) -> np.ndarray:
     return der
 
 
-def _regular_at_zero(n: int, spherical: bool) -> BesselEval:
-    if n == 0:
-        return BesselEval(1.0 + 0.0j, 0.0 + 0.0j)
-    if n == 1:
-        return BesselEval(0.0 + 0.0j, (1.0 / 3.0 if spherical else 0.5) + 0.0j)
-    return BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
+def bessel(d: int, n: int, z: complex) -> tuple[complex, complex]:
+    """(R_n(z), R_n'(z)) of the regular family: J_n (d = 2) or j_n (d = 3).
 
-
-def bessel(d: int, kind: str, n: int, z: complex) -> BesselEval:
-    """One order of the regular, singular or outgoing family, with derivative.
-
-    Parameters
-    ----------
-    d : 2 for J_n, Y_n, H_n^(1) or 3 for j_n, y_n, h_n^(1).
-    kind : "regular", "singular" or "outgoing".
-    n : integer order, 0 <= n <= ORDER_CAP.
-    z : complex argument, |z| <= ARG_CAP; z != 0 unless kind is "regular".
-
-    Returns
-    -------
-    BesselEval from the scalar chain of orders 0..n + 1 (see chain); the
-    outgoing value and derivative are J + iY of the components, so the
-    identity holds bitwise for complex arguments too.
+    n is an integer order, 0 <= n <= ORDER_CAP, and z a complex argument
+    with 0 < |z| <= ARG_CAP; the values come from the scalar chain of
+    orders 0..n + 1 (see chain).
     """
-    if kind not in ("regular", "singular", "outgoing"):
-        raise BesselDomainError(f"unknown Bessel kind {kind!r}")
-    z = _check_order_arg(n, z, singular=kind != "regular", cap=ORDER_CAP)
-    if z == 0:
-        return _regular_at_zero(n, spherical=d == 3)
-    reg, sing = _scalar_chain(d, n + 1, z, singular=kind != "regular")
+    z = _check_order_arg(n, z, cap=ORDER_CAP)
+    reg = _scalar_chain(d, n + 1, z, singular=False)[0]
     # chain_derivative's rule for one order, in scalar arithmetic: its numpy
     # form costs several times the chain itself at low order, and root-finder
     # targets make thousands of these calls
-    ratio = (n + 1.0 if d == 3 else n) / z
-
-    def one(f: np.ndarray) -> tuple[complex, complex]:
-        return f[n], -f[1] if n == 0 else f[n - 1] - ratio * f[n]
-
-    if kind == "outgoing":
-        (jv, jd), (yv, yd) = one(reg), one(sing)
-        return BesselEval(complex(jv + 1j * yv), complex(jd + 1j * yd))
-    val, der = one(sing if kind == "singular" else reg)
-    return BesselEval(complex(val), complex(der))
+    der = -reg[1] if n == 0 else reg[n - 1] - (n + 1.0 if d == 3 else n) / z * reg[n]
+    return complex(reg[n]), complex(der)
 
 
 def find_root(f: Callable[[float], float], bracket: Sequence[float]) -> float:

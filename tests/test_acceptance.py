@@ -14,10 +14,11 @@ import dataclasses
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cloakwave import experiments as ex
+from cloakwave import experiments as ex, mie
 from cloakwave.fields import (
     FieldSeries,
     IncidentSpec,
@@ -34,14 +35,13 @@ from cloakwave.mie import (
     CloakConfig,
     Layer,
     LayeredMedium,
-    alpha0_closed_form,
     blown_up_medium,
     first_resonance,
     interior_source_mode_solve,
     solve_modes,
     virtual_medium,
 )
-from cloakwave.specfun import bessel
+from cloakwave.specfun import bessel, chain, chain_derivative
 from cloakwave.transform import BlowupMap
 
 from oracles import (
@@ -239,6 +239,17 @@ def _fit_slope(xs, ys) -> float:
     return float(slope)
 
 
+def _families(d, n, z):
+    """(value, derivative) of order n at z of the regular, singular and outgoing families.
+
+    One scalar chain of orders 0..n + 1 and chain_derivative; the outgoing
+    pair is J + iY of the other two.
+    """
+    reg, sing = chain(d, n + 1, z)
+    (rv, rd), (sv, sd) = ((f[n], chain_derivative(f, z, d)[n]) for f in (reg, sing))
+    return (rv, rd), (sv, sd), (rv + 1j * sv, rd + 1j * sd)
+
+
 def _resonant_leading_constants(cfg: CloakConfig, b: np.ndarray) -> dict[int, float]:
     """Leading-order L2(B1) deviation / eps^2 of the monopole and the dipole.
 
@@ -250,11 +261,11 @@ def _resonant_leading_constants(cfg: CloakConfig, b: np.ndarray) -> dict[int, fl
     """
     k, lay = cfg.k, cfg.interior[0]
     kap = k * math.sqrt(lay.sigma / lay.a)
-    j = [bessel(3, "regular", n, kap) for n in range(3)]
-    jv = [f.value.real for f in j]
+    j = [bessel(3, n, kap) for n in range(3)]
+    jv = [f[0].real for f in j]
     c0 = 0.5 * k * k * abs(b[0]) * math.sqrt(mode_weight(3, 0) / 2.0)
     c1 = (
-        k * abs(b[1]) / (lay.a * kap * abs(j[1].derivative))
+        k * abs(b[1]) / (lay.a * kap * abs(j[1][1]))
         * math.sqrt(mode_weight(3, 1) * (jv[1] ** 2 - jv[0] * jv[2]) / 2.0)
     )
     return {0: c0, 1: c1}
@@ -359,7 +370,8 @@ def test_criterion_6_oracle_equivalences():
             k_eps = float(rng.uniform(0.5, 6.0))
             cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, (k_eps / k) ** 2),))
             ms = _mode(blown_up_medium(cfg), k, 0, 1.0).alpha_n
-            cf = alpha0_closed_form(d, k, eps, k_eps)
+            with mp.workdps(mie.MP_DIGITS):
+                cf = mie._alpha0_mp(d, mp.mpf(k_eps), mie._mp_exterior(d, k, eps))
             worst_cf = max(worst_cf, abs(ms - cf) / max(1.0, abs(cf)))
     worst_dense = 0.0
     for d in (2, 3):
@@ -415,25 +427,18 @@ def test_criterion_7_special_function_suite():
     worst_w = 0.0
     for x in (0.1, 1.0, 10.0, 100.0):
         for n in (0, 1, 5, 17, 50):
-            j = bessel(2, "regular", n, x)
-            y = bessel(2, "singular", n, x)
+            (jv, jd), (yv, yd), _ = _families(2, n, x)
             target = 2.0 / (math.pi * x)
-            worst_w = max(worst_w, abs(j.value * y.derivative - j.derivative * y.value - target) / target)
-            js = bessel(3, "regular", n, x)
-            ys = bessel(3, "singular", n, x)
-            worst_w = max(
-                worst_w,
-                abs(js.value * ys.derivative - js.derivative * ys.value - 1.0 / x**2) * x**2,
-            )
+            worst_w = max(worst_w, abs(jv * yd - jd * yv - target) / target)
+            (jv, jd), (yv, yd), _ = _families(3, n, x)
+            worst_w = max(worst_w, abs(jv * yd - jd * yv - 1.0 / x**2) * x**2)
     checks.append(("wronskians", worst_w, 1e-11))
     # recurrence consistency
     worst_r = 0.0
     for z in (0.7, 6.3, 42.0):
-        for kind in ("regular", "singular", "outgoing"):
+        for kind in range(3):   # regular, singular, outgoing
             for n in range(1, 31):
-                lo = bessel(2, kind, n - 1, z).value
-                mid = bessel(2, kind, n, z).value
-                hi = bessel(2, kind, n + 1, z).value
+                lo, mid, hi = (_families(2, m, z)[kind][0] for m in (n - 1, n, n + 1))
                 scale = max(abs(lo + hi), abs(2 * n / z * mid), 1e-300)
                 worst_r = max(worst_r, abs(lo + hi - 2 * n / z * mid) / scale)
     checks.append(("recurrence", worst_r, 1e-10))
@@ -441,16 +446,16 @@ def test_criterion_7_special_function_suite():
     worst_c = 0.0
     for z in np.linspace(0.1, 20.0, 40):
         z = float(z)
+        (j0, _), (y0, _), (h0, _) = _families(3, 0, z)
         worst_c = max(
             worst_c,
-            abs(bessel(3, "regular", 0, z).value - math.sin(z) / z) / max(abs(math.sin(z) / z), 1e-3),
-            abs(bessel(3, "singular", 0, z).value + math.cos(z) / z) / max(abs(math.cos(z) / z), 1e-3),
-            abs(bessel(3, "outgoing", 0, z).value - np.exp(1j * z) / (1j * z)) / abs(np.exp(1j * z) / z),
+            abs(j0 - math.sin(z) / z) / max(abs(math.sin(z) / z), 1e-3),
+            abs(y0 + math.cos(z) / z) / max(abs(math.cos(z) / z), 1e-3),
+            abs(h0 - np.exp(1j * z) / (1j * z)) / abs(np.exp(1j * z) / z),
         )
     checks.append(("closed forms", worst_c, 1e-13))
     # small-argument Hankel derivative limit
-    h = bessel(2, "outgoing", 0, 1e-8)
-    dev = abs(1e-8 * h.derivative - 2j / math.pi)
+    dev = abs(1e-8 * _families(2, 0, 1e-8)[2][1] - 2j / math.pi)
     checks.append(("hankel small-z limit", dev, 1e-6))
     ok = all(val <= tol for _, val, tol in checks)
     _report(

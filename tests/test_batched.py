@@ -82,7 +82,7 @@ def _check_chain(d, nmax, z):
             _assert_chain_close(g[:, 0], w, z)
     elif want_err is BesselOverflowError:
         # the regular family alone stays representable (Miller rescales)
-        want = np.array([specfun.bessel(d, "regular", n, z).value for n in range(nmax + 1)])
+        want = np.array([specfun.bessel(d, n, z)[0] for n in range(nmax + 1)])
         got = specfun.array_chain(d, nmax, [z], singular=False)[0][:, 0]
         _assert_chain_close(got, want, z)
 
@@ -395,8 +395,21 @@ def test_eval_many_takes_the_inner_side_like_scipy(d):
 
 
 def _one(d):
-    """Scalar evaluator and its (regular, singular, outgoing) kinds."""
-    return functools.partial(specfun.bessel, d), ("regular", "singular", "outgoing")
+    """Scalar evaluator of one order, and its (regular, singular, outgoing) kinds.
+
+    one(kind, n, z) is (value, derivative) of order n at z: specfun.bessel
+    for the regular family, else row n of a scalar chain of orders 0..n + 1
+    and chain_derivative, the outgoing pair J + iY of the components.
+    """
+
+    def one(kind, n, z):
+        if kind == "regular":
+            return specfun.bessel(d, n, z)
+        reg, sing = specfun.chain(d, n + 1, z)
+        (rv, rd), (sv, sd) = ((f[n], specfun.chain_derivative(f, z, d)[n]) for f in (reg, sing))
+        return (sv, sd) if kind == "singular" else (rv + 1j * sv, rd + 1j * sd)
+
+    return one, ("regular", "singular", "outgoing")
 
 
 def _particular_scalar(d: int, n: int, kap: complex, q: complex, r: float):
@@ -406,13 +419,13 @@ def _particular_scalar(d: int, n: int, kap: complex, q: complex, r: float):
     R_(n-1)' (order 0: R_0'' = -R_1') from a second evaluation.
     """
     z = kap * r
-    e = specfun.bessel(d, "regular", n, z)
+    val, der = specfun.bessel(d, n, z)
     if n == 0:
-        d2 = -specfun.bessel(d, "regular", 1, z).derivative
+        d2 = -specfun.bessel(d, 1, z)[1]
     else:
         s = n + d - 2.0
-        d2 = specfun.bessel(d, "regular", n - 1, z).derivative + s / (z * z) * e.value - s / z * e.derivative
-    return q * r * e.derivative, q * (e.derivative + kap * r * d2)
+        d2 = specfun.bessel(d, n - 1, z)[1] + s / (z * z) * val - s / z * der
+    return q * r * der, q * (der + kap * r * d2)
 
 
 def _scalar_profiles(ser, r: float):
@@ -433,9 +446,9 @@ def _scalar_profiles(ser, r: float):
     rows = []
     for m, (c, s) in zip(ser.modes, coeffs):
         terms = [(c, one(reg, m.n, kap * r))] + ([(s, one(skind, m.n, kap * r))] if s else [])
-        val = sum(a * e.value for a, e in terms)
-        der = kap * sum(a * e.derivative for a, e in terms)
-        size = sum(abs(a) * (abs(e.value) + abs(kap * e.derivative)) for a, e in terms)
+        val = sum(a * ev for a, (ev, _) in terms)
+        der = kap * sum(a * ed for a, (_, ed) in terms)
+        size = sum(abs(a) * (abs(ev) + abs(kap * ed)) for a, (ev, ed) in terms)
         if idx == 0 and m.particular:
             pv, pd = _particular_scalar(ser.dimension, m.n, kap, m.particular, r)
             val, der, size = val + pv, der + pd, size + abs(pv) + abs(pd)
@@ -576,8 +589,8 @@ def test_norm_pairs_match_separate_values(d):
 
     def outgoing(r):
         one, (_, _, kind) = _one(d)
-        e = one(kind, 2, 1.3 * r)
-        return _node_density(d, np.array([e.value]), np.array([1.3 * e.derivative]), r, first=2)
+        val, der = one(kind, 2, 1.3 * r)
+        return _node_density(d, np.array([val]), np.array([1.3 * der]), r, first=2)
 
     want = _separate_norms(outgoing, [2.0, 4.0])
     assert outgoing_mode_norm(d, 1.3, 2, 2.0, 4.0) == pytest.approx(want, rel=1e-10)
@@ -665,6 +678,13 @@ def test_one_array_chain_per_level_per_layer(d, monkeypatch):
     norm_annulus(replace(virt, epsilon=0.1), 0.1, 0.45)
     assert counts["array_chain"] == counts["levels"] > 2
     counts.update(array_chain=0, levels=0)
-    first_resonance(d, 1.0)
+    # first_resonance: one chain per 256-point block (255 intervals), up to
+    # the block whose interval holds the root, out of the grid's ten
+    kap = first_resonance(d, 1.0).kappa_star
+    interval = int(np.searchsorted(np.linspace(0.3, 12.0, 2400), kap)) - 1
+    blocks = interval // 255 + 1
+    assert blocks < 10
+    assert counts == {"array_chain": blocks, "levels": 0}
+    counts.update(array_chain=0)
     detect_resonances(d, 1.0, 1.5, (0.5, 8.0), 6)
-    assert counts == {"array_chain": 2, "levels": 0}
+    assert counts == {"array_chain": 1, "levels": 0}

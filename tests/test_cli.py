@@ -404,6 +404,7 @@ GOLDEN_RUNS = [
     ("blowup2d", "blowup", ("results.csv", "summary.json")),
     ("field2d_eigenmode", "field", ("field.csv", "summary.json")),
     ("field3d", "field", ("field.csv", "summary.json")),
+    ("instability3d_paper", "instability", ("results.csv", "summary.json")),
 ]
 
 
@@ -530,12 +531,14 @@ tuning = paper
 def test_instability_singular_alpha0_exits_3(tmp_path, monkeypatch):
     from cloakwave import mie
 
-    zero = mie.specfun.BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
-    real = mie.specfun.bessel
-    monkeypatch.setattr(
-        mie.specfun, "bessel",
-        lambda d, kind, n, z: zero if kind == "outgoing" else real(d, kind, n, z),
-    )
+    real = mie._mp_exterior
+
+    def vanishing(d, k, eps):
+        # singular column i times the regular one: the outgoing H = J + iY is 0
+        ke, flux, reg, _ = real(d, k, eps)
+        return ke, flux, reg, tuple(1j * f for f in reg)
+
+    monkeypatch.setattr(mie, "_mp_exterior", vanishing)
     cfg = _write_cfg(
         tmp_path,
         """

@@ -20,7 +20,6 @@ from cloakwave.mie import (
     CloakConfig,
     Layer,
     LayeredMedium,
-    alpha0_closed_form,
     blown_up_medium,
     detect_resonances,
     first_resonance,
@@ -173,6 +172,12 @@ def test_alpha_decays_superexponentially():
 # -- closed-form monopole coefficient ----------------------------------------
 
 
+def _alpha0(d, k, eps, k_eps):
+    """alpha0 of the rescaled single inclusion at interior argument k_eps, at mie.MP_DIGITS."""
+    with mp.workdps(mie.MP_DIGITS):
+        return mie._alpha0_mp(d, mp.mpf(k_eps), mie._mp_exterior(d, k, eps))
+
+
 def test_alpha0_closed_form_matches_mode_solve():
     rng = np.random.default_rng(23)
     for d in (2, 3):
@@ -183,35 +188,40 @@ def test_alpha0_closed_form_matches_mode_solve():
             sigma_eq = (k_eps / k) ** 2
             cfg = CloakConfig(d, k, eps, (Layer(1.0, 1.0, sigma_eq),))
             ms = _mode(blown_up_medium(cfg), k, 0, 1.0).alpha_n
-            cf = alpha0_closed_form(d, k, eps, k_eps)
+            cf = _alpha0(d, k, eps, k_eps)
             assert abs(ms - cf) <= 1e-11 * max(1.0, abs(cf))
 
 
 def test_alpha0_no_contrast_vanishes():
     # interior matching the rescaled background exactly: k_eps = k * eps
-    val = alpha0_closed_form(2, 1.3, 0.05, 1.3 * 0.05)
+    val = _alpha0(2, 1.3, 0.05, 1.3 * 0.05)
     assert abs(val) < 1e-14
 
 
 def test_alpha0_at_interior_stationary_point():
     # j0'(k_eps) = 0 kills the flux term; cross-check against mode_solve
     k, eps = 1.0, 0.03
-    cf = alpha0_closed_form(3, k, eps, KAPPA3)
+    cf = _alpha0(3, k, eps, KAPPA3)
     cfg = CloakConfig(3, k, eps, (Layer(1.0, 1.0, (KAPPA3 / k) ** 2),))
     ms = _mode(blown_up_medium(cfg), k, 0, 1.0).alpha_n
     assert abs(cf - ms) <= 1e-11 * max(1.0, abs(ms))
 
 
+def _vanishing_outgoing_exterior(real):
+    """An _mp_exterior whose singular column is i times the regular one, so H = J + iY = 0."""
+
+    def exterior(d, k, eps):
+        ke, flux, reg, _ = real(d, k, eps)
+        return ke, flux, reg, tuple(1j * f for f in reg)
+
+    return exterior
+
+
 def test_alpha0_vanishing_denominator_is_singular(monkeypatch):
-    zero = mie.specfun.BesselEval(0.0 + 0.0j, 0.0 + 0.0j)
-    real = mie.specfun.bessel
-    monkeypatch.setattr(
-        mie.specfun, "bessel",
-        lambda d, kind, n, z: zero if kind == "outgoing" else real(d, kind, n, z),
-    )
+    monkeypatch.setattr(mie, "_mp_exterior", _vanishing_outgoing_exterior(mie._mp_exterior))
     for d in (2, 3):
         with pytest.raises(SingularSystemError, match="alpha0 denominator"):
-            alpha0_closed_form(d, 1.0, 1e-2, 1.2)
+            tune_sigma(d, 1.0, 1e-2, first_resonance(d, 1.0), "paper")
 
 
 def test_alpha0_tuned_is_minus_one():
@@ -269,8 +279,7 @@ def test_paper_variant_misses_minus_one():
     for d in (2, 3):
         spec = first_resonance(d, 1.0)
         t = tune_sigma(d, 1.0, 1e-3, spec, "paper")
-        cf = alpha0_closed_form(d, 1.0, 1e-3, t.k_eps)
-        assert abs(cf + 1.0) > 1e-3
+        assert abs(t.alpha0 + 1.0) > 1e-3
 
 
 def _tuning_root_mp(d, k, eps, t0):
@@ -373,6 +382,52 @@ def test_exact_tuning_row_evaluates_exterior_once(monkeypatch):
         calls.clear()
         assert tune_sigma(2, 1.0, 1e-3, spec, "exact").alpha0 is not None
         assert len(calls) == 1
+
+
+def _alpha0_reference(d, k, eps, t):
+    """alpha0 at interior argument t by mpmath at 80 digits, independent of mie's basis.
+
+    mp.besselj and mp.bessely in 2d, the sin/cos closed forms of j_0 and y_0 in 3d.
+    """
+    with mp.workdps(80):
+        ke, t = mp.mpf(k) * mp.mpf(eps), mp.mpf(t)
+        if d == 2:
+            (j, jp), (r, rp) = ((mp.besselj(0, z), -mp.besselj(1, z)) for z in (ke, t))
+            y, yp, flux = mp.bessely(0, ke), -mp.bessely(1, ke), 1
+        else:
+            (j, jp), (r, rp) = ((mp.sin(z) / z, mp.cos(z) / z - mp.sin(z) / z**2) for z in (ke, t))
+            y, yp = -mp.cos(ke) / ke, mp.sin(ke) / ke + mp.cos(ke) / ke**2
+            flux = 1 / mp.mpf(eps)
+        num = ke * jp * r - flux * t * j * rp
+        den = ke * (jp + 1j * yp) * r - flux * t * (j + 1j * y) * rp
+        return complex(-num / den)
+
+
+@pytest.mark.parametrize("d, eps", [(2, 1e-2), (2, 1e-40), (3, 1e-2), (3, 1e-6)])
+def test_paper_alpha0_matches_80_digit_reference(d, eps):
+    # a paper row keeps its double root unpolished and evaluates alpha0 there
+    # at 60 digits; double-precision Bessel values were off by up to 7.3e-12
+    # (2d, 1e-40) and 6.9e-12 (3d, 1e-6)
+    t = tune_sigma(d, 1.0, eps, first_resonance(d, 1.0), "paper")
+    assert t.k_eps_lo == 0.0
+    ref = _alpha0_reference(d, 1.0, eps, t.k_eps)
+    assert abs(t.alpha0 - ref) <= 1e-14 * abs(ref), (t.alpha0, ref)
+
+
+# first_resonance's kappa* to the bit: a blow-up row at small eps moves with
+# every ulp of it (1.9e-8 per ulp for the 2d eps = 1e-4 row)
+_KAPPA_STAR_PINS = {
+    2: ["3.831705970207512", "2.404825557695773", "3.8317059702075125", "5.135622301840683",
+        "6.380161895923983", "7.588342434503804", "8.771483815959954"],
+    3: ["4.493409457909064", "2.0815759778181", "3.3420936573656945", "4.514099647032281",
+        "5.646703620436796", "6.756456330204129", "7.851077679474404"],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_first_resonance_bits_pinned(d):
+    got = [repr(first_resonance(d, 1.0, mode).kappa_star) for mode in range(7)]
+    assert got == _KAPPA_STAR_PINS[d]
 
 
 def test_tune_sigma_validation():
@@ -686,13 +741,16 @@ def test_tuning_target_takes_one_chain_per_evaluation(monkeypatch):
     from cloakwave import specfun
 
     counts = {"chains": 0, "targets": 0}
-    real_fn = specfun.bessel
 
-    def counting(*args):
-        counts["chains"] += 1
-        return real_fn(*args)
+    def counting(real_fn):
+        def fn(*args, **kwargs):
+            counts["chains"] += 1
+            return real_fn(*args, **kwargs)
 
-    monkeypatch.setattr(specfun, "bessel", counting)
+        return fn
+
+    for name in ("bessel", "chain"):
+        monkeypatch.setattr(specfun, name, counting(getattr(specfun, name)))
     real_find = mie.find_root
 
     def counting_find(f, bracket):

@@ -16,7 +16,7 @@ from cloakwave.errors import (
     BracketError,
     ConvergenceError,
 )
-from cloakwave.specfun import bessel, chain, find_root
+from cloakwave.specfun import bessel, chain, chain_derivative, find_root
 
 from oracles import bisect, first_j1_zero, first_tan_fixed_point, j1_series, miller_j_chain_loop
 
@@ -26,67 +26,71 @@ J1_FIRST_ZERO = 3.8317059702075125
 TAN_FIXED_POINT = 4.493409457909064
 
 
+def _families(d, n, z):
+    """(value, derivative) of order n at z of the regular, singular and outgoing families.
+
+    One scalar chain of orders 0..n + 1 and chain_derivative; the outgoing
+    pair is J + iY of the other two.
+    """
+    reg, sing = chain(d, n + 1, z)
+    (rv, rd), (sv, sd) = ((f[n], chain_derivative(f, z, d)[n]) for f in (reg, sing))
+    return (rv, rd), (sv, sd), (rv + 1j * sv, rd + 1j * sd)
+
+
 def test_oracle_roots_match_frozen_values():
     assert abs(first_j1_zero() - J1_FIRST_ZERO) < 1e-12
     assert abs(first_tan_fixed_point() - TAN_FIXED_POINT) < 1e-12
 
 
 def test_j0_stationary_at_first_j1_zero():
-    ev = bessel(2, "regular", 0, J1_FIRST_ZERO)
-    assert abs(ev.derivative) < 1e-12
+    assert abs(bessel(2, 0, J1_FIRST_ZERO)[1]) < 1e-12
 
 
 def test_hankel0_small_argument_limit():
-    ev = bessel(2, "outgoing", 0, 1e-8)
-    assert abs(1e-8 * ev.derivative - 2j / math.pi) < 1e-6
+    hd = _families(2, 0, 1e-8)[2][1]
+    assert abs(1e-8 * hd - 2j / math.pi) < 1e-6
 
 
 def test_cylindrical_wronskian_at_example_point():
     x = 1.7
-    j = bessel(2, "regular", 0, x)
-    y = bessel(2, "singular", 0, x)
-    w = j.value * y.derivative - j.derivative * y.value
+    (jv, jd), (yv, yd), _ = _families(2, 0, x)
+    w = jv * yd - jd * yv
     assert abs(w - 2.0 / (math.pi * x)) < 1e-12
 
 
 def test_spherical_j0_at_pi():
-    assert abs(bessel(3, "regular", 0, math.pi).value) < 1e-14
+    assert abs(bessel(3, 0, math.pi)[0]) < 1e-14
 
 
 def test_spherical_j0_stationary_point():
-    ev = bessel(3, "regular", 0, TAN_FIXED_POINT)
-    assert abs(ev.derivative) < 1e-10
+    assert abs(bessel(3, 0, TAN_FIXED_POINT)[1]) < 1e-10
 
 
 def test_spherical_wronskian_at_example_point():
     x = 2.3
-    j = bessel(3, "regular", 0, x)
-    y = bessel(3, "singular", 0, x)
-    w = j.value * y.derivative - j.derivative * y.value
+    (jv, jd), (yv, yd), _ = _families(3, 0, x)
+    w = jv * yd - jd * yv
     assert abs(w - 1.0 / (x * x)) < 1e-12
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0, 10.0, 100.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 27, 50])
 def test_wronskians_across_orders(x, n):
-    j = bessel(2, "regular", n, x)
-    y = bessel(2, "singular", n, x)
-    w = j.value * y.derivative - j.derivative * y.value
+    (jv, jd), (yv, yd), _ = _families(2, n, x)
+    w = jv * yd - jd * yv
     target = 2.0 / (math.pi * x)
     assert abs(w - target) <= 1e-11 * abs(target)
-    js = bessel(3, "regular", n, x)
-    ys = bessel(3, "singular", n, x)
-    ws = js.value * ys.derivative - js.derivative * ys.value
+    (jv, jd), (yv, yd), _ = _families(3, n, x)
+    ws = jv * yd - jd * yv
     assert abs(ws - 1.0 / (x * x)) <= 1e-11 / (x * x)
 
 
 @pytest.mark.parametrize("z", [0.7, 4.2, 11.0, 60.0, 900.0, 2.0 + 1.5j])
-@pytest.mark.parametrize("kind", ["regular", "singular", "outgoing"], ids=["J", "Y", "H1"])
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["J", "Y", "H1"])
 def test_cylindrical_recurrence(z, kind):
+    # each order from its own chain, the family picked from _families
     for n in range(1, 31):
-        lo = bessel(2, kind, n - 1, z).value
-        mid = bessel(2, kind, n, z).value
-        hi = bessel(2, kind, n + 1, z).value
+        lo, mid, hi = (_families(2, m, z)[kind][0] for m in (n - 1, n, n + 1))
         lhs = lo + hi
         rhs = (2.0 * n / z) * mid
         scale = max(abs(lhs), abs(rhs))
@@ -98,9 +102,7 @@ def test_cylindrical_recurrence(z, kind):
 @pytest.mark.parametrize("z", np.linspace(0.1, 20.0, 17))
 def test_spherical_closed_forms(z):
     z = float(z)
-    j0 = bessel(3, "regular", 0, z).value
-    y0 = bessel(3, "singular", 0, z).value
-    h0 = bessel(3, "outgoing", 0, z).value
+    (j0, _), (y0, _), (h0, _) = _families(3, 0, z)
     assert abs(j0 - math.sin(z) / z) <= 1e-13 * max(abs(j0), 1e-3)
     assert abs(y0 - (-math.cos(z) / z)) <= 1e-13 * max(abs(y0), 1e-3)
     ref = cmath.exp(1j * z) / (1j * z)
@@ -112,25 +114,15 @@ def test_small_argument_y0_leading_log():
     # ~4% at t = 1e-6 (the Euler-Mascheroni constant the leading-order form
     # drops); the 2% level is reached around t ~ 1e-13
     t = 1e-6
-    y0 = bessel(2, "singular", 0, t).value.real
+    y0 = _families(2, 0, t)[1][0].real
     leading = (2.0 / math.pi) * math.log(t / 2.0)
     gamma = specfun.EULER_GAMMA
     assert abs(y0 / leading - 1.0) < gamma / abs(math.log(t / 2.0)) + 1e-6
     assert abs(y0 / leading - 1.0) < 0.05
     t = 1e-13
-    y0 = bessel(2, "singular", 0, t).value.real
+    y0 = _families(2, 0, t)[1][0].real
     leading = (2.0 / math.pi) * math.log(t / 2.0)
     assert abs(y0 / leading - 1.0) < 0.02
-
-
-def test_h1_is_j_plus_iy_exactly():
-    for n in (0, 3, 17):
-        for z in (0.3, 7.7, 45.0, 1.2 + 0.8j):
-            j = bessel(2, "regular", n, z)
-            y = bessel(2, "singular", n, z)
-            h = bessel(2, "outgoing", n, z)
-            assert h.value == j.value + 1j * y.value
-            assert h.derivative == j.derivative + 1j * y.derivative
 
 
 @pytest.mark.parametrize(
@@ -138,17 +130,17 @@ def test_h1_is_j_plus_iy_exactly():
     [(0, 0.05), (1, 2.7), (4, 9.9), (9, 13.0), (3, 77.0), (0, 3.0 + 1.0j), (6, 8.0 + 2.0j)],
 )
 def test_cross_check_against_scipy(n, z):
-    j = bessel(2, "regular", n, z)
-    y = bessel(2, "singular", n, z)
-    assert abs(j.value - ss.jv(n, z)) <= 1e-11 * max(1.0, abs(ss.jv(n, z)))
-    assert abs(y.value - ss.yv(n, z)) <= 1e-11 * max(1.0, abs(ss.yv(n, z)))
-    assert abs(j.derivative - ss.jvp(n, z)) <= 1e-11 * max(1.0, abs(ss.jvp(n, z)))
+    (jv, jd), (yv, _), _ = _families(2, n, z)
+    assert abs(jv - ss.jv(n, z)) <= 1e-11 * max(1.0, abs(ss.jv(n, z)))
+    assert abs(yv - ss.yv(n, z)) <= 1e-11 * max(1.0, abs(ss.yv(n, z)))
+    assert abs(jd - ss.jvp(n, z)) <= 1e-11 * max(1.0, abs(ss.jvp(n, z)))
     if np.iscomplexobj(z) or isinstance(z, complex):
         return
     sj = ss.spherical_jn(n, z)
     sy = ss.spherical_yn(n, z)
-    assert abs(bessel(3, "regular", n, z).value - sj) <= 1e-12 * max(1.0, abs(sj))
-    assert abs(bessel(3, "singular", n, z).value - sy) <= 1e-12 * max(1.0, abs(sy))
+    (jv, _), (yv, _), _ = _families(3, n, z)
+    assert abs(jv - sj) <= 1e-12 * max(1.0, abs(sj))
+    assert abs(yv - sy) <= 1e-12 * max(1.0, abs(sy))
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,9 +149,8 @@ def test_cross_check_against_scipy(n, z):
     x=st.floats(min_value=0.05, max_value=300.0),
 )
 def test_wronskian_property(n, x):
-    j = bessel(2, "regular", n, x)
-    y = bessel(2, "singular", n, x)
-    w = j.value * y.derivative - j.derivative * y.value
+    (jv, jd), (yv, yd), _ = _families(2, n, x)
+    w = jv * yd - jd * yv
     target = 2.0 / (math.pi * x)
     assert abs(w - target) <= 1e-10 * abs(target)
 
@@ -167,7 +158,7 @@ def test_wronskian_property(n, x):
 @settings(max_examples=60, deadline=None)
 @given(x=st.floats(min_value=1e-6, max_value=1000.0))
 def test_spherical_j0_matches_sinc(x):
-    val = bessel(3, "regular", 0, x).value
+    val = bessel(3, 0, x)[0]
     ref = math.sin(x) / x
     assert abs(val - ref) <= 1e-14 * max(abs(ref), 1e-12)
 
@@ -182,65 +173,34 @@ def _envelope_arguments(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.sampled_from([2, 3]),
-    st.sampled_from(["regular", "singular", "outgoing"]),
-    st.integers(0, specfun.ORDER_CAP),
-    _envelope_arguments(),
-)
-def test_bessel_matches_chain_row(d, kind, n, z):
-    shift = d - 2.0
-    fams = [specfun.chain(d, n + 1, z, singular=False)[0]]
-    if kind != "regular":
-        try:
-            fams.append(specfun.chain(d, n + 1, z)[1])
-        except BesselOverflowError:
-            with pytest.raises(BesselOverflowError):
-                bessel(d, kind, n, z)
-            return
-    # each family's row n as chain and chain_derivative give it, and the
-    # size of the terms of the derivative rule
-    vals = [f[n] for f in fams]
-    ders = [specfun.chain_derivative(f, z, d)[n] for f in fams]
-    sizes = [abs(f[1]) if n == 0 else abs(f[n - 1]) + abs((n + shift) / z * f[n]) for f in fams]
-    ev = bessel(d, kind, n, z)
-    if kind == "outgoing":
-        assert ev.value == vals[0] + 1j * vals[1]
-        r, s = bessel(d, "regular", n, z), bessel(d, "singular", n, z)
-        assert ev.value == r.value + 1j * s.value
-        assert ev.derivative == r.derivative + 1j * s.derivative
-        want, size = ders[0] + 1j * ders[1], sizes[0] + sizes[1]
-    else:
-        assert ev.value == vals[-1]
-        want, size = ders[-1], sizes[-1]
-    assert abs(ev.derivative - want) <= 1e-13 * size
-
-
-def test_regular_kinds_at_zero():
-    assert bessel(2, "regular", 0, 0.0).value == 1.0
-    assert bessel(2, "regular", 1, 0.0).derivative == 0.5
-    assert bessel(3, "regular", 0, 0.0).value == 1.0
-    assert bessel(3, "regular", 1, 0.0).derivative == pytest.approx(1.0 / 3.0)
+@given(st.sampled_from([2, 3]), st.integers(0, specfun.ORDER_CAP), _envelope_arguments())
+def test_bessel_matches_chain_row(d, n, z):
+    # row n as chain and chain_derivative give it, and the size of the terms
+    # of the derivative rule
+    f = chain(d, n + 1, z, singular=False)[0]
+    size = abs(f[1]) if n == 0 else abs(f[n - 1]) + abs((n + d - 2.0) / z * f[n])
+    val, der = bessel(d, n, z)
+    assert val == f[n]
+    assert abs(der - chain_derivative(f, z, d)[n]) <= 1e-13 * size
 
 
 def test_domain_errors():
+    for d in (2, 3):
+        with pytest.raises(BesselDomainError):
+            bessel(d, 0, 0.0)
+        with pytest.raises(BesselDomainError):
+            chain(d, 0, 0.0)
     with pytest.raises(BesselDomainError):
-        bessel(2, "singular", 0, 0.0)
+        bessel(2, 201, 1.0)
     with pytest.raises(BesselDomainError):
-        bessel(3, "outgoing", 0, 0.0)
-    with pytest.raises(BesselDomainError):
-        bessel(2, "regular", 201, 1.0)
-    with pytest.raises(BesselDomainError):
-        bessel(2, "regular", 0, 2.0e4)
-    with pytest.raises(BesselDomainError):
-        bessel(2, "K", 0, 1.0)
+        bessel(2, 0, 2.0e4)
 
 
 def test_overflow_error_on_singular_recurrence():
     with pytest.raises(BesselOverflowError):
-        bessel(2, "singular", 180, 0.05)
+        chain(2, 181, 0.05)
     with pytest.raises(BesselOverflowError):
-        bessel(3, "singular", 180, 0.05)
+        chain(3, 181, 0.05)
 
 
 # -- root finder -------------------------------------------------------------
