@@ -38,6 +38,8 @@ from .mie import (
     TUNING_FLOOR_3D,
     CloakConfig,
     Layer,
+    LayeredMedium,
+    ModeSolution,
     ResonanceSpec,
     TunedSigma,
     first_resonance,
@@ -45,7 +47,6 @@ from .mie import (
     blown_up_medium,
     resonance_scan,
     tune_sigma,
-    tuned_inclusion_config,
     virtual_medium,
 )
 
@@ -214,14 +215,14 @@ def instability_sweep(
 
     For each epsilon the interior density is tuned near the first monopole
     resonance so the scattering coefficient is driven to -1; the record
-    reports the tuned density (tuning-equation convention) and its alpha0
-    at 60 digits (TunedSigma.alpha0).  The incident field is the unit
-    monopole, so each row solves that one order: the scattered norm over
-    the probe annulus is the solve's |alpha_0| times the unit-coefficient
+    reports the tuned density (tuning-equation convention) and its alpha0.
+    Under the unit monopole incidence a row makes no transfer solve: the
+    scattered norm over the probe annulus is |alpha0| times the unit
     outgoing norm, the reference against which the tuned rows read order
-    one, and the interior norm is the blown-up interior series' over the
-    unit ball.  A 3d sweep below TUNING_FLOOR_3D is rejected: the
-    double-precision solve no longer reaches alpha0 = -1 there.
+    one, and the interior norm is that of c R_0(kappa r) on the unit ball
+    at the tuned density (TunedSigma.alpha0 and .interior, at 60 digits).
+    A 3d sweep below TUNING_FLOOR_3D is rejected: the tuned root no longer
+    holds alpha0 = -1 there.
     """
     eps = _check_eps_list(eps_list)
     if d == 3 and eps[-1] < TUNING_FLOOR_3D:
@@ -232,12 +233,13 @@ def instability_sweep(
     def one(e: float) -> tuple[SweepRecord, TunedSigma | None]:
         try:
             tuned = tune_sigma(d, k, e, spec0, variant)
-            cfg = tuned_inclusion_config(tuned)
-            series = solve_series(virtual_medium(cfg), k, np.ones(1))
-            int_l2, int_h1 = norm_annulus(blown_up_interior_series(cfg, series), 0.0, 1.0)
         except SingularSystemError as exc:
             return _singular_record(e, exc), None
-        amp_out = abs(series.modes[0].alpha_n)
+        ball = LayeredMedium(d, (Layer(1.0, 1.0, tuned.sigma_eq),))
+        mode0 = ModeSolution(n=0, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
+                             layer_coeffs=((tuned.interior, 0.0 + 0.0j),))
+        int_l2, int_h1 = norm_annulus(mode_series(ball, k, mode0), 0.0, 1.0)
+        amp_out = abs(tuned.alpha0)
         rec = SweepRecord(
             e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1,
             sigma_eps=tuned.sigma_paper, alpha0=tuned.alpha0,

@@ -9,12 +9,12 @@ solved as arrays.  A dense per-mode assembly lives with the tests as their
 oracle.
 
 Also here: the small-inclusion (virtual) media obtained by pulling the
-cloak problem back through the blow-up map, the resonant-density tuning
-used by the instability experiment with its monopole scattering
-coefficient alpha0 (both tuning variants evaluate alpha0 at MP_DIGITS
-digits, from one extended-precision monopole basis), resonance detection,
-and the interior-eigenfunction-source solve that drives the blow-up
-experiment.
+cloak problem back through the blow-up map; the resonant-density tuning
+of the instability experiment, whose rows read only the tuned monopole's
+scattering coefficient alpha0 and blown-up interior coefficient, both at
+MP_DIGITS digits from one extended-precision monopole basis (either
+tuning variant); resonance detection; and the interior-eigenfunction-source
+solve that drives the blow-up experiment.
 """
 
 from __future__ import annotations
@@ -40,10 +40,9 @@ FREQUENCY_CAP = 50.0
 # smallest regularization: eps^(-d) is 1e300 there in 3d, and float ** overflows
 # (OverflowError) below about 5.6e-103 (3d) and 7.5e-155 (2d)
 EPSILON_FLOOR = 1e-100
-# smallest eps of a 3d instability sweep: at the tuned density, double-precision
-# solve_modes keeps |alpha_0 + 1| <= 2.6e-5 at 1e-5 and <= 1.7e-3 at 1e-6 but
-# reads 0.55 to 0.97 at 3e-8 (k = 0.5 to 10), while the tuned root still holds
-TUNING_FLOOR_3D = 1e-6
+# smallest eps of a 3d instability sweep: the double-double tuned root holds
+# |alpha_0 + 1| <= 1.3e-11 at 1e-10 but reaches 1e-9 at 1e-11 (k = 0.5 to 50)
+TUNING_FLOOR_3D = 1e-10
 CONDITION_CAP = 1.0e12
 # a homogeneous interior whose normalized resonance condition (resonance_condition)
 # falls below this is resonant: fields.interior_limit leaks a 3d monopole
@@ -408,9 +407,11 @@ def _mp_exterior(d: int, k: float, eps: float) -> tuple:
     return ke, mp.mpf(1), reg, _mp_y0_series(ke, *reg)
 
 
-def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
-    """alpha0 at the mpmath interior argument t, from _mp_exterior's tuple.
+def _alpha0_mp(d: int, t, exterior: tuple) -> tuple[complex, complex]:
+    """(alpha0, c) at the mpmath interior argument t, from _mp_exterior's tuple.
 
+    Under the unit monopole incidence f(k r), c is the blown-up interior's
+    coefficient of R_0(t r): c R_0(t) = f(k eps) + alpha0 h(k eps), h = f + i y.
     Raises SingularSystemError if the denominator vanishes at the working
     precision, relative to the numerator (a lossless row has |alpha0| <= 1).
     """
@@ -420,7 +421,8 @@ def _alpha0_mp(d: int, t, exterior: tuple) -> complex:
     den = _monopole_wronskian(ke, flux, (j + 1j * y, jp + 1j * yp), t, interior)
     if abs(den) <= mp.eps * abs(num):
         raise SingularSystemError("alpha0 denominator vanished at the working precision")
-    return complex(-num / den)
+    alpha0 = -num / den
+    return complex(alpha0), complex((j + alpha0 * (j + 1j * y)) / interior[0])
 
 
 @dataclass(frozen=True)
@@ -512,6 +514,8 @@ def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
         block = grid[start:start + 256]
         kap = next(_grid_roots(block, resonance_scan(d, mode, block)[0][mode], fun), None)
         if kap is not None:
+            if kap > k * 1e154:   # sigma0 = (kap / k)^2 would overflow
+                raise ValidationError(f"k = {k:g} is too small: (kappa*/k)^2 overflows")
             return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
     raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
 
@@ -556,9 +560,9 @@ class TunedSigma:
     conventions (the density symbol of the tuning equations reads k_eps / k,
     while the interior equation implies (k_eps / k)^2).  k_eps_lo is the
     double-double correction of the polished root (0 for the "paper"
-    variant, whose double root is not polished), and alpha0 the monopole
-    coefficient at k_eps + k_eps_lo at MP_DIGITS digits, for both variants,
-    from the exterior Bessel values the polish uses.
+    variant, whose double root is not polished).  alpha0 is the monopole
+    coefficient and interior the blown-up interior's coefficient c, both
+    from _alpha0_mp at k_eps + k_eps_lo and the exterior values the polish uses.
     """
 
     dimension: int
@@ -569,6 +573,7 @@ class TunedSigma:
     k_eps_lo: float
     kappa_star: float
     alpha0: complex
+    interior: complex
 
     @property
     def sigma_paper(self) -> float:
@@ -628,12 +633,15 @@ def tune_sigma(
     match in 3d that omits the k_eps weight of the exact condition), so it
     detunes at the same rate but does not reach alpha0 = -1.  The exact root
     is polished at MP_DIGITS digits, the paper root kept as found; either
-    row's alpha0 is evaluated at MP_DIGITS digits (_alpha0_mp).
+    row's alpha0 and interior coefficient come from _alpha0_mp.
     """
     if variant not in ("exact", "paper"):
         raise ValidationError(f"unknown tuning variant {variant!r}")
     if eps > 0.3:
         raise ValidationError("tuning bracket is only monotone for eps <= 0.3")
+    if variant == "paper" and d == 2 and k * eps >= 2.0:
+        # the leading-order balance 1 / log(k eps / 2) has its pole at k eps = 2
+        raise ValidationError(f"2d paper tuning needs k eps < 2, got k eps = {k * eps:g}")
     if spec.mode != 0:
         raise UnsupportedConfigurationError("tuning is defined for mode 0")
     kap = spec.kappa_star
@@ -659,18 +667,8 @@ def tune_sigma(
         t = mp.mpf(root) if variant == "paper" else _refine_root_mp(d, root, exterior)
         hi = float(t)
         lo = float(t - hi)
-        alpha0 = _alpha0_mp(d, mp.mpf(hi) + mp.mpf(lo), exterior)
-    return TunedSigma(d, k, eps, variant, hi, lo, kap, alpha0)
-
-
-def tuned_inclusion_config(tuned: TunedSigma) -> CloakConfig:
-    """Unit-scale cloak config whose interior density realizes the tuning."""
-    return CloakConfig(
-        dimension=tuned.dimension,
-        k=tuned.k,
-        epsilon=tuned.epsilon,
-        interior=(Layer(1.0, 1.0, tuned.sigma_eq),),
-    )
+        alpha0, c = _alpha0_mp(d, mp.mpf(hi) + mp.mpf(lo), exterior)
+    return TunedSigma(d, k, eps, variant, hi, lo, kap, alpha0, c)
 
 
 # ---------------------------------------------------------------------------

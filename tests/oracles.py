@@ -7,6 +7,8 @@ series sum over scipy's Bessel functions provide expected values computed
 on a different route.  The change-of-variables section builds what the
 program never evaluates, the push-forward shell tensors of the blow-up
 map, to check that a composed field solves the transformed equation.
+The instability rows have an 80-digit mpmath reference: the monopole's
+2x2 continuity system and the norms by quadrature.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 from cloakwave.errors import ValidationError
@@ -60,6 +63,64 @@ def first_j1_zero() -> float:
 def first_tan_fixed_point() -> float:
     """First positive root of tan x = x (first zero of spherical j_0')."""
     return bisect(lambda x: math.tan(x) - x, 4.2, 4.6)
+
+
+def _mp_regular0(d: int, z) -> tuple:
+    """(j_0, j_0') at z in 3d, (J_0, J_0') in 2d, in mpmath."""
+    if d == 3:
+        return mp.sin(z) / z, mp.cos(z) / z - mp.sin(z) / z**2
+    return mp.besselj(0, z), -mp.besselj(1, z)
+
+
+def _mp_outgoing0(d: int, z) -> tuple:
+    """(h_0, h_0') = (j_0 + i y_0, its derivative) at z in 3d, (H_0, H_0') in 2d, in mpmath."""
+    j, jp = _mp_regular0(d, z)
+    if d == 3:
+        return j - 1j * mp.cos(z) / z, jp + 1j * (mp.sin(z) / z + mp.cos(z) / z**2)
+    return j + 1j * mp.bessely(0, z), jp - 1j * mp.bessely(1, z)
+
+
+def _mp_norms(d: int, basis, kap, lo, hi) -> tuple:
+    """(L2, full H1) of basis(d, kap r) on lo <= |x| <= hi by mp.quad, at the working precision."""
+    memo = {}
+
+    def at(r):   # both quadratures run on the same Gauss-Legendre nodes
+        if r not in memo:
+            memo[r] = basis(d, kap * r)
+        return memo[r]
+
+    l2 = mp.quad(lambda r: abs(at(r)[0]) ** 2 * r ** (d - 1), [lo, hi], method="gauss-legendre")
+    grad = mp.quad(lambda r: abs(kap * at(r)[1]) ** 2 * r ** (d - 1), [lo, hi],
+                   method="gauss-legendre")
+    weight = 4 * mp.pi if d == 3 else 2 * mp.pi
+    return mp.sqrt(weight * l2), mp.sqrt(weight * (l2 + grad))
+
+
+def outgoing_norm_mp(d: int, k, probe=(2, 4)) -> tuple[float, float]:
+    """(L2, full H1) of the unit outgoing monopole h(k |x|) over the probe annulus, 80 digits."""
+    with mp.workdps(80):
+        l2, h1 = _mp_norms(d, _mp_outgoing0, mp.mpf(k), mp.mpf(probe[0]), mp.mpf(probe[1]))
+        return float(l2), float(h1)
+
+
+def instability_row_mp(d: int, k, eps, t_hi, t_lo) -> tuple:
+    """(alpha0, c, interior L2, interior H1) of one instability row, by mpmath at 80 digits.
+
+    The unit monopole f(k r) meets the blown-up inclusion, c R_0(t r) on the
+    unit ball with t = t_hi + t_lo (virtual stiffness eps^(2-d),
+    wavenumber t / eps): alpha0 and c solve the value and flux continuity
+    at r = eps by mp.lu_solve, and the norms of c R_0(t r) over the unit
+    ball come from mp.quad.  k, eps, t_hi and t_lo are taken as exact.
+    """
+    with mp.workdps(80):
+        k, eps, t = mp.mpf(k), mp.mpf(eps), mp.mpf(t_hi) + mp.mpf(t_lo)
+        (j, jp), (h, hp) = _mp_regular0(d, k * eps), _mp_outgoing0(d, k * eps)
+        r0, r0p = _mp_regular0(d, t)
+        flux = eps ** (2 - d) * t / eps          # stiffness times wavenumber inside
+        m = mp.matrix([[r0, -h], [flux * r0p, -k * hp]])
+        c, alpha0 = mp.lu_solve(m, mp.matrix([j, k * jp]))
+        l2, h1 = _mp_norms(d, _mp_regular0, t, 0, 1)
+        return complex(alpha0), complex(c), float(abs(c) * l2), float(abs(c) * h1)
 
 
 def resonance_kappas(d: int, n: int, lo: float, hi: float) -> list[float]:

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, validation, outputs, golden files."""
 
+import csv
 import json
 import math
 import os
@@ -23,10 +24,10 @@ from cloakwave.fields import (
     norm_annulus,
     solve_series,
 )
-from cloakwave.mie import virtual_medium
+from cloakwave.mie import first_resonance, tune_sigma, virtual_medium
 from cloakwave.transform import BlowupMap, radial_forward
 
-from oracles import series_values
+from oracles import instability_row_mp, outgoing_norm_mp, series_values
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -84,14 +85,14 @@ interior.sigma = 1.0
 
 @pytest.mark.parametrize("tuning", ["exact", "paper"])
 def test_instability_3d_below_tuning_floor_exits_2_without_files(tmp_path, capsys, tuning):
-    # below 1e-6 the double-precision solve no longer holds alpha0 = -1 in 3d
+    # below 1e-10 the double-double tuned root no longer holds alpha0 = -1 in 3d
     cfg = _write_cfg(
         tmp_path,
         f"""
 experiment = instability
 dimension = 3
 k = 1.0
-eps_list = 1e-4, 1e-5, 3e-7
+eps_list = 1e-4, 1e-5, 3e-11
 interior.radii = 1.0
 interior.a = 1.0
 interior.sigma = 1.0
@@ -101,7 +102,46 @@ tuning = {tuning}
     out = tmp_path / "out"
     assert cli.main(["instability", "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists() or not os.listdir(out)
-    assert "1e-06" in capsys.readouterr().err
+    assert "1e-10" in capsys.readouterr().err
+
+
+def test_instability_2d_paper_at_k_eps_2_exits_2_without_files(tmp_path, capsys):
+    # the leading-order 2d balance has its pole at k eps = 2 (1 / log(k eps / 2))
+    cfg = _write_cfg(
+        tmp_path,
+        """
+experiment = instability
+dimension = 2
+k = 10
+eps_list = 0.2, 0.1, 0.05
+interior.radii = 1.0
+interior.a = 1.0
+interior.sigma = 1.0
+tuning = paper
+""",
+    )
+    out = tmp_path / "out"
+    assert cli.main(["instability", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)
+    assert "k eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    ("instability", "eps_list = 1e-2, 1e-3, 1e-4"),
+    ("blowup", "eps_list = 1e-2, 1e-3, 1e-4"),
+    ("field", "epsilon = 1e-2\nfield.kind = eigenmode\ngrid.points = 5"),
+], ids=["instability", "blowup", "field_eigenmode"])
+def test_resonant_run_at_tiny_k_exits_2_without_files(tmp_path, capsys, experiment, extra):
+    # the first resonant density (kappa* / k)^2 overflows a double below k ~ 3e-154
+    cfg = _write_cfg(
+        tmp_path,
+        f"experiment = {experiment}\ndimension = 3\nk = 1e-200\ninterior.radii = 1.0\n"
+        f"interior.a = 1.0\ninterior.sigma = 1.0\n{extra}\n",
+    )
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)
+    assert "k = 1e-200" in capsys.readouterr().err
 
 
 def test_malformed_config_exits_2_without_files(tmp_path):
@@ -405,6 +445,7 @@ GOLDEN_RUNS = [
     ("field2d_eigenmode", "field", ("field.csv", "summary.json")),
     ("field3d", "field", ("field.csv", "summary.json")),
     ("instability3d_paper", "instability", ("results.csv", "summary.json")),
+    ("instability3d_deep", "instability", ("results.csv", "summary.json")),
 ]
 
 
@@ -453,6 +494,38 @@ def test_golden_reproduction(name, experiment, files, tmp_path):
         if got == want:
             continue
         _compare_numeric_text(got, want, 1e-9)
+
+
+@pytest.mark.parametrize("name", ["instability2d", "instability3d_paper", "instability3d_deep"])
+def test_instability_golden_matches_80_digit_reference(name):
+    # every numeric cell of the committed rows against mpmath at 80 digits
+    # (oracles.instability_row_mp); the tuned root (hi, lo) is the program's,
+    # and cells are read as the doubles the run used
+    kv = parse_config_text(open(os.path.join(GOLDEN, "configs", f"{name}.cfg")).read())
+    d, k, variant = int(kv["dimension"]), float(kv["k"]), kv["tuning"]
+    with open(os.path.join(GOLDEN, name, "results.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    with open(os.path.join(GOLDEN, name, "summary.json")) as fh:
+        summary = json.load(fh)
+    out_l2, out_h1 = outgoing_norm_mp(d, k)
+    assert math.isclose(summary["reference_norm"], out_l2, rel_tol=1e-13)
+    spec = first_resonance(d, k)
+    for row in rows:
+        eps = float(row["epsilon"])
+        tuned = tune_sigma(d, k, eps, spec, variant)
+        assert tuned.sigma_paper == float(row["sigma_eps"])
+        alpha0, c, int_l2, int_h1 = instability_row_mp(d, k, eps, tuned.k_eps, tuned.k_eps_lo)
+        assert abs(tuned.interior - c) <= 1e-13 * abs(c), (eps, tuned.interior, c)
+        got = complex(float(row["alpha0_re"]), float(row["alpha0_im"]))
+        assert abs(got - alpha0) <= 1e-13 * abs(alpha0), (eps, got, alpha0)
+        want = {
+            "visibility_l2": abs(alpha0) * out_l2,
+            "visibility_h1": abs(alpha0) * out_h1,
+            "interior_l2": int_l2,
+            "interior_h1": int_h1,
+        }
+        for col, value in want.items():
+            assert math.isclose(float(row[col]), value, rel_tol=1e-13), (eps, col, row[col], value)
 
 
 def test_field_eigenmode_blowup_cross_check(tmp_path):

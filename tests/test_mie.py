@@ -27,7 +27,6 @@ from cloakwave.mie import (
     resonance_condition,
     solve_modes,
     tune_sigma,
-    tuned_inclusion_config,
     virtual_medium,
 )
 
@@ -175,7 +174,7 @@ def test_alpha_decays_superexponentially():
 def _alpha0(d, k, eps, k_eps):
     """alpha0 of the rescaled single inclusion at interior argument k_eps, at mie.MP_DIGITS."""
     with mp.workdps(mie.MP_DIGITS):
-        return mie._alpha0_mp(d, mp.mpf(k_eps), mie._mp_exterior(d, k, eps))
+        return mie._alpha0_mp(d, mp.mpf(k_eps), mie._mp_exterior(d, k, eps))[0]
 
 
 def test_alpha0_closed_form_matches_mode_solve():
@@ -229,7 +228,8 @@ def test_alpha0_tuned_is_minus_one():
         spec = first_resonance(d, 1.0)
         tuned = tune_sigma(d, 1.0, 1e-2, spec, "exact")
         assert abs(tuned.alpha0 + 1.0) < 1e-8
-        ms = _mode(blown_up_medium(tuned_inclusion_config(tuned)), 1.0, 0, 1.0)
+        cfg = CloakConfig(d, 1.0, 1e-2, (Layer(1.0, 1.0, tuned.sigma_eq),))
+        ms = _mode(blown_up_medium(cfg), 1.0, 0, 1.0)
         assert abs(ms.alpha_n + 1.0) < 1e-8
 
 
