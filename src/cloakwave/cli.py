@@ -312,8 +312,8 @@ def _run_instability(config: RunConfig, out_dir: str) -> None:
         "alpha0_im": [None if r.alpha0 is None else r.alpha0.imag for r in res.records],
         "detuning_products_paper": list(res.products_paper),
         "detuning_products_eq": list(res.products_eq),
-        "sigma0_paper": res.tuned[0].sigma0_paper if res.tuned else None,
-        "sigma0_eq": res.tuned[0].sigma0_eq if res.tuned else None,
+        "sigma0_paper": res.sigma0_paper,
+        "sigma0_eq": res.sigma0_eq,
     }
     _write(os.path.join(out_dir, "summary.json"), _summary(config, extra))
     singular = [r.flags for r in res.records if r.flags.startswith("singular")]

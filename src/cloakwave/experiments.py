@@ -41,7 +41,6 @@ from .mie import (
     LayeredMedium,
     ModeSolution,
     ResonanceSpec,
-    TunedSigma,
     first_resonance,
     interior_source_mode_solve,
     blown_up_medium,
@@ -95,11 +94,18 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class InstabilityResult:
+    """Instability rows, the tuned rows' detuning products and the resonant densities.
+
+    sigma0_paper is kappa* / k and sigma0_eq (kappa* / k)^2; both are None
+    when no row tuned.
+    """
+
     records: tuple[SweepRecord, ...]
-    tuned: tuple[TunedSigma, ...]
     reference_norm: float
     products_paper: tuple[float, ...]
     products_eq: tuple[float, ...]
+    sigma0_paper: float | None
+    sigma0_eq: float | None
 
 
 def fit_rate(pairs, model: str) -> RateFit:
@@ -213,52 +219,65 @@ def instability_sweep(
 ) -> InstabilityResult:
     """Detuned-density sweep showing order-one visibility at vanishing eps.
 
-    For each epsilon the interior density is tuned near the first monopole
-    resonance so the scattering coefficient is driven to -1; the record
-    reports the tuned density (tuning-equation convention) and its alpha0.
-    Under the unit monopole incidence a row makes no transfer solve: the
-    scattered norm over the probe annulus is |alpha0| times the unit
-    outgoing norm, the reference against which the tuned rows read order
-    one, and the interior norm is that of c R_0(kappa r) on the unit ball
-    at the tuned density (TunedSigma.alpha0 and .interior, at 60 digits).
-    A 3d sweep below TUNING_FLOOR_3D is rejected: the tuned root no longer
-    holds alpha0 = -1 there.
+    For each epsilon the interior argument is tuned near the first monopole
+    resonance kappa* so the scattering coefficient is driven to -1; the
+    record reports the tuned density k_eps / k and its alpha0.  Under the
+    unit monopole incidence a row makes no transfer solve: the scattered
+    norm over the probe annulus is |alpha0| times the unit outgoing norm,
+    the reference against which the tuned rows read order one, and the
+    interior norm is that of c R_0(kappa r) on the unit ball at the tuned
+    density (k_eps / k)^2 (TunedSigma.alpha0 and .interior, at 60 digits).
+    The detuning products are w |delta| / k and w |delta| (k_eps + kappa* +
+    k_eps_lo) / k^2, the density offsets of the two conventions from the
+    exact detuning delta = k_eps + k_eps_lo - kappa*, with w = 1 / eps (3d)
+    or |ln eps| (2d).  The inputs are checked before any row: the variant,
+    eps <= 0.3 (where the tuning bracket is monotone), k eps < 2 for the 2d
+    paper variant, the 3d TUNING_FLOOR_3D, below which the tuned root no
+    longer holds alpha0 = -1, and a representable outgoing norm.
     """
     eps = _check_eps_list(eps_list)
+    if variant not in ("exact", "paper"):
+        raise ValidationError(f"unknown tuning variant {variant!r}")
+    # eps decreases strictly: eps[0] bounds every row from above, eps[-1] from below
+    if eps[0] > 0.3:
+        raise ValidationError("tuning bracket is only monotone for eps <= 0.3")
+    if variant == "paper" and d == 2 and k * eps[0] >= 2.0:
+        # the leading-order balance 1 / log(k eps / 2) has its pole at k eps = 2
+        raise ValidationError(f"2d paper tuning needs k eps < 2, got k eps = {k * eps[0]:g}")
     if d == 3 and eps[-1] < TUNING_FLOOR_3D:
         raise ValidationError(f"3d instability needs every epsilon >= {TUNING_FLOOR_3D:g}")
-    spec0 = first_resonance(d, k, 0)
+    kap = first_resonance(d, k, 0).kappa_star
     out_l2, out_h1 = outgoing_mode_norm(d, k, 0, probe[0], probe[1])
 
-    def one(e: float) -> tuple[SweepRecord, TunedSigma | None]:
+    def one(e: float) -> tuple[SweepRecord, tuple[float, float] | None]:
         try:
-            tuned = tune_sigma(d, k, e, spec0, variant)
+            t = tune_sigma(d, k, e, kap, variant)
         except SingularSystemError as exc:
             return _singular_record(e, exc), None
-        ball = LayeredMedium(d, (Layer(1.0, 1.0, tuned.sigma_eq),))
+        ball = LayeredMedium(d, (Layer(1.0, 1.0, (t.k_eps / k) ** 2),))
         mode0 = ModeSolution(n=0, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,
-                             layer_coeffs=((tuned.interior, 0.0 + 0.0j),))
+                             layer_coeffs=((t.interior, 0.0 + 0.0j),))
         int_l2, int_h1 = norm_annulus(mode_series(ball, k, mode0), 0.0, 1.0)
-        amp_out = abs(tuned.alpha0)
+        amp_out = abs(t.alpha0)
         rec = SweepRecord(
             e, amp_out * out_l2, amp_out * out_h1, int_l2, int_h1,
-            sigma_eps=tuned.sigma_paper, alpha0=tuned.alpha0,
+            sigma_eps=t.k_eps / k, alpha0=t.alpha0,
         )
-        return rec, tuned
+        # k_eps lies within 0.4 of kappa* > 3.8, so k_eps - kappa* is exact (Sterbenz)
+        delta = (t.k_eps - kap) + t.k_eps_lo
+        weight = (1.0 / e) if d == 3 else abs(math.log(e))
+        paper = weight * abs(delta) / k
+        return rec, (paper, weight * abs(delta) * (t.k_eps + kap + t.k_eps_lo) / k**2)
 
     rows = [one(e) for e in eps]
-    records = tuple(r for r, _ in rows)
-    tuned = tuple(t for _, t in rows if t is not None)
-    products_paper = []
-    products_eq = []
-    for rec, t in rows:
-        if t is None:
-            continue
-        weight = (1.0 / rec.epsilon) if d == 3 else abs(math.log(rec.epsilon))
-        products_paper.append(weight * abs(t.sigma_paper - t.sigma0_paper))
-        products_eq.append(weight * abs(t.sigma_eq - t.sigma0_eq))
+    products = [p for _, p in rows if p is not None]
     return InstabilityResult(
-        records, tuned, out_l2, tuple(products_paper), tuple(products_eq)
+        tuple(r for r, _ in rows),
+        out_l2,
+        tuple(p for p, _ in products),
+        tuple(q for _, q in products),
+        kap / k if products else None,
+        (kap / k) ** 2 if products else None,
     )
 
 

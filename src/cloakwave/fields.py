@@ -14,22 +14,22 @@ incident field in closed form plus the few nonzero outgoing terms.
 Physical domain fields are the virtual series composed with the inverse
 blow-up map, and agree with it identically outside radius 2.  Every L2/H1
 norm is norm_annulus of a series, alone or against a reference series:
-scattered parts, the free-field pullback, single outgoing modes,
-eigenfunction sources and interior limits are each built as a series
-first.
+the free-field pullback, single outgoing modes, eigenfunction sources
+and interior limits are each built as a series first.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import ResonantConfigError, TruncationError, ValidationError
+from .errors import BesselOverflowError, ResonantConfigError, TruncationError, ValidationError
 from .mie import (
     CloakConfig,
     LayeredMedium,
@@ -211,16 +211,6 @@ class FieldSeries:
     @property
     def k_exterior(self) -> float:
         return self.medium.exterior_wavenumber(self.k)
-
-    def scattered(self) -> "FieldSeries":
-        """This series with every incident coefficient b_n zeroed.
-
-        Outside the medium that is the scattered field, the outgoing part
-        alone; inside it, the layer coefficients are kept.  The incident
-        spec goes with the b_n.
-        """
-        modes = tuple(replace(m, b_n=0.0 + 0.0j) for m in self.modes)
-        return replace(self, modes=modes, incident=None)
 
     def _axis(self) -> np.ndarray:
         if self.axis is not None:
@@ -631,8 +621,7 @@ def norm_annulus(
     1 < r < 2, a lossy layer, and segments whose closed form would cancel
     digits.  The reference shares the series' dimension and axis; where
     one has more modes than the other, the extra modes count in full.  The
-    scattered part is series.scattered(), the free-field pullback
-    free_series on the limit map (epsilon 0).
+    free-field pullback is free_series on the limit map (epsilon 0).
     """
     if not 0.0 <= r_in < r_out:
         raise ValidationError(f"bad annulus [{r_in}, {r_out}]")
@@ -674,19 +663,32 @@ def outgoing_mode_norm(
 
     For n = 0 the L2 norm is the plain function norm of h_0(k|x|) (3d) or
     H_0(k|x|) (2d) on the annulus, the reference magnitude of the
-    instability experiment.
+    instability experiment.  At tiny k the mode's singular part grows
+    without bound: a norm whose Bessel chain or squared profile overflows
+    is a ValidationError naming k and n, raised at the first overflow.
     """
     med = LayeredMedium(d, (Layer(r_in, 1.0, 1.0),))   # the annulus lies outside it
     unit = ModeSolution(n=n, b_n=0.0 + 0.0j, alpha_n=1.0 + 0.0j,
                         layer_coeffs=((0.0 + 0.0j, 0.0 + 0.0j),))
-    return norm_annulus(mode_series(med, k, unit), r_in, r_out)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            l2, h1 = norm_annulus(mode_series(med, k, unit), r_in, r_out)
+    except (BesselOverflowError, FloatingPointError):
+        l2 = h1 = math.inf
+    if not math.isfinite(h1):   # h1 >= l2
+        raise ValidationError(
+            f"k = {k:g} is too small: the mode-{n} outgoing norm over the probe overflows"
+        )
+    return l2, h1
 
 
+@functools.cache
 def eigenfunction_normalization(spec: ResonanceSpec) -> float:
     """Amplitude making spec's resonant radial mode, as a series mode, unit in L2(B1).
 
     A series evaluates mode n with its angular factor (mode_weight), so in
-    2d a mode n >= 1 counts both signs of n.
+    2d a mode n >= 1 counts both signs of n.  Cached per spec (a frozen
+    dataclass): every row of a blow-up sweep shares its spec's value.
     """
     med = LayeredMedium(spec.dimension, (Layer(1.0, 1.0, 1.0),))
     unit = ModeSolution(n=spec.mode, b_n=0.0 + 0.0j, alpha_n=0.0 + 0.0j,

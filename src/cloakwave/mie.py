@@ -506,7 +506,8 @@ def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
     Scans 2400 points of [0.3, 12] in blocks of 256 that share their end
     points, and stops at the first block holding a root: the low modes'
     roots lie in the first blocks, and each point's value does not depend
-    on its block (specfun.chain).
+    on its block (specfun.chain).  A mode with no root there (from mode 9
+    in 2d, 10 in 3d) is a ValidationError.
     """
     grid = np.linspace(0.3, 12.0, 2400)
     fun = lambda x: resonance_condition(d, mode, x)[0]
@@ -517,7 +518,7 @@ def first_resonance(d: int, k: float, mode: int = 0) -> ResonanceSpec:
             if kap > k * 1e154:   # sigma0 = (kap / k)^2 would overflow
                 raise ValidationError(f"k = {k:g} is too small: (kappa*/k)^2 overflows")
             return ResonanceSpec(dimension=d, mode=mode, kappa_star=kap, sigma0=(kap / k) ** 2)
-    raise BracketError(f"no mode-{mode} resonance found below kappa = 12")
+    raise ValidationError(f"no mode-{mode} resonance found below kappa = 12")
 
 
 def detect_resonances(
@@ -554,42 +555,19 @@ def detect_resonances(
 
 @dataclass(frozen=True)
 class TunedSigma:
-    """Detuned interior density defeating the cloak at one epsilon.
+    """The tuned interior argument of one epsilon and its monopole coefficients.
 
-    k_eps is the tuned interior Bessel argument; sigma follows in the two
-    conventions (the density symbol of the tuning equations reads k_eps / k,
-    while the interior equation implies (k_eps / k)^2).  k_eps_lo is the
+    k_eps is the tuned interior Bessel argument and k_eps_lo the
     double-double correction of the polished root (0 for the "paper"
     variant, whose double root is not polished).  alpha0 is the monopole
     coefficient and interior the blown-up interior's coefficient c, both
     from _alpha0_mp at k_eps + k_eps_lo and the exterior values the polish uses.
     """
 
-    dimension: int
-    k: float
-    epsilon: float
-    variant: str
     k_eps: float
     k_eps_lo: float
-    kappa_star: float
     alpha0: complex
     interior: complex
-
-    @property
-    def sigma_paper(self) -> float:
-        return self.k_eps / self.k
-
-    @property
-    def sigma_eq(self) -> float:
-        return (self.k_eps / self.k) ** 2
-
-    @property
-    def sigma0_paper(self) -> float:
-        return self.kappa_star / self.k
-
-    @property
-    def sigma0_eq(self) -> float:
-        return (self.kappa_star / self.k) ** 2
 
 
 def _paper_mismatch(d: int, k: float, eps: float, t: float) -> float:
@@ -622,9 +600,9 @@ def _refine_root_mp(d: int, t0: float, exterior: tuple):
 
 
 def tune_sigma(
-    d: int, k: float, eps: float, spec: ResonanceSpec, variant: str = "exact"
+    d: int, k: float, eps: float, kappa_star: float, variant: str = "exact"
 ) -> TunedSigma:
-    """Tune the interior density so the monopole defeats the cloak.
+    """Tune the interior argument near kappa_star so the monopole defeats the cloak.
 
     variant "exact" solves Im(denominator of alpha0) = 0 with the true
     singular functions, which makes alpha0 = -1 identically; "paper" solves
@@ -633,19 +611,10 @@ def tune_sigma(
     match in 3d that omits the k_eps weight of the exact condition), so it
     detunes at the same rate but does not reach alpha0 = -1.  The exact root
     is polished at MP_DIGITS digits, the paper root kept as found; either
-    row's alpha0 and interior coefficient come from _alpha0_mp.
+    row's alpha0 and interior coefficient come from _alpha0_mp.  The inputs
+    are the caller's to check (experiments.instability_sweep); a root that
+    the bracket kappa_star +- 0.4 does not hold is a ValidationError.
     """
-    if variant not in ("exact", "paper"):
-        raise ValidationError(f"unknown tuning variant {variant!r}")
-    if eps > 0.3:
-        raise ValidationError("tuning bracket is only monotone for eps <= 0.3")
-    if variant == "paper" and d == 2 and k * eps >= 2.0:
-        # the leading-order balance 1 / log(k eps / 2) has its pole at k eps = 2
-        raise ValidationError(f"2d paper tuning needs k eps < 2, got k eps = {k * eps:g}")
-    if spec.mode != 0:
-        raise UnsupportedConfigurationError("tuning is defined for mode 0")
-    kap = spec.kappa_star
-    half_width = 0.4
     if variant == "exact":
         # Im of alpha0's denominator; the exterior factor is fixed over the search
         ke, flux = k * eps, (1.0 / eps if d == 3 else 1.0)
@@ -657,10 +626,11 @@ def tune_sigma(
     else:
         fun = lambda t: _paper_mismatch(d, k, eps, t)
     try:
-        root = find_root(fun, (kap - half_width, kap + half_width))
+        root = find_root(fun, (kappa_star - 0.4, kappa_star + 0.4))
     except BracketError as exc:
-        raise BracketError(
-            f"tuning bracket around kappa* = {kap:.6f} failed: {exc}"
+        raise ValidationError(
+            f"no {variant} tuned root within 0.4 of kappa* = {kappa_star:.6f} "
+            f"at k eps = {k * eps:g}: {exc}"
         ) from exc
     with mp.workdps(MP_DIGITS):
         exterior = _mp_exterior(d, k, eps)
@@ -668,7 +638,7 @@ def tune_sigma(
         hi = float(t)
         lo = float(t - hi)
         alpha0, c = _alpha0_mp(d, mp.mpf(hi) + mp.mpf(lo), exterior)
-    return TunedSigma(d, k, eps, variant, hi, lo, kap, alpha0, c)
+    return TunedSigma(hi, lo, alpha0, c)
 
 
 # ---------------------------------------------------------------------------

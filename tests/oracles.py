@@ -8,19 +8,29 @@ on a different route.  The change-of-variables section builds what the
 program never evaluates, the push-forward shell tensors of the blow-up
 map, to check that a composed field solves the transformed equation.
 The instability rows have an 80-digit mpmath reference: the monopole's
-2x2 continuity system and the norms by quadrature.
+2x2 continuity system, the norms by quadrature and the detuning products.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
 from cloakwave.errors import ValidationError
 from cloakwave.transform import OUTER_RADIUS, BlowupMap, radial_forward
+
+
+def scattered(series):
+    """series with every incident coefficient b_n zeroed, and its incident spec dropped.
+
+    Outside the medium that is the scattered field, the outgoing part
+    alone; inside it, the layer coefficients are kept.
+    """
+    modes = tuple(replace(m, b_n=0.0 + 0.0j) for m in series.modes)
+    return replace(series, modes=modes, incident=None)
 
 
 def j1_series(x: float, nterms: int = 60) -> float:
@@ -121,6 +131,20 @@ def instability_row_mp(d: int, k, eps, t_hi, t_lo) -> tuple:
         c, alpha0 = mp.lu_solve(m, mp.matrix([j, k * jp]))
         l2, h1 = _mp_norms(d, _mp_regular0, t, 0, 1)
         return complex(alpha0), complex(c), float(abs(c) * l2), float(abs(c) * h1)
+
+
+def detuning_products_mp(d: int, k, eps, t_hi, t_lo, kappa_star) -> tuple[float, float]:
+    """(paper, eq) detuning products of one tuned row, by mpmath at 80 digits.
+
+    w |t - kappa*| / k and w |t^2 - kappa*^2| / k^2, t = t_hi + t_lo, the
+    offsets of the densities t / k and (t / k)^2 from their resonant values,
+    weighted by w = 1 / eps (3d) or |ln eps| (2d).  Every input is taken as exact.
+    """
+    with mp.workdps(80):
+        k, eps, kap = mp.mpf(k), mp.mpf(eps), mp.mpf(kappa_star)
+        t = mp.mpf(t_hi) + mp.mpf(t_lo)
+        w = 1 / eps if d == 3 else abs(mp.log(eps))
+        return float(w * abs(t - kap) / k), float(w * abs(t * t - kap * kap) / (k * k))
 
 
 def resonance_kappas(d: int, n: int, lo: float, hi: float) -> list[float]:

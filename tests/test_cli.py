@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as ss
@@ -27,7 +28,7 @@ from cloakwave.fields import (
 from cloakwave.mie import first_resonance, tune_sigma, virtual_medium
 from cloakwave.transform import BlowupMap, radial_forward
 
-from oracles import instability_row_mp, outgoing_norm_mp, series_values
+from oracles import detuning_products_mp, instability_row_mp, outgoing_norm_mp, series_values
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -497,23 +498,31 @@ def test_golden_reproduction(name, experiment, files, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["instability2d", "instability3d_paper", "instability3d_deep"])
-def test_instability_golden_matches_80_digit_reference(name):
-    # every numeric cell of the committed rows against mpmath at 80 digits
-    # (oracles.instability_row_mp); the tuned root (hi, lo) is the program's,
-    # and cells are read as the doubles the run used
-    kv = parse_config_text(open(os.path.join(GOLDEN, "configs", f"{name}.cfg")).read())
+def test_instability_golden_matches_80_digit_reference(name, tmp_path):
+    # every numeric cell of the committed rows, and the detuning products
+    # and resonant densities of the summary the program writes for the
+    # config, against mpmath at 80 digits (oracles.instability_row_mp,
+    # oracles.detuning_products_mp); the tuned root (hi, lo) and kappa* are
+    # the program's, and cells are read as the doubles the run used.  The
+    # committed instability2d and instability3d_paper summaries hold the
+    # products of rounded densities, up to 8.4e-11 off, within the golden
+    # tolerance
+    cfg = os.path.join(GOLDEN, "configs", f"{name}.cfg")
+    kv = parse_config_text(open(cfg).read())
     d, k, variant = int(kv["dimension"]), float(kv["k"]), kv["tuning"]
     with open(os.path.join(GOLDEN, name, "results.csv")) as fh:
         rows = list(csv.DictReader(fh))
-    with open(os.path.join(GOLDEN, name, "summary.json")) as fh:
+    assert cli.main(["instability", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "summary.json") as fh:
         summary = json.load(fh)
     out_l2, out_h1 = outgoing_norm_mp(d, k)
     assert math.isclose(summary["reference_norm"], out_l2, rel_tol=1e-13)
-    spec = first_resonance(d, k)
+    kap = first_resonance(d, k).kappa_star
+    products = []
     for row in rows:
         eps = float(row["epsilon"])
-        tuned = tune_sigma(d, k, eps, spec, variant)
-        assert tuned.sigma_paper == float(row["sigma_eps"])
+        tuned = tune_sigma(d, k, eps, kap, variant)
+        assert tuned.k_eps / k == float(row["sigma_eps"])
         alpha0, c, int_l2, int_h1 = instability_row_mp(d, k, eps, tuned.k_eps, tuned.k_eps_lo)
         assert abs(tuned.interior - c) <= 1e-13 * abs(c), (eps, tuned.interior, c)
         got = complex(float(row["alpha0_re"]), float(row["alpha0_im"]))
@@ -526,6 +535,70 @@ def test_instability_golden_matches_80_digit_reference(name):
         }
         for col, value in want.items():
             assert math.isclose(float(row[col]), value, rel_tol=1e-13), (eps, col, row[col], value)
+        products.append(detuning_products_mp(d, k, eps, tuned.k_eps, tuned.k_eps_lo, kap))
+    for convention, want in zip(("paper", "eq"), zip(*products)):
+        got = summary[f"detuning_products_{convention}"]
+        assert len(got) == len(want), convention
+        for g, w in zip(got, want):
+            assert math.isclose(g, w, rel_tol=1e-13), (convention, g, w)
+    with mp.workdps(80):
+        sigma0 = mp.mpf(kap) / mp.mpf(k)
+        assert math.isclose(summary["sigma0_paper"], float(sigma0), rel_tol=1e-13)
+        assert math.isclose(summary["sigma0_eq"], float(sigma0 ** 2), rel_tol=1e-13)
+
+
+_ENVELOPE_CONFIGS = {
+    # no tuned root within the bracket around kappa*: 3d paper past the
+    # pi/2 pole of its leading-order balance (k eps = 2), and below it
+    "paper3d_k10": ("instability", "dimension = 3\nk = 10\neps_list = 0.2, 0.1, 0.05\ntuning = paper",
+                    "kappa* = 4.493409 at k eps = 2"),
+    "paper3d_k2": ("instability", "dimension = 3\nk = 2\neps_list = 0.3, 0.2, 0.1\ntuning = paper",
+                   "kappa* = 4.493409 at k eps = 0.6"),
+    "exact2d_k2": ("instability", "dimension = 2\nk = 2\neps_list = 0.3, 0.2, 0.1\ntuning = exact",
+                   "kappa* = 3.831706 at k eps = 0.6"),
+    # no resonance of the mode below kappa = 12
+    "blowup2d_mode9": ("blowup", "dimension = 2\nk = 1\neps_list = 1e-2, 1e-3, 1e-4\nblowup.mode = 9",
+                       "mode-9"),
+    "blowup3d_mode10": ("blowup", "dimension = 3\nk = 1\neps_list = 1e-2, 1e-3, 1e-4\nblowup.mode = 10",
+                        "mode-10"),
+    "eigenmode2d_mode9": ("field", "dimension = 2\nk = 1\nepsilon = 1e-2\nfield.kind = eigenmode\n"
+                          "blowup.mode = 9\ngrid.points = 5", "mode-9"),
+    "eigenmode3d_mode10": ("field", "dimension = 3\nk = 1\nepsilon = 1e-2\nfield.kind = eigenmode\n"
+                           "blowup.mode = 10\ngrid.points = 5", "mode-10"),
+    # the unit outgoing mode's norm over the probe overflows
+    "instability3d_k1e-150": ("instability", "dimension = 3\nk = 1e-150\neps_list = 1e-2, 1e-3, 1e-4",
+                              "k = 1e-150"),
+    "blowup3d_k1e-150": ("blowup", "dimension = 3\nk = 1e-150\neps_list = 1e-2, 1e-3, 1e-4", "k = 1e-150"),
+    "blowup3d_mode1_k1e-100": ("blowup", "dimension = 3\nk = 1e-100\neps_list = 1e-2, 1e-3, 1e-4\n"
+                               "blowup.mode = 1", "k = 1e-100"),
+    "blowup3d_mode1_k1e-80": ("blowup", "dimension = 3\nk = 1e-80\neps_list = 1e-2, 1e-3, 1e-4\n"
+                              "blowup.mode = 1", "k = 1e-80"),
+    "blowup2d_mode3_k1e-60": ("blowup", "dimension = 2\nk = 1e-60\neps_list = 1e-2, 1e-3, 1e-4\n"
+                              "blowup.mode = 3", "k = 1e-60"),
+    "blowup2d_mode3_k1e-80": ("blowup", "dimension = 2\nk = 1e-80\neps_list = 1e-2, 1e-3, 1e-4\n"
+                              "blowup.mode = 3", "k = 1e-80"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENVELOPE_CONFIGS))
+def test_envelope_config_exits_2_without_files(tmp_path, capsys, case):
+    experiment, body, needle = _ENVELOPE_CONFIGS[case]
+    cfg = _write_cfg(tmp_path, f"experiment = {experiment}\n{body}\n")
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists() or not os.listdir(out)
+    err = capsys.readouterr().err
+    assert needle in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("experiment", ["instability", "blowup"])
+def test_resonant_run_at_k_1e_120_runs(tmp_path, experiment):
+    # the unit outgoing monopole's norm is still representable here
+    cfg = _write_cfg(tmp_path, f"experiment = {experiment}\ndimension = 3\nk = 1e-120\n"
+                               "eps_list = 1e-2, 1e-3, 1e-4\n")
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["results.csv", "summary.json"]
 
 
 def test_field_eigenmode_blowup_cross_check(tmp_path):

@@ -18,6 +18,7 @@ from cloakwave.fields import (
     IncidentSpec,
     auto_truncation,
     blown_up_interior_series,
+    eigenfunction_normalization,
     incident_coefficients,
     interior_limit,
     norm_annulus,
@@ -31,6 +32,8 @@ from cloakwave.mie import (
     resonance_scan,
     virtual_medium,
 )
+
+from oracles import scattered
 
 EPS_LIST = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
@@ -72,7 +75,7 @@ def test_eps_one_reproduces_bare_inclusion():
     spec = cfg.incident
     b = incident_coefficients(spec, cfg.k, auto_truncation(spec, cfg.k, 3), 3)
     ser = solve_series(virtual_medium(replace(cfg, epsilon=1.0)), cfg.k, b)
-    direct = norm_annulus(ser.scattered(), 2.0, 4.0)[0]
+    direct = norm_annulus(scattered(ser), 2.0, 4.0)[0]
     assert rec.visibility_l2 == pytest.approx(direct, rel=1e-12)
 
 
@@ -148,7 +151,23 @@ def test_instability_rows_make_no_transfer_solve(monkeypatch, d):
     monkeypatch.setattr(fields_mod, "solve_modes", forbidden)
     monkeypatch.setattr(mie_mod, "solve_modes", forbidden)
     res = ex.instability_sweep(d, 1.0, (1e-2, 1e-3, 1e-4))
-    assert len(res.tuned) == 3 and not any(r.flags for r in res.records)
+    assert len(res.records) == 3
+    assert all(r.alpha0 is not None and not r.flags for r in res.records)
+
+
+def test_instability_sweep_validation(monkeypatch):
+    # the tuning inputs are checked once, before any row is tuned
+    def forbidden(*args):
+        raise AssertionError("tune_sigma called")
+
+    monkeypatch.setattr(ex, "tune_sigma", forbidden)
+    for d, eps_list, variant in [
+        (3, (0.5, 1e-1, 1e-2), "exact"),   # eps above 0.3, the monotone tuning bracket
+        (3, (1e-2, 1e-3, 1e-4), "wild"),
+        (2, (0.3, 1e-1, 1e-2), "paper"),   # 2d paper needs k eps < 2: here k eps = 3
+    ]:
+        with pytest.raises(ValidationError):
+            ex.instability_sweep(d, 10.0, eps_list, variant=variant)
 
 
 def test_detuned_far_convergence_sweep_rate():
@@ -167,6 +186,15 @@ def test_blowup_sweep_3d_products():
     assert max(prods) / min(prods) < 3.0
     exts = [r.visibility_l2 for r in recs]
     assert min(exts) > 0.5
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_blowup_sweep_normalizes_once(d):
+    # the rows share their spec's eigenfunction normalization, a closed-form norm
+    eigenfunction_normalization.cache_clear()
+    ex.blowup_sweep(d, 1.0, (1e-2, 1e-3, 1e-4))
+    info = eigenfunction_normalization.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_blowup_sweep_2d_monotone_growth():

@@ -220,15 +220,16 @@ def test_alpha0_vanishing_denominator_is_singular(monkeypatch):
     monkeypatch.setattr(mie, "_mp_exterior", _vanishing_outgoing_exterior(mie._mp_exterior))
     for d in (2, 3):
         with pytest.raises(SingularSystemError, match="alpha0 denominator"):
-            tune_sigma(d, 1.0, 1e-2, first_resonance(d, 1.0), "paper")
+            tune_sigma(d, 1.0, 1e-2, first_resonance(d, 1.0).kappa_star, "paper")
 
 
 def test_alpha0_tuned_is_minus_one():
     for d in (2, 3):
         spec = first_resonance(d, 1.0)
-        tuned = tune_sigma(d, 1.0, 1e-2, spec, "exact")
+        tuned = tune_sigma(d, 1.0, 1e-2, spec.kappa_star, "exact")
         assert abs(tuned.alpha0 + 1.0) < 1e-8
-        cfg = CloakConfig(d, 1.0, 1e-2, (Layer(1.0, 1.0, tuned.sigma_eq),))
+        # the ball density (k_eps / k)^2 at k = 1
+        cfg = CloakConfig(d, 1.0, 1e-2, (Layer(1.0, 1.0, tuned.k_eps ** 2),))
         ms = _mode(blown_up_medium(cfg), 1.0, 0, 1.0)
         assert abs(ms.alpha_n + 1.0) < 1e-8
 
@@ -240,7 +241,7 @@ def test_tuned_argument_approaches_stationary_point():
     spec = first_resonance(3, 1.0)
     prev = math.inf
     for eps in (1e-2, 1e-3, 1e-4):
-        t = tune_sigma(3, 1.0, eps, spec, "exact")
+        t = tune_sigma(3, 1.0, eps, spec.kappa_star, "exact")
         gap = abs(t.k_eps - KAPPA3)
         assert gap < prev
         assert gap < 0.3 * eps  # rate-eps approach, constant ~ 1/kappa*
@@ -263,12 +264,10 @@ _DETUNING_INTERVALS = {
 @pytest.mark.parametrize("d", [2, 3])
 def test_detuning_products_bounded(variant, d):
     lo_p, hi_p, lo_e, hi_e = _DETUNING_INTERVALS[(variant, d)]
-    spec = first_resonance(d, 1.0)
-    for eps in (1e-2, 1e-3, 1e-4):
-        t = tune_sigma(d, 1.0, eps, spec, variant)
-        weight = 1.0 / eps if d == 3 else abs(math.log(eps))
-        prod_p = weight * abs(t.sigma_paper - t.sigma0_paper)
-        prod_e = weight * abs(t.sigma_eq - t.sigma0_eq)
+    eps_list = (1e-2, 1e-3, 1e-4)
+    res = instability_sweep(d, 1.0, eps_list, variant=variant)
+    assert len(res.products_paper) == len(res.products_eq) == len(eps_list)
+    for eps, prod_p, prod_e in zip(eps_list, res.products_paper, res.products_eq):
         assert lo_p < prod_p < hi_p, (d, variant, eps, prod_p)
         assert lo_e < prod_e < hi_e, (d, variant, eps, prod_e)
 
@@ -278,7 +277,7 @@ def test_paper_variant_misses_minus_one():
     # the exact imaginary-part zero drives alpha0 all the way to -1
     for d in (2, 3):
         spec = first_resonance(d, 1.0)
-        t = tune_sigma(d, 1.0, 1e-3, spec, "paper")
+        t = tune_sigma(d, 1.0, 1e-3, spec.kappa_star, "paper")
         assert abs(t.alpha0 + 1.0) > 1e-3
 
 
@@ -301,7 +300,7 @@ def test_exact_tuning_polish_matches_mpmath_findroot(d):
     spec = first_resonance(d, 1.0)
     for k in (0.5, 1.0, 3.0):
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
-            t = tune_sigma(d, k, eps, spec, "exact")
+            t = tune_sigma(d, k, eps, spec.kappa_star, "exact")
             ref = _tuning_root_mp(d, k, eps, t.k_eps)
             with mp.workdps(80):
                 err = abs(mp.mpf(t.k_eps) + mp.mpf(t.k_eps_lo) - ref) / ref
@@ -313,7 +312,7 @@ def test_exact_tuning_polish_at_envelope_edge_2d(k, eps):
     # k eps = 15 (FREQUENCY_CAP times the tuning bound on eps) and the first
     # zero of J_0, past the small arguments above: the exterior series' terms
     # cancel hardest here; the oracle keeps mpmath's own bessely
-    t = tune_sigma(2, k, eps, first_resonance(2, 1.0), "exact")
+    t = tune_sigma(2, k, eps, first_resonance(2, 1.0).kappa_star, "exact")
     ref = _tuning_root_mp(2, k, eps, t.k_eps)
     with mp.workdps(80):
         err = abs(mp.mpf(t.k_eps) + mp.mpf(t.k_eps_lo) - ref) / ref
@@ -352,7 +351,7 @@ _TUNING_PINS = [
 
 @pytest.mark.parametrize("d, k, eps, hi, lo, alpha", _TUNING_PINS)
 def test_exact_tuning_bits_pinned(d, k, eps, hi, lo, alpha):
-    t = tune_sigma(d, k, eps, first_resonance(d, k), "exact")
+    t = tune_sigma(d, k, eps, first_resonance(d, k).kappa_star, "exact")
     assert (t.k_eps, t.k_eps_lo) == (hi, lo)
     assert t.alpha0 == alpha
 
@@ -377,10 +376,10 @@ def test_exact_tuning_row_evaluates_exterior_once(monkeypatch):
     for _ in range(2):
         calls.clear()
         res = instability_sweep(2, 1.0, [1e-2, 1e-3, 1e-4])
-        assert [r.alpha0 for r in res.records] == [t.alpha0 for t in res.tuned]
+        assert all(r.alpha0 is not None and not r.flags for r in res.records)
         assert len(calls) == 3   # one per row
         calls.clear()
-        assert tune_sigma(2, 1.0, 1e-3, spec, "exact").alpha0 is not None
+        assert tune_sigma(2, 1.0, 1e-3, spec.kappa_star, "exact").alpha0 is not None
         assert len(calls) == 1
 
 
@@ -408,7 +407,7 @@ def test_paper_alpha0_matches_80_digit_reference(d, eps):
     # a paper row keeps its double root unpolished and evaluates alpha0 there
     # at 60 digits; double-precision Bessel values were off by up to 7.3e-12
     # (2d, 1e-40) and 6.9e-12 (3d, 1e-6)
-    t = tune_sigma(d, 1.0, eps, first_resonance(d, 1.0), "paper")
+    t = tune_sigma(d, 1.0, eps, first_resonance(d, 1.0).kappa_star, "paper")
     assert t.k_eps_lo == 0.0
     ref = _alpha0_reference(d, 1.0, eps, t.k_eps)
     assert abs(t.alpha0 - ref) <= 1e-14 * abs(ref), (t.alpha0, ref)
@@ -428,14 +427,6 @@ _KAPPA_STAR_PINS = {
 def test_first_resonance_bits_pinned(d):
     got = [repr(first_resonance(d, 1.0, mode).kappa_star) for mode in range(7)]
     assert got == _KAPPA_STAR_PINS[d]
-
-
-def test_tune_sigma_validation():
-    spec = first_resonance(3, 1.0)
-    with pytest.raises(ValidationError):
-        tune_sigma(3, 1.0, 0.5, spec)
-    with pytest.raises(ValidationError):
-        tune_sigma(3, 1.0, 1e-2, spec, "wild")
 
 
 # -- resonances ----------------------------------------------------------------
@@ -764,7 +755,7 @@ def test_tuning_target_takes_one_chain_per_evaluation(monkeypatch):
     for d in (2, 3):
         spec = first_resonance(d, 1.0)
         counts.update(chains=0, targets=0)
-        tune_sigma(d, 1.0, 1e-3, spec, "exact")
+        tune_sigma(d, 1.0, 1e-3, spec.kappa_star, "exact")
         assert counts["targets"] > 5
         # the exterior singular factor once, then the interior regular
         # function once per evaluation of the target

@@ -320,7 +320,7 @@ def test_find_root_exact_tuning_budget(monkeypatch, d):
     def run():
         spec = first_resonance(d, 1.0)
         for i in range(7):
-            tune_sigma(d, 1.0, 10.0 ** (-2.0 - 0.5 * i), spec)
+            tune_sigma(d, 1.0, 10.0 ** (-2.0 - 0.5 * i), spec.kappa_star)
 
     assert _mean_evaluations(monkeypatch, run) <= 14
 
